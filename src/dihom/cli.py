@@ -13,6 +13,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -154,6 +155,12 @@ def build_parser():
     p.add_argument("--highlight", type=int, default=None)
 
     return parser
+
+
+@functools.cache
+def _shared_parser():
+    """build_parser() once per process; parse_args leaves a parser unchanged."""
+    return build_parser()
 
 
 def _scene_endpoints(scene):
@@ -335,9 +342,8 @@ _COMMANDS = {
 def run(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except _UsageError as exc:
         err.write(f"error: {exc}\n")
         return 2

@@ -9,9 +9,22 @@ factors through single squares, so the arrows of the fundamental category
 from x to y are the swap classes of dipaths x -> y.
 
 Since both sides of every square relation have length 2, swaps preserve
-word length; classes therefore refine by length, and a length-bounded
-enumeration is closed under swaps.  Unbounded enumeration is only allowed
-on acyclic complexes and is refused (not silently truncated) otherwise.
+word length, so classes are computed one length layer at a time without
+listing dipaths (the discrete form of the trace-space state-space
+reduction).  A class of length l+1 is a set of pairs (class p of length l,
+last edge e); two pairs are joined only when a square's two routes
+(a1 a2) ~ (b1 b2) extend one class q of length l-1, i.e. they are
+(q.a1, a2) and (q.b1, b2), where q.a1 is read off the right action
+recorded at the layer before.  Swaps inside the prefix leave the pair
+unchanged, and the swap congruence is a right congruence, so this is exact.
+Pairs are numbered in (rank of p, sorted out-edge) order and each class
+keeps its lowest pair as root: roots are then the lexicographically least
+members, layers come out sorted by representative, and class sizes are
+exact sums of prefix sizes.  The cost grows with the number of classes
+(and their representatives' lengths), not with the number of dipaths.
+
+Unbounded computation is only allowed on acyclic complexes and is refused
+(not silently truncated) otherwise; the class count is capped.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ from .errors import (
 from .precubical import require_valid
 
 DEFAULT_MAX_PATHS = 1_000_000
+DEFAULT_MAX_CLASSES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -181,30 +195,47 @@ def presentation_of(complex_):
 
 def is_acyclic(complex_):
     """True iff edge reachability has no nontrivial cycle (self-loops count)."""
-    require_valid(complex_)
+    return _is_acyclic(require_valid(complex_))
+
+
+def _is_acyclic(k):
+    """is_acyclic on a complex the caller has already validated."""
     color = {}  # 1 = on stack, 2 = done
-    for root in complex_.vertices:
+    for root in k.vertices:
         if color.get(root):
             continue
-        stack = [(root, iter(complex_.out_edges(root)))]
+        stack = [(root, iter(k.out_edges(root)))]
         color[root] = 1
         while stack:
             v, it = stack[-1]
             advanced = False
             for e in it:
-                w = complex_.tgt(e)
+                w = k.tgt(e)
                 c = color.get(w)
                 if c == 1:
                     return False
                 if c is None:
                     color[w] = 1
-                    stack.append((w, iter(complex_.out_edges(w))))
+                    stack.append((w, iter(k.out_edges(w))))
                     advanced = True
                     break
             if not advanced:
                 color[v] = 2
                 stack.pop()
     return True
+
+
+def _require_walkable(complex_, vertices, max_len):
+    """Validate once, check the endpoints, refuse unbounded cyclic walks."""
+    k = require_valid(complex_)
+    for v in vertices:
+        if v not in k.vertices:
+            raise DomainError(f"unknown vertex {v}")
+    if max_len is None and not _is_acyclic(k):
+        raise UnboundedEnumerationError(
+            "unbounded enumeration on cyclic complex; pass a length bound"
+        )
+    return k
 
 
 def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_MAX_PATHS):
@@ -217,14 +248,7 @@ def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_
 
 
 def _enumerate_words(complex_, source, target, max_len, max_paths):
-    k = require_valid(complex_)
-    for v in (source, target):
-        if v not in k.vertices:
-            raise DomainError(f"unknown vertex {v}")
-    if max_len is None and not is_acyclic(k):
-        raise UnboundedEnumerationError(
-            "unbounded enumeration on cyclic complex; pass a length bound"
-        )
+    k = _require_walkable(complex_, (source, target), max_len)
     out = []
 
     def visit(at, word):
@@ -265,74 +289,170 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _swap_moves(complex_):
-    """pair -> sorted tuple of replacement pairs, from all square relations."""
-    moves = {}
-    for _w, (d1m, d1p, d2m, d2p) in sorted(complex_.squares.items()):
-        a, b = (d2m, d1p), (d1m, d2p)
-        moves.setdefault(a, set()).add(b)
-        moves.setdefault(b, set()).add(a)
-    return {p: tuple(sorted(q)) for p, q in moves.items()}
+class _Layer:
+    """The swap classes of all words of one length out of the source.
+
+    Class ``c`` ends at vertex number ``ends[c]``, has ``sizes[c]`` member
+    words and lexicographically least member ``reps[c]``; classes are
+    numbered in rep order.  Once the next layer is built, the pair (c, j-th
+    out-edge of its end) is numbered ``offsets[c] + j`` and ``step[pair]``
+    is the class of ``reps[c] + (edge,)`` there: the right action.
+    """
+
+    __slots__ = ("ends", "sizes", "reps", "offsets", "step")
+
+    def __init__(self, ends, sizes, reps):
+        self.ends, self.sizes, self.reps = ends, sizes, reps
 
 
-def _close_under_swaps(words, moves):
-    """Union-find partition of an enumerated, swap-closed word list."""
-    index = {w: i for i, w in enumerate(words)}
-    uf = _UnionFind(len(words))
-    for i, w in enumerate(words):
-        for pos in range(len(w) - 1):
-            repls = moves.get((w[pos], w[pos + 1]))
-            if not repls:
-                continue
-            for r in repls:
-                w2 = w[:pos] + r + w[pos + 2:]
-                j = index.get(w2)
-                # swaps preserve length and endpoints, so a complete
-                # enumeration always contains the replacement
-                assert j is not None, "swap left the enumerated set"
-                uf.union(i, j)
-    groups = {}
-    for i in range(len(words)):
-        groups.setdefault(uf.find(i), []).append(i)
-    return groups, index
+class _SwapEngine:
+    """Layer-by-layer swap classes of the words out of one source vertex.
+
+    Vertices are numbered in ``complex_.vertices`` order; ``out`` and
+    ``targets`` list each vertex's sorted out-edges and their targets, and
+    ``squares[v]`` holds, for each square starting at v, the out-edge
+    positions of its routes (a1 a2) = (d2m d1p) and (b1 b2) = (d1m d2p).
+    """
+
+    def __init__(self, k):
+        self.index = {v: i for i, v in enumerate(k.vertices)}
+        self.out = [k.out_edges(v) for v in k.vertices]
+        self.targets = [[self.index[k.tgt(e)] for e in es] for es in self.out]
+        self.pos = {e: j for es in self.out for j, e in enumerate(es)}
+        pos = self.pos
+        self.squares = [[] for _ in self.out]
+        for d1m, d1p, d2m, d2p in k.squares.values():
+            self.squares[self.index[k.src(d2m)]].append(
+                (pos[d2m], pos[d1p], pos[d1m], pos[d2p])
+            )
+
+    def layers(self, source, max_len, max_classes):
+        """Yield the _Layer of each length 0, 1, ... up to ``max_len``, or
+        until a layer is empty; only the last two layers are kept here."""
+        out, targets, squares = self.out, self.targets, self.squares
+        layer = _Layer([self.index[source]], [1], [()])
+        prev = None
+        built = 1
+        length = 0
+        while True:
+            yield layer
+            if not layer.ends or (max_len is not None and length >= max_len):
+                return
+            offsets = []
+            n = 0
+            for v in layer.ends:
+                offsets.append(n)
+                n += len(out[v])
+            layer.offsets = offsets
+            uf = _UnionFind(n)
+            if prev is not None:
+                step, prev_offsets = prev.step, prev.offsets
+                for q, v in enumerate(prev.ends):
+                    base = prev_offsets[q]
+                    for a1, a2, b1, b2 in squares[v]:
+                        uf.union(offsets[step[base + a1]] + a2, offsets[step[base + b1]] + b2)
+            # a union-find parent is always a lower pair, already numbered
+            # into the class of its root
+            parent = uf.parent
+            ends, sizes, reps = [], [], []
+            step = [0] * n
+            pair = 0
+            for v, size, rep in zip(layer.ends, layer.sizes, layer.reps):
+                for e, t in zip(out[v], targets[v]):
+                    up = parent[pair]
+                    if up == pair:
+                        step[pair] = len(ends)
+                        ends.append(t)
+                        sizes.append(size)
+                        reps.append(rep + (e,))
+                    else:
+                        cls = step[pair] = step[up]
+                        sizes[cls] += size
+                    pair += 1
+            built += len(ends)
+            if built > max_classes:
+                raise EnumerationLimitError(
+                    f"{built} dipath classes built from {source}, "
+                    f"more than the cap of {max_classes}"
+                )
+            layer.step = step
+            prev, layer = layer, _Layer(ends, sizes, reps)
+            length += 1
 
 
-def hom_classes(complex_, source, target, max_len=None, max_paths=DEFAULT_MAX_PATHS):
+def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     """Partition dipaths source -> target by the swap congruence.
 
     Classes come sorted by their canonical (lexicographically least)
-    representative word.
+    representative word.  At most ``max_classes`` classes of words out of
+    ``source`` (ending anywhere) are built before EnumerationLimitError.
     """
-    words = _enumerate_words(complex_, source, target, max_len, max_paths)
-    groups, _ = _close_under_swaps(words, _swap_moves(complex_))
-    classes = tuple(
-        HomClass(words[root], len(members)) for root, members in sorted(groups.items())
-    )
-    return HomClassSet(source, target, max_len, classes)
+    k = _require_walkable(complex_, (source, target), max_len)
+    engine = _SwapEngine(k)
+    t = engine.index[target]
+    found = []
+    for layer in engine.layers(source, max_len, max_classes):
+        found += [
+            HomClass(rep, size)
+            for v, size, rep in zip(layer.ends, layer.sizes, layer.reps)
+            if v == t
+        ]
+    found.sort(key=lambda c: c.representative)
+    return HomClassSet(source, target, max_len, tuple(found))
 
 
-def fundamental_monoid_classes(complex_, point, max_len, max_paths=DEFAULT_MAX_PATHS):
+def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX_CLASSES):
     """Per-length loop class counts at ``point``, with a concatenation table."""
     if max_len is None or max_len < 0:
         raise DomainError("monoid class counting needs a length bound >= 0")
-    words = _enumerate_words(complex_, point, point, max_len, max_paths)
-    groups, index = _close_under_swaps(words, _swap_moves(complex_))
-    roots = sorted(groups)
-    class_of_root = {root: i for i, root in enumerate(roots)}
-    uf_root = {}
-    for root, members in groups.items():
-        for m in members:
-            uf_root[m] = root
-    reps = tuple(words[root] for root in roots)
+    k = _require_walkable(complex_, (point,), max_len)
+    engine = _SwapEngine(k)
+    p = engine.index[point]
+    layers = list(engine.layers(point, max_len, max_classes))
+    loops = sorted(
+        (rep, length, c)
+        for length, layer in enumerate(layers)
+        for c, (v, rep) in enumerate(zip(layer.ends, layer.reps))
+        if v == p
+    )
+    reps = tuple(rep for rep, _, _ in loops)
+    rank = {(length, c): i for i, (_, length, c) in enumerate(loops)}
     counts = [0] * (max_len + 1)
     for rep in reps:
         counts[len(rep)] += 1
-    table = {}
-    for i, ri in enumerate(reps):
+    # walks[b]: (j, common prefix length with the previous listed rep) for
+    # the reps of length <= b, in rep order; in sorted order the common
+    # prefix of two reps is the least one between neighbours
+    lcp = [0] * len(reps)
+    for j in range(1, len(reps)):
+        a, b = reps[j - 1], reps[j]
+        m = 0
+        while m < len(a) and m < len(b) and a[m] == b[m]:
+            m += 1
+        lcp[j] = m
+    walks = []
+    for bound in range(max_len + 1):
+        listed, shared = [], 0
         for j, rj in enumerate(reps):
-            if len(ri) + len(rj) <= max_len:
-                w = ri + rj
-                table[(i, j)] = class_of_root[uf_root[index[w]]]
+            shared = min(shared, lcp[j])
+            if len(rj) <= bound:
+                listed.append((j, shared))
+                shared = len(rj)
+        walks.append(listed)
+    pos = engine.pos
+    table = {}
+    for i, (_, li, ci) in enumerate(loops):
+        # walk each short enough rj from ri's class through the right
+        # action, sharing the walk along common prefixes:
+        # path[m] is the class of ri + rj[:m] at length li + m
+        path = [ci]
+        for j, shared in walks[max_len - li]:
+            rj = reps[j]
+            del path[shared + 1:]
+            for m in range(shared, len(rj)):
+                layer = layers[li + m]
+                path.append(layer.step[layer.offsets[path[m]] + pos[rj[m]]])
+            table[(i, j)] = rank[(li + len(rj), path[-1])]
     return MonoidClassTable(point, max_len, tuple(counts), reps, table)
 
 
@@ -369,24 +489,29 @@ def pi0(complex_):
     return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
 
-def is_one_simple(complex_, max_len=None, max_paths=DEFAULT_MAX_PATHS):
+def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     """Whether every hom-set has at most one class.
 
     Exact on acyclic complexes (unbounded enumeration); with a bound on a
     cyclic complex the verdict only covers dipaths up to that length and is
-    flagged ``exact=False``.
+    flagged ``exact=False``.  One class sweep per source, each capped at
+    ``max_classes``; the witness is the first (x, y) in vertex order.
     """
     k = require_valid(complex_)
-    acyclic = is_acyclic(k)
+    acyclic = _is_acyclic(k)
     if max_len is None and not acyclic:
         raise UnboundedEnumerationError(
             "one-simplicity on a cyclic complex needs a length bound"
         )
     exact = acyclic and max_len is None
+    engine = _SwapEngine(k)
     for x in k.vertices:
-        for y in k.vertices:
-            h = hom_classes(k, x, y, max_len, max_paths)
-            if h.count > 1:
+        counts = [0] * len(k.vertices)
+        for layer in engine.layers(x, max_len, max_classes):
+            for v in layer.ends:
+                counts[v] += 1
+        for y, n in zip(k.vertices, counts):
+            if n > 1:
                 return OneSimpleResult(False, (x, y), exact)
     return OneSimpleResult(True, None, exact)
 

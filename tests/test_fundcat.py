@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -372,3 +373,127 @@ def test_hom_class_report_format():
 def test_hom_class_report_degenerate_path():
     text = fc.format_hom_classes(fc.hom_classes(HOLE, "v0_0", "v0_0", max_len=0))
     assert text == "classes 1\nclass 0 size 1 rep\n"
+
+
+# the class engine against the brute-force oracles, on seeded random inputs
+
+
+def random_complex(rng, acyclic):
+    """A small complex whose squares join random parallel 2-edge routes."""
+    n = rng.randint(1, 6)
+    verts = [f"x{i}" for i in range(n)]
+    edges = {}
+    for i in range(rng.randint(0, 11)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if acyclic:
+            if a == b:
+                continue
+            a, b = min(a, b), max(a, b)
+        edges[f"e{i:02d}"] = (verts[a], verts[b])
+    routes = [(a, b) for a in edges for b in edges if edges[a][1] == edges[b][0]]
+    squares = {}
+    for i in range(rng.randint(0, 8) if routes else 0):
+        (a1, a2), (b1, b2) = rng.choice(routes), rng.choice(routes)
+        if edges[a1][0] == edges[b1][0] and edges[a2][1] == edges[b2][1]:
+            squares[f"w{i}"] = (b1, a2, a1, b2)  # d2m;d1p = a1;a2, d1m;d2p = b1;b2
+    k = pc.PreCubicalSet(verts, edges, squares)
+    assert pc.validate(k) == []
+    return k
+
+
+def random_scene_complex(rng):
+    w, h = rng.randint(1, 4), rng.randint(1, 4)
+    boxes = []
+    for _ in range(rng.randint(0, 3)):
+        x0, y0 = rng.randint(0, w - 1), rng.randint(0, h - 1)
+        boxes.append(gs.Box(x0, y0, rng.randint(x0 + 1, w), rng.randint(y0 + 1, h)))
+    return gs.to_precubical(gs.GridScene(w, h, tuple(boxes), (0, 0), (w, h)))
+
+
+def random_cases(seed, count):
+    """(complex, length bound) triples: cyclic complexes get a bound."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.4:
+            yield rng, random_complex(rng, acyclic=False), rng.randint(0, 4)
+        elif roll < 0.7:
+            yield rng, random_complex(rng, acyclic=True), rng.choice([None, None, 3])
+        else:
+            yield rng, random_scene_complex(rng), rng.choice([None, None, 4])
+
+
+def oracle_classes(k, x, y, bound):
+    groups = swap_partition(k, bfs_dipaths(k, x, y, bound))
+    return [(min(g), len(g)) for g in groups]
+
+
+def test_engine_hom_classes_match_oracle_partition():
+    checked = 0
+    for rng, k, bound in random_cases(20261017, 120):
+        verts = list(k.vertices)
+        for _ in range(3):
+            x, y = rng.choice(verts), rng.choice(verts)
+            h = fc.hom_classes(k, x, y, bound)
+            got = [(c.representative, c.size) for c in h.classes]
+            assert got == oracle_classes(k, x, y, bound), (k, x, y, bound)
+            checked += h.count
+    assert checked > 100
+
+
+def test_engine_monoid_table_matches_oracle_partition():
+    for rng, k, bound in random_cases(7, 80):
+        x = rng.choice(list(k.vertices))
+        length = min(bound, 3) if bound is not None else 3
+        table = fc.fundamental_monoid_classes(k, x, length)
+        groups = swap_partition(k, bfs_dipaths(k, x, x, length))
+        reps = tuple(min(g) for g in groups)
+        class_of = {w: i for i, g in enumerate(groups) for w in g}
+        counts = [0] * (length + 1)
+        for r in reps:
+            counts[len(r)] += 1
+        expected = {
+            (i, j): class_of[ri + rj]
+            for i, ri in enumerate(reps)
+            for j, rj in enumerate(reps)
+            if len(ri) + len(rj) <= length
+        }
+        assert (table.counts, table.reps, table.table) == (tuple(counts), reps, expected)
+
+
+def test_engine_one_simple_matches_pairwise_oracle():
+    verdicts = set()
+    for _rng, k, bound in random_cases(11, 80):
+        expected = (True, None)
+        for x in k.vertices:
+            for y in k.vertices:
+                if len(oracle_classes(k, x, y, bound)) > 1 and expected[0]:
+                    expected = (False, (x, y))
+        res = fc.is_one_simple(k, bound)
+        assert (res.one_simple, res.witness) == expected, (k, bound)
+        assert res.exact == (bound is None)
+        verdicts.add(res.one_simple)
+    assert verdicts == {True, False}
+
+
+# sizes the dipath enumeration could not reach
+
+
+def test_long_circle_loops_are_one_class_per_length():
+    assert fc.hom_classes(pc.model("directed_circle"), "*", "*", 2000).count == 2001
+
+
+def test_two_hole_30x30_scene_counts_every_dipath():
+    k = scene_complex("grid 30 30\nbox 10 10 11 11\nbox 20 5 21 6\nsource 0 0\ntarget 30 30\n")
+    h = fc.hom_classes(k, "v0_0", "v30_30")
+    assert h.count == 3
+    assert sum(c.size for c in h.classes) == math.comb(60, 30)
+
+
+def test_class_cap_is_enforced_and_reports_the_count():
+    with pytest.raises(EnumerationLimitError, match=r"^\d+ dipath classes built from v0_0"):
+        fc.hom_classes(HOLE, "v0_0", "v3_3", max_classes=5)
+    with pytest.raises(EnumerationLimitError, match="dipath classes built"):
+        fc.is_one_simple(HOLE, max_classes=5)
+    with pytest.raises(EnumerationLimitError, match="dipath classes built"):
+        fc.fundamental_monoid_classes(pc.model("wedge_circles(2)"), "*", 8, max_classes=100)
