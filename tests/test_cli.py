@@ -329,7 +329,7 @@ def test_outputs_are_byte_identical_across_runs(workdir):
 
 
 def test_classes_on_a_long_thin_grid(tmp_path):
-    # 2401 edges in a row: deeper than the interpreter's recursion limit
+    # dipaths of 1201 edges: deeper than the interpreter's recursion limit
     scene = tmp_path / "long.scene"
     scene.write_text("grid 1200 1\nsource 0 0\ntarget 1200 1\n")
     assert invoke(["classes", str(scene)]) == (0, "classes 1\n", "")

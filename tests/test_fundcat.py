@@ -411,7 +411,7 @@ def random_scene_complex(rng):
 
 
 def random_cases(seed, count):
-    """(complex, length bound) triples: cyclic complexes get a bound."""
+    """(rng, complex, length bound) triples; cyclic complexes get a bound."""
     rng = random.Random(seed)
     for _ in range(count):
         roll = rng.random()
