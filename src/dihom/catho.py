@@ -14,7 +14,10 @@ limits that raise :class:`SizeGuardError` instead of degrading.
 The module also carries the presentation machinery used by the van Kampen
 computations: pushouts of generators-and-relations presentations along
 morphisms, and their realization as explicit categories (full when the
-generator graph is acyclic, length-truncated otherwise).
+generator graph is acyclic, length-truncated otherwise).  Realization
+builds the classes of generator words one length at a time with the class
+engine of :mod:`dihom.fundcat` when every relation preserves length, and
+lists words only for length-changing relations.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from .errors import (
     InputSyntaxError,
     SizeGuardError,
 )
-from .fundcat import CatPresentation, validate_presentation
+from .fundcat import (
+    CatPresentation,
+    _is_acyclic,
+    _SwapEngine,
+    _UnionFind,
+    _walk,
+    validate_presentation,
+)
 
 MAX_OBJECTS = 5
 MAX_ARROWS = 40
@@ -456,41 +466,55 @@ def all_functors(c, d, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS,
     """Every functor c -> d, by exhaustive search with composition pruning."""
     _guard(c, max_objects, max_arrows)
     _guard(d, max_objects, max_arrows)
-    objs = list(c.objects)
-    non_id = sorted(c.non_identity_arrows())
     results = []
+    for f in _functor_search(c, d, {}, {}, d.objects):
+        results.append(f)
+        if len(results) > max_functors:
+            raise EnumerationLimitError(f"more than {max_functors} functors enumerated")
+    return results
 
-    for images in iter_product(d.objects, repeat=len(objs)):
-        omap = dict(zip(objs, images))
-        amap = {c.identity[x]: d.identity[omap[x]] for x in objs}
 
-        def consistent(new):
-            for (u, v), w in c.table.items():
-                if new not in (u, v, w):
-                    continue
+def _functor_search(c, d, obj_preset, arr_preset, images):
+    """Yield every functor c -> d that extends the given object and arrow
+    images: the other objects range over ``images`` (outer loop, in product
+    order), the other non-identity arrows over the matching hom-sets of d
+    (depth-first, in sorted arrow order), pruned by the composition table.
+    """
+    arrows = sorted(c.non_identity_arrows())
+    # the composition-table entries each arrow takes part in
+    entries = {}
+    for (u, v), w in c.table.items():
+        for a in {u, v, w}:
+            entries.setdefault(a, []).append((u, v, w))
+    free = [x for x in c.objects if x not in obj_preset]
+    for chosen in iter_product(images, repeat=len(free)):
+        omap = dict(obj_preset)
+        omap.update(zip(free, chosen))
+        amap = {c.identity[x]: d.identity[omap[x]] for x in c.objects}
+        amap.update(arr_preset)
+
+        def consistent(a):
+            for u, v, w in entries.get(a, ()):
                 if u in amap and v in amap and w in amap:
                     if d.table.get((amap[u], amap[v])) != amap[w]:
                         return False
             return True
 
-        def rec(i):
-            if i == len(non_id):
-                results.append(FunctorMap(c, d, omap, amap))
-                if len(results) > max_functors:
-                    raise EnumerationLimitError(
-                        f"more than {max_functors} functors enumerated"
-                    )
+        def extend(i):
+            if i == len(arrows):
+                yield FunctorMap(c, d, omap, amap)
                 return
-            a = non_id[i]
+            a = arrows[i]
+            preset = arr_preset.get(a)
             s, t = c.arrows[a]
-            for h in d.hom(omap[s], omap[t]):
+            for h in d.hom(omap[s], omap[t]) if preset is None else (preset,):
                 amap[a] = h
                 if consistent(a):
-                    rec(i + 1)
-                del amap[a]
+                    yield from extend(i + 1)
+            if preset is None:
+                amap.pop(a, None)
 
-        rec(0)
-    return results
+        yield from extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +525,17 @@ class _Components:
     def __init__(self, functors):
         self.index = {f: i for i, f in enumerate(functors)}
         n = len(functors)
-        self.parent = list(range(n))
+        self.uf = _UnionFind(n)
         for i in range(n):
             for j in range(i + 1, n):
-                if self.find(i) == self.find(j):
+                if self.uf.find(i) == self.uf.find(j):
                     continue
                 fi, fj = functors[i], functors[j]
                 if exists_nat_transformation(fi, fj) or exists_nat_transformation(fj, fi):
-                    self.parent[self.find(i)] = self.find(j)
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
+                    self.uf.union(i, j)
 
     def connected(self, f, g):
-        return self.find(self.index[f]) == self.find(self.index[g])
+        return self.uf.find(self.index[f]) == self.uf.find(self.index[g])
 
 
 def dhomotopic_functors(f, g, **guards):
@@ -576,57 +594,16 @@ def retract_endofunctors(cat, sub_objs, strong=False):
     an identity on the subcategory's objects.
     """
     sub = set(sub_objs)
-    objs = list(cat.objects)
-    non_id = sorted(cat.non_identity_arrows())
-    omap = {}
-    for x in objs:
-        if x in sub:
-            omap[x] = x
-    free = [x for x in objs if x not in sub]
     ident = identity_functor(cat)
     fixed = {x: cat.identity[x] for x in sub} if strong else None
-
-    for images in iter_product(sorted(sub), repeat=len(free)):
-        omap.update(zip(free, images))
-        amap = {cat.identity[x]: cat.identity[omap[x]] for x in objs}
-        for a in non_id:
-            s, t = cat.arrows[a]
-            if s in sub and t in sub:
-                amap[a] = a
-
-        results = []
-
-        def consistent(new):
-            for (u, v), w in cat.table.items():
-                if new not in (u, v, w):
-                    continue
-                if u in amap and v in amap and w in amap:
-                    if cat.table.get((amap[u], amap[v])) != amap[w]:
-                        return False
-            return True
-
-        def rec(i):
-            if i == len(non_id):
-                results.append(FunctorMap(cat, cat, dict(omap), dict(amap)))
-                return
-            a = non_id[i]
-            if a in amap:
-                if consistent(a):
-                    rec(i + 1)
-                return
-            s, t = cat.arrows[a]
-            for h in cat.hom(omap[s], omap[t]):
-                amap[a] = h
-                if consistent(a):
-                    rec(i + 1)
-                del amap[a]
-
-        rec(0)
-        for q in results:
-            if exists_nat_transformation(ident, q, fixed=fixed):
-                yield q, "future"
-            if exists_nat_transformation(q, ident, fixed=fixed):
-                yield q, "past"
+    kept = {x: x for x in cat.objects if x in sub}
+    inside = {a: a for a in sorted(cat.non_identity_arrows())
+              if cat.src(a) in sub and cat.tgt(a) in sub}
+    for q in _functor_search(cat, cat, kept, inside, sorted(sub)):
+        if exists_nat_transformation(ident, q, fixed=fixed):
+            yield q, "future"
+        if exists_nat_transformation(q, ident, fixed=fixed):
+            yield q, "past"
 
 
 def _is_trivial_point(cat, obj):
@@ -757,26 +734,33 @@ def _length_preserving(pres):
     return all(len(u) == len(v) for u, v in pres.relations)
 
 
+def _rewrites(relations, word):
+    """Every word one relation substitution (either direction) away."""
+    for u, v in relations:
+        for a, b in ((u, v), (v, u)):
+            la = len(a)
+            for i in range(len(word) - la + 1):
+                if word[i : i + la] == a:
+                    yield word[:i] + b + word[i + la :]
+
+
 def _word_swap_class(pres, word, max_words=MAX_WORDS):
     """BFS closure of a word under relation substitutions.
 
-    Finite (and used) only when all relations preserve length.
+    Finite (and used) only when all relations preserve length.  A BFS, not
+    the class engine: the closure of an image word in a target without
+    relations has size 1, while the engine would build every class of the
+    word's length.
     """
     seen = {tuple(word)}
     queue = deque(seen)
     while queue:
-        w = queue.popleft()
-        for u, v in pres.relations:
-            for a, b in ((u, v), (v, u)):
-                la = len(a)
-                for i in range(len(w) - la + 1):
-                    if w[i : i + la] == a:
-                        w2 = w[:i] + b + w[i + la :]
-                        if w2 not in seen:
-                            seen.add(w2)
-                            if len(seen) > max_words:
-                                raise EnumerationLimitError("swap closure too large")
-                            queue.append(w2)
+        for w2 in _rewrites(pres.relations, queue.popleft()):
+            if w2 not in seen:
+                seen.add(w2)
+                if len(seen) > max_words:
+                    raise EnumerationLimitError("swap closure too large")
+                queue.append(w2)
     return seen
 
 
@@ -850,25 +834,13 @@ def pushout(p0, p1, p2, u1, u2):
         raise DomainError("u2 does not start at p0")
     require_morphism(u1)
     require_morphism(u2)
-    tagged = [f"1:{x}" for x in p1.objects] + [f"2:{x}" for x in p2.objects]
-    parent = {t: t for t in tagged}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    def union_(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    # sorted, so the lowest index of a class, its root, is its least tag
+    tagged = sorted([f"1:{x}" for x in p1.objects] + [f"2:{x}" for x in p2.objects])
+    index = {t: i for i, t in enumerate(tagged)}
+    uf = _UnionFind(len(tagged))
     for x in p0.objects:
-        union_(f"1:{u1.obj(x)}", f"2:{u2.obj(x)}")
-    cls = {t: find(t) for t in tagged}
+        uf.union(index[f"1:{u1.obj(x)}"], index[f"2:{u2.obj(x)}"])
+    cls = {t: tagged[uf.find(i)] for t, i in index.items()}
 
     objects = sorted(set(cls.values()))
     gens = {}
@@ -902,36 +874,8 @@ def pushout(p0, p1, p2, u1, u2):
     return Pushout(pres, left, right)
 
 
-def _presentation_acyclic(pres):
-    color = {}
-    out = {}
-    for g, (s, t) in pres.generators.items():
-        out.setdefault(s, []).append(t)
-    for root in pres.objects:
-        if color.get(root):
-            continue
-        stack = [(root, iter(out.get(root, ())))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                c = color.get(w)
-                if c == 1:
-                    return False
-                if c is None:
-                    color[w] = 1
-                    stack.append((w, iter(out.get(w, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return True
-
-
 class Realization:
-    """Hom-sets of a presented category as swap classes of generator words.
+    """Hom-sets of a presented category as classes of generator words.
 
     Complete when the generator graph is acyclic and no bound cuts the
     enumeration short; otherwise ``truncated`` is set and hom-sets only
@@ -953,7 +897,10 @@ class Realization:
         return len(self.hom_reps(x, y))
 
     def class_of(self, start, word):
-        return self._class_of[(start, tuple(word))]
+        """Canonical word of the class of ``word`` out of ``start``;
+        DomainError for an unknown start, a word that does not compose from
+        it, or one longer than the realization covers."""
+        return self._class_of(start, tuple(word))
 
     def to_fincategory(self):
         """Explicit category with one arrow per class; complete mode only."""
@@ -982,103 +929,95 @@ def _arrow_name(start, word):
 
 
 def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
-    """Enumerate generator words (fully if acyclic, else up to ``bound``)
-    and partition them by relation swaps."""
+    """Hom-sets of a presented category, fully if the generator graph is
+    acyclic, else for words up to ``bound``.
+
+    With length-preserving relations the classes are built one word length
+    at a time by the class engine of :mod:`dihom.fundcat`, and
+    ``max_words`` caps the classes built per source object; with
+    length-changing relations (acyclic presentations only) every word is
+    listed and ``max_words`` caps the words.  ``truncated`` is set when a
+    bound was given and some word of that length can still be extended.
+    """
     bad = validate_presentation(pres)
     if bad:
         raise DomainError("invalid presentation: " + "; ".join(bad[:5]))
-    acyclic = _presentation_acyclic(pres)
+    lp = _length_preserving(pres)
+    engine = _SwapEngine(pres.objects, pres.generators, pres.relations if lp else ())
+    acyclic = _is_acyclic(engine.targets)
     if bound is None and not acyclic:
         raise DomainError("cyclic presentation needs a length bound")
-    if bound is not None and not acyclic and not _length_preserving(pres):
-        raise DomainError("length-changing relation in truncated mode")
+    if not lp:
+        if not acyclic:
+            raise DomainError("length-changing relation in truncated mode")
+        return _realize_words(pres, engine, bound, max_words)
+    objects, out = pres.objects, engine.out
+    found = {}
+    layers_of = {}
+    truncated = False
+    for x in objects:
+        layers = layers_of[x] = list(engine.layers(x, bound, max_words))
+        for layer in layers:
+            for y, rep in zip(layer.ends, layer.reps):
+                found.setdefault((x, objects[y]), []).append(rep)
+        # the last layer is empty unless the bound cut the words off
+        truncated = truncated or any(out[v] for v in layers[-1].ends)
+    homs = {xy: tuple(sorted(reps)) for xy, reps in sorted(found.items())}
 
-    out_gens = {}
-    for g, (s, t) in sorted(pres.generators.items()):
-        out_gens.setdefault(s, []).append(g)
+    def class_of(start, word):
+        layers = layers_of.get(start)
+        if layers is None:
+            raise DomainError(f"unknown object {start}")
+        cls = 0
+        for i, g in enumerate(word):
+            if i + 1 == len(layers):
+                raise DomainError(f"word longer than the bound {bound}")
+            layer = layers[i]
+            if g not in engine.pos or pres.gen_src(g) != objects[layer.ends[cls]]:
+                raise DomainError(f"word not composable at generator {g}")
+            cls = layer.step[layer.offsets[cls] + engine.pos[g]]
+        return layers[len(word)].reps[cls]
 
-    words = {}  # (x, y) -> list of words, lexicographic
-    total = [0]
-
-    def visit(start, at, word):
-        words.setdefault((start, at), []).append(tuple(word))
-        total[0] += 1
-        if total[0] > max_words:
-            raise EnumerationLimitError(f"more than {max_words} words enumerated")
-        if bound is not None and len(word) >= bound:
-            return
-        for g in out_gens.get(at, ()):
-            word.append(g)
-            visit(start, pres.gen_tgt(g), word)
-            word.pop()
-
-    for x in pres.objects:
-        visit(x, x, [])
-
-    if bound is None:
-        truncated = False
-    elif acyclic:
-        # a bound covering the longest generator path cuts nothing off
-        truncated = _has_cut_words(pres, out_gens, bound)
-    else:
-        truncated = True
-
-    homs = {}
-    class_of = {}
-    moves = pres.relations
-    for (x, y), ws in sorted(words.items()):
-        index = {w: i for i, w in enumerate(ws)}
-        parent = list(range(len(ws)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union_(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if ra > rb:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-
-        for i, w in enumerate(ws):
-            for u, v in moves:
-                for a, b in ((u, v), (v, u)):
-                    la = len(a)
-                    for pos in range(len(w) - la + 1):
-                        if w[pos : pos + la] == a:
-                            w2 = w[:pos] + b + w[pos + la :]
-                            j = index.get(w2)
-                            if j is not None:
-                                union_(i, j)
-        groups = {}
-        for i in range(len(ws)):
-            groups.setdefault(find(i), []).append(i)
-        reps = tuple(ws[r] for r in sorted(groups))
-        homs[(x, y)] = reps
-        for r, members in groups.items():
-            for m in members:
-                class_of[(x, ws[m])] = ws[r]
     return Realization(pres, bound, truncated, homs, class_of)
 
 
-def _has_cut_words(pres, out_gens, bound):
-    """True if some word of length bound can still be extended (acyclic case:
-    compare the bound against the longest generator path)."""
-    longest = {}
+def _realize_words(pres, engine, bound, max_words):
+    """Realization by listing every word (up to ``bound``) and joining
+    words one relation substitution apart: the path for length-changing
+    relations, and the reference the engine path is tested against."""
+    objects, out = pres.objects, engine.out
+    words = {}  # (x, y) -> list of words, lexicographic
+    total = 0
+    truncated = False
+    for i, x in enumerate(objects):
+        for word, at in _walk(engine, i, bound):
+            words.setdefault((x, objects[at]), []).append(tuple(word))
+            total += 1
+            if total > max_words:
+                raise EnumerationLimitError(f"more than {max_words} words enumerated")
+            if len(word) == bound and out[at]:
+                truncated = True
+    homs = {}
+    canonical = {}
+    for (x, y), ws in sorted(words.items()):
+        index = {w: i for i, w in enumerate(ws)}
+        uf = _UnionFind(len(ws))
+        for i, w in enumerate(ws):
+            for w2 in _rewrites(pres.relations, w):
+                j = index.get(w2)
+                if j is not None:
+                    uf.union(i, j)
+        roots = [uf.find(i) for i in range(len(ws))]
+        homs[(x, y)] = tuple(ws[r] for r in sorted(set(roots)))
+        for w, r in zip(ws, roots):
+            canonical[(x, w)] = ws[r]
 
-    def lp(v):
-        if v in longest:
-            return longest[v]
-        best = 0
-        for g in out_gens.get(v, ()):
-            best = max(best, 1 + lp(pres.gen_tgt(g)))
-        longest[v] = best
-        return best
+    def class_of(start, word):
+        if (start, word) not in canonical:
+            raise DomainError(f"no word {';'.join(word)} out of {start} here")
+        return canonical[(start, word)]
 
-    return any(lp(x) > bound for x in pres.objects)
+    return Realization(pres, bound, truncated, homs, class_of)
 
 
 # ---------------------------------------------------------------------------

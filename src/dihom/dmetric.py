@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .errors import DomainError, InputSyntaxError
+from .fundcat import _UnionFind
 
 INF = math.inf
 
@@ -154,25 +155,17 @@ def quotient(space, pairs):
     paths."""
     n = len(space.points)
     idx = {p: i for i, p in enumerate(space.points)}
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    uf = _UnionFind(n)
     for p, q in pairs:
         if p not in idx or q not in idx:
             raise DomainError(f"unknown point in relation: {p if p not in idx else q}")
-        ri, rj = find(idx[p]), find(idx[q])
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+        uf.union(idx[p], idx[q])
 
+    root = [uf.find(i) for i in range(n)]
     w = [[space.dist[i][j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if find(i) == find(j) and i != j:
+            if root[i] == root[j] and i != j:
                 w[i][j] = Fraction(0)
     for k in range(n):
         wk = w[k]
@@ -188,7 +181,7 @@ def quotient(space, pairs):
 
     classes = {}
     for i, p in enumerate(space.points):
-        classes.setdefault(find(i), []).append(p)
+        classes.setdefault(root[i], []).append(p)
     # class named by its lexicographically least member
     named = sorted((min(members), root) for root, members in classes.items())
     points = tuple(name for name, _root in named)

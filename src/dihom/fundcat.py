@@ -11,17 +11,11 @@ from x to y are the swap classes of dipaths x -> y.
 Since both sides of every square relation have length 2, swaps preserve
 word length, so classes are computed one length layer at a time without
 listing dipaths (the discrete form of the trace-space state-space
-reduction).  A class of length l+1 is a set of pairs (class p of length l,
-last edge e); two pairs are joined only when a square's two routes
-(a1 a2) ~ (b1 b2) extend one class q of length l-1, i.e. they are
-(q.a1, a2) and (q.b1, b2), where q.a1 is read off the right action
-recorded at the layer before.  Swaps inside the prefix leave the pair
-unchanged, and the swap congruence is a right congruence, so this is exact.
-Pairs are numbered in (rank of p, sorted out-edge) order and each class
-keeps its lowest pair as root: roots are then the lexicographically least
-members, layers come out sorted by representative, and class sizes are
-exact sums of prefix sizes.  The cost grows with the number of classes
-(and their representatives' lengths), not with the number of dipaths.
+reduction).  The engine that does so, ``_SwapEngine``, takes any
+presentation whose relations preserve length, so it also realizes glued
+presentations (:func:`dihom.catho.realize_presentation`); its cost grows
+with the number of classes (and their representatives' lengths), not with
+the number of words.
 
 Unbounded computation is only allowed on acyclic complexes and is refused
 (not silently truncated) otherwise; the class count is capped.
@@ -185,57 +179,63 @@ def presentation_of(complex_):
     its two boundary routes (d2m;d1p vs d1m;d2p), written in diagrammatic
     order.
     """
-    require_valid(complex_)
-    rels = tuple(
-        ((d2m, d1p), (d1m, d2p))
-        for _w, (d1m, d1p, d2m, d2p) in sorted(complex_.squares.items())
-    )
-    return CatPresentation(complex_.vertices, dict(complex_.edges), rels)
+    k = require_valid(complex_)
+    return CatPresentation(k.vertices, dict(k.edges), _square_relations(k))
+
+
+def _square_relations(k):
+    """One relation (d2m d1p) = (d1m d2p) per square, in square id order."""
+    return tuple(((d2m, d1p), (d1m, d2p)) for d1m, d1p, d2m, d2p in k.squares.values())
+
+
+def _engine_of(k):
+    """The class engine of a validated complex: vertices, edges, squares."""
+    return _SwapEngine(k.vertices, k.edges, _square_relations(k))
 
 
 def is_acyclic(complex_):
     """True iff edge reachability has no nontrivial cycle (self-loops count)."""
-    return _is_acyclic(require_valid(complex_))
+    k = require_valid(complex_)
+    return _is_acyclic(_SwapEngine(k.vertices, k.edges, ()).targets)
 
 
-def _is_acyclic(k):
-    """is_acyclic on a complex the caller has already validated."""
-    color = {}  # 1 = on stack, 2 = done
-    for root in k.vertices:
-        if color.get(root):
+def _is_acyclic(targets):
+    """Whether the graph with out-neighbours ``targets[v]`` (vertices are
+    list positions) has no cycle; iterative depth-first search."""
+    color = [0] * len(targets)  # 1 = on stack, 2 = done
+    for root in range(len(targets)):
+        if color[root]:
             continue
-        stack = [(root, iter(k.out_edges(root)))]
+        stack = [(root, iter(targets[root]))]
         color[root] = 1
         while stack:
             v, it = stack[-1]
-            advanced = False
-            for e in it:
-                w = k.tgt(e)
-                c = color.get(w)
+            for w in it:
+                c = color[w]
                 if c == 1:
                     return False
-                if c is None:
+                if not c:
                     color[w] = 1
-                    stack.append((w, iter(k.out_edges(w))))
-                    advanced = True
+                    stack.append((w, iter(targets[w])))
                     break
-            if not advanced:
+            else:
                 color[v] = 2
                 stack.pop()
     return True
 
 
 def _require_walkable(complex_, vertices, max_len):
-    """Validate once, check the endpoints, refuse unbounded cyclic walks."""
-    k = require_valid(complex_)
+    """Validate once, check the endpoints, refuse unbounded cyclic walks;
+    returns the complex's class engine."""
+    engine = _engine_of(require_valid(complex_))
     for v in vertices:
-        if v not in k.vertices:
+        if v not in engine.index:
             raise DomainError(f"unknown vertex {v}")
-    if max_len is None and not _is_acyclic(k):
+    if max_len is None and not _is_acyclic(engine.targets):
         raise UnboundedEnumerationError(
             "unbounded enumeration on cyclic complex; pass a length bound"
         )
-    return k
+    return engine
 
 
 def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_MAX_PATHS):
@@ -243,30 +243,41 @@ def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_
 
     ``max_len=None`` means unbounded and requires an acyclic complex.
     """
-    words = _enumerate_words(complex_, source, target, max_len, max_paths)
-    return [DiPath(complex_, source, w) for w in words]
-
-
-def _enumerate_words(complex_, source, target, max_len, max_paths):
-    k = _require_walkable(complex_, (source, target), max_len)
+    engine = _require_walkable(complex_, (source, target), max_len)
+    t = engine.index[target]
     out = []
-
-    def visit(at, word):
-        if at == target:
-            out.append(tuple(word))
+    for word, at in _walk(engine, engine.index[source], max_len):
+        if at == t:
+            out.append(DiPath(complex_, source, tuple(word)))
             if len(out) > max_paths:
                 raise EnumerationLimitError(
                     f"more than {max_paths} dipaths {source} -> {target}"
                 )
-        if max_len is not None and len(word) >= max_len:
-            return
-        for e in k.out_edges(at):
-            word.append(e)
-            visit(k.tgt(e), word)
-            word.pop()
-
-    visit(source, [])
     return out
+
+
+def _walk(engine, source, max_len):
+    """Yield (word, end) for every word out of object number ``source`` of
+    length <= ``max_len`` (None: unbounded, acyclic only), in lexicographic
+    order; ``word`` is one list that the walk changes in place, so copy it
+    to keep it.  Iterative, so words of any length are fine."""
+    out, targets = engine.out, engine.targets
+    word, stack = [], []  # stack[i]: the untried extensions of word[:i]
+    at = source
+    while True:
+        yield word, at
+        if max_len is None or len(word) < max_len:
+            stack.append(zip(out[at], targets[at]))
+        while stack:
+            del word[len(stack) - 1:]
+            nxt = next(stack[-1], None)
+            if nxt is not None:
+                g, at = nxt
+                word.append(g)
+                break
+            stack.pop()
+        else:
+            return
 
 
 class _UnionFind:
@@ -281,22 +292,30 @@ class _UnionFind:
         return x
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller index as root: roots are then lex-least members
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+        # find, inlined: this is the class engine's inner loop
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        while p[b] != b:
+            p[b] = p[p[b]]
+            b = p[b]
+        # keep the smaller index as root: roots are then lex-least members
+        if a < b:
+            p[b] = a
+        elif b < a:
+            p[a] = b
 
 
 class _Layer:
-    """The swap classes of all words of one length out of the source.
+    """The classes of all words of one length out of the source.
 
-    Class ``c`` ends at vertex number ``ends[c]``, has ``sizes[c]`` member
+    Class ``c`` ends at object number ``ends[c]``, has ``sizes[c]`` member
     words and lexicographically least member ``reps[c]``; classes are
     numbered in rep order.  Once the next layer is built, the pair (c, j-th
-    out-edge of its end) is numbered ``offsets[c] + j`` and ``step[pair]``
-    is the class of ``reps[c] + (edge,)`` there: the right action.
+    out-generator of its end) is numbered ``offsets[c] + j`` and
+    ``step[pair]`` is the class of ``reps[c] + (generator,)`` there: the
+    right action.
     """
 
     __slots__ = ("ends", "sizes", "reps", "offsets", "step")
@@ -306,32 +325,55 @@ class _Layer:
 
 
 class _SwapEngine:
-    """Layer-by-layer swap classes of the words out of one source vertex.
+    """Layer-by-layer classes of the generator words out of one source object,
+    modulo length-preserving relations u = v of any length m >= 1.
 
-    Vertices are numbered in ``complex_.vertices`` order; ``out`` and
-    ``targets`` list each vertex's sorted out-edges and their targets, and
-    ``squares[v]`` holds, for each square starting at v, the out-edge
-    positions of its routes (a1 a2) = (d2m d1p) and (b1 b2) = (d1m d2p).
+    Built from presentation data: objects, generators (id -> (src, tgt))
+    and relations; a complex enters with one relation (d2m d1p) = (d1m d2p)
+    per square.  Objects are numbered in the given order; ``out`` and
+    ``targets`` list each object's sorted out-generators and their targets,
+    ``pos[g]`` is g's place in its source's list, and ``relations[m][s]``
+    holds, for each length-m relation u = v out of object s, the positions
+    of u + v.
+
+    A class of length l+1 is a set of pairs (class p of length l, last
+    generator g).  A relation u = v of length m out of s joins, for every
+    class q of length l+1-m ending at s, the pairs (q.u[:-1], u[-1]) and
+    (q.v[:-1], v[-1]), where q.w is read off the right action recorded at
+    the layers between; substitutions inside the prefix leave the pair
+    unchanged, and the congruence is a right congruence, so this is exact.
+    Pairs are numbered in (rank of p, sorted out-generator) order and each
+    class keeps its lowest pair as root: roots are then the lexicographically
+    least members, layers come out sorted by representative, and class
+    sizes are exact sums of prefix sizes.  Only the last max(m) layers are
+    kept while building.
     """
 
-    def __init__(self, k):
-        self.index = {v: i for i, v in enumerate(k.vertices)}
-        self.out = [k.out_edges(v) for v in k.vertices]
-        self.targets = [[self.index[k.tgt(e)] for e in es] for es in self.out]
-        self.pos = {e: j for es in self.out for j, e in enumerate(es)}
-        pos = self.pos
-        self.squares = [[] for _ in self.out]
-        for d1m, d1p, d2m, d2p in k.squares.values():
-            self.squares[self.index[k.src(d2m)]].append(
-                (pos[d2m], pos[d1p], pos[d1m], pos[d2p])
-            )
+    def __init__(self, objects, generators, relations):
+        index = self.index = {v: i for i, v in enumerate(objects)}
+        out = self.out = [[] for _ in objects]
+        targets = self.targets = [[] for _ in objects]
+        pos = self.pos = {}
+        for g, (s, t) in sorted(generators.items()):
+            i = index[s]
+            pos[g] = len(out[i])
+            out[i].append(g)
+            targets[i].append(index[t])
+        self.relations = {}
+        for u, v in relations:
+            starts = self.relations.get(len(u))
+            if starts is None:
+                starts = self.relations[len(u)] = [[] for _ in objects]
+            starts[index[generators[u[0]][0]]].append([pos[g] for g in u + v])
+        self.depth = max(self.relations, default=1)
 
     def layers(self, source, max_len, max_classes):
         """Yield the _Layer of each length 0, 1, ... up to ``max_len``, or
-        until a layer is empty; only the last two layers are kept here."""
-        out, targets, squares = self.out, self.targets, self.squares
+        until a layer is empty; only the last max(m) layers are kept here."""
+        out, targets, depth = self.out, self.targets, self.depth
+        relations = self.relations.items()
         layer = _Layer([self.index[source]], [1], [()])
-        prev = None
+        live = [layer]  # the last ``depth`` layers, oldest first
         built = 1
         length = 0
         while True:
@@ -345,12 +387,26 @@ class _SwapEngine:
                 n += len(out[v])
             layer.offsets = offsets
             uf = _UnionFind(n)
-            if prev is not None:
-                step, prev_offsets = prev.step, prev.offsets
-                for q, v in enumerate(prev.ends):
-                    base = prev_offsets[q]
-                    for a1, a2, b1, b2 in squares[v]:
-                        uf.union(offsets[step[base + a1]] + a2, offsets[step[base + b1]] + b2)
+            union = uf.union
+            for m, starts in relations:
+                if m > len(live):
+                    continue
+                # walk both sides from each class of the base layer, as pair
+                # numbers: the class a pair p of one layer steps to starts
+                # the pairs of the next at next.offsets[this.step[p]]
+                base = live[-m]
+                hops = [(w.step, nxt.offsets) for w, nxt in zip(live[-m:-1], live[1 - m:])]
+                for o, s in zip(base.offsets, base.ends):
+                    for uv in starts[s]:
+                        a = o + uv[0]
+                        b = o + uv[m]
+                        i = 1
+                        while i < m:
+                            st, off = hops[i - 1]
+                            a = off[st[a]] + uv[i]
+                            b = off[st[b]] + uv[m + i]
+                            i += 1
+                        union(a, b)
             # a union-find parent is always a lower pair, already numbered
             # into the class of its root
             parent = uf.parent
@@ -358,13 +414,13 @@ class _SwapEngine:
             step = [0] * n
             pair = 0
             for v, size, rep in zip(layer.ends, layer.sizes, layer.reps):
-                for e, t in zip(out[v], targets[v]):
+                for g, t in zip(out[v], targets[v]):
                     up = parent[pair]
                     if up == pair:
                         step[pair] = len(ends)
                         ends.append(t)
                         sizes.append(size)
-                        reps.append(rep + (e,))
+                        reps.append(rep + (g,))
                     else:
                         cls = step[pair] = step[up]
                         sizes[cls] += size
@@ -376,7 +432,10 @@ class _SwapEngine:
                     f"more than the cap of {max_classes}"
                 )
             layer.step = step
-            prev, layer = layer, _Layer(ends, sizes, reps)
+            layer = _Layer(ends, sizes, reps)
+            live.append(layer)
+            if len(live) > depth:
+                del live[0]
             length += 1
 
 
@@ -387,8 +446,7 @@ def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_
     representative word.  At most ``max_classes`` classes of words out of
     ``source`` (ending anywhere) are built before EnumerationLimitError.
     """
-    k = _require_walkable(complex_, (source, target), max_len)
-    engine = _SwapEngine(k)
+    engine = _require_walkable(complex_, (source, target), max_len)
     t = engine.index[target]
     found = []
     for layer in engine.layers(source, max_len, max_classes):
@@ -405,8 +463,7 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
     """Per-length loop class counts at ``point``, with a concatenation table."""
     if max_len is None or max_len < 0:
         raise DomainError("monoid class counting needs a length bound >= 0")
-    k = _require_walkable(complex_, (point,), max_len)
-    engine = _SwapEngine(k)
+    engine = _require_walkable(complex_, (point,), max_len)
     p = engine.index[point]
     layers = list(engine.layers(point, max_len, max_classes))
     loops = sorted(
@@ -498,13 +555,13 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     ``max_classes``; the witness is the first (x, y) in vertex order.
     """
     k = require_valid(complex_)
-    acyclic = _is_acyclic(k)
+    engine = _engine_of(k)
+    acyclic = _is_acyclic(engine.targets)
     if max_len is None and not acyclic:
         raise UnboundedEnumerationError(
             "one-simplicity on a cyclic complex needs a length bound"
         )
     exact = acyclic and max_len is None
-    engine = _SwapEngine(k)
     for x in k.vertices:
         counts = [0] * len(k.vertices)
         for layer in engine.layers(x, max_len, max_classes):

@@ -157,6 +157,7 @@ def test_criterion_6_van_kampen_consistency():
         ("grid 3 3\nbox 1 1 2 2\nsource 0 0\ntarget 3 3\n", "x", 2),
         ("grid 2 2\nsource 0 0\ntarget 2 2\n", "y", 1),
         ("grid 4 3\nbox 1 1 3 2\nsource 0 0\ntarget 4 3\n", "x", 2),
+        ("grid 10 10\nbox 3 3 4 4\nbox 6 5 7 6\nsource 0 0\ntarget 10 10\n", "x", 5),
     ]
     checked_scenes = 0
     for text, axis, line in cases:

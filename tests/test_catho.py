@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,7 @@ from dihom import catho as ct
 from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
-from dihom.errors import DomainError, InputSyntaxError, SizeGuardError
+from dihom.errors import DomainError, EnumerationLimitError, InputSyntaxError, SizeGuardError
 from oracles import (
     all_component_families,
     contractible_steps_oracle,
@@ -476,6 +477,13 @@ def test_realize_circle_bounded():
             real.to_fincategory()
 
 
+def test_realize_cap_counts_classes_per_source_object():
+    circ = fc.presentation_of(pc.model("directed_circle"))
+    assert ct.realize_presentation(circ, 9, max_words=10).hom_count("*", "*") == 10
+    with pytest.raises(EnumerationLimitError, match="11 dipath classes built from"):
+        ct.realize_presentation(circ, 10, max_words=10)
+
+
 def test_realize_rejects_length_changing_relations_when_truncated():
     pres = fc.CatPresentation(
         ("x",), {"a": ("x", "x"), "b": ("x", "x")}, ((("a", "a"), ("b",)),)
@@ -507,6 +515,68 @@ def test_acyclic_bound_completeness_flag():
     itv = interval_pres()
     assert not ct.realize_presentation(itv, bound=1).truncated
     assert ct.realize_presentation(itv, bound=0).truncated
+
+
+def _random_presentation(rng, acyclic):
+    """Seeded random presentation with length-preserving relations of
+    lengths 1-3; acyclic ones send every generator up the object order."""
+    n = rng.randint(2, 4)
+    objects = tuple(f"o{i}" for i in range(n))
+    gens = {}
+    for i in range(rng.randint(1, 6)):
+        if acyclic:
+            s = rng.randrange(n - 1)
+            t = rng.randint(s + 1, n - 1)
+        else:
+            s, t = rng.randrange(n), rng.randrange(n)
+        gens[f"g{i}"] = (objects[s], objects[t])
+    parallel = {}  # (length, src, tgt) -> words
+    for m in (1, 2, 3):
+        for word in product(sorted(gens), repeat=m):
+            if all(gens[a][1] == gens[b][0] for a, b in zip(word, word[1:])):
+                key = (m, gens[word[0]][0], gens[word[-1]][1])
+                parallel.setdefault(key, []).append(word)
+    choices = [ws for ws in parallel.values() if len(ws) > 1]
+    relations = []
+    for _ in range(rng.randint(0, 4) if choices else 0):
+        relations.append(tuple(rng.sample(rng.choice(choices), 2)))
+    return fc.CatPresentation(objects, gens, tuple(relations))
+
+
+def _words_out_of(pres, x, max_len):
+    layer = [((), x)]
+    for _ in range(max_len + 1):
+        yield from layer
+        layer = [(w + (g,), t) for w, at in layer
+                 for g, (s, t) in sorted(pres.generators.items()) if s == at]
+
+
+def test_realize_engine_matches_the_word_path_on_random_presentations():
+    rng = random.Random(20261018)
+    for trial in range(200):
+        acyclic = trial % 2 == 0
+        pres = _random_presentation(rng, acyclic)
+        bound = None if acyclic and rng.random() < 0.5 else rng.randint(0, 4)
+        real = ct.realize_presentation(pres, bound)
+        engine = fc._SwapEngine(pres.objects, pres.generators, ())
+        listed = ct._realize_words(pres, engine, bound, ct.MAX_WORDS)
+        assert real.homs == listed.homs
+        assert real.truncated == listed.truncated
+        longest = len(pres.objects) if bound is None else bound
+        for x in pres.objects:
+            for word, _at in _words_out_of(pres, x, longest + 1):
+                if len(word) <= longest:
+                    assert real.class_of(x, word) == listed.class_of(x, word)
+                elif bound is not None:
+                    for r in (real, listed):
+                        with pytest.raises(DomainError):
+                            r.class_of(x, word)
+        for r in (real, listed):
+            for start, word in ((pres.objects[0], ("nope",)), ("nowhere", ())):
+                with pytest.raises(DomainError):
+                    r.class_of(start, word)
+        if not real.truncated:
+            assert ct.validate_category(real.to_fincategory()) == []
 
 
 # pushout universal property oracle

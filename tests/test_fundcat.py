@@ -497,3 +497,11 @@ def test_class_cap_is_enforced_and_reports_the_count():
         fc.is_one_simple(HOLE, max_classes=5)
     with pytest.raises(EnumerationLimitError, match="dipath classes built"):
         fc.fundamental_monoid_classes(pc.model("wedge_circles(2)"), "*", 8, max_classes=100)
+
+
+def test_enumerate_dipaths_on_a_long_thin_grid():
+    # dipaths of 1201 edges: deeper than the interpreter's recursion limit
+    k = scene_complex("grid 1200 1\nsource 0 0\ntarget 1200 1\n")
+    paths = fc.enumerate_dipaths(k, "v0_0", "v1200_1")
+    assert len(paths) == 1201
+    assert all(len(p) == 1201 and p.end == "v1200_1" for p in paths)
