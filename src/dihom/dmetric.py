@@ -2,11 +2,15 @@
 
 Distances are asymmetric values in [0, oo] subject to zero self-distance
 and the triangle inequality; symmetry is not assumed, so oo records "no way
-forward".  Arithmetic is exact: entries are nonnegative Fractions, with
-``math.inf`` as the absorbing top element, and every construction here
-(product = sup, sum = oo across summands, quotient = cheapest chain through
-zero-cost identifications) stays exact, so comparisons in tests are
-equalities rather than tolerances.
+forward".  Arithmetic is exact: entries are ints or Fractions (nonnegative
+in a valid space), with ``math.inf`` as the absorbing top element, and
+every construction here (product = sup, sum = oo across summands, quotient
+= cheapest chain through zero-cost identifications) stays exact, so
+comparisons in tests are equalities rather than tolerances.  The triangle
+check, the quotient's shortest paths and the product's sup run on
+integers: every finite entry is brought to one common denominator
+(``_scaled``), oo is handled by explicit tests, never added, and
+``Fraction`` values appear only at input and output.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .errors import DomainError, InputSyntaxError
 from .fundcat import _UnionFind
@@ -44,7 +47,7 @@ def format_dist(value):
 @dataclass(frozen=True)
 class DMetricSpace:
     points: tuple[str, ...]
-    dist: tuple[tuple[object, ...], ...]  # Fraction entries, INF allowed
+    dist: tuple[tuple[object, ...], ...]  # int or Fraction entries, INF allowed
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
@@ -69,27 +72,34 @@ def make_space(points, dist_fn):
     return DMetricSpace(points, dist)
 
 
+def _scaled(*spaces):
+    """``(L, matrices)``: ``L`` is the lcm of the denominators of every finite
+    entry of ``spaces``, and each space's matrix holds entry ``v`` as the
+    exact integer ``v * L``, or None for ``INF``.  Scaling by ``L > 0`` keeps
+    every sum and comparison, so integer results are exact over ``L``."""
+    ratios = [[[None if type(v) is float and v == INF else v.as_integer_ratio() for v in row]
+               for row in s.dist] for s in spaces]
+    lcm = math.lcm(*{r[1] for m in ratios for row in m for r in row if r is not None})
+    return lcm, [[[None if r is None else r[0] * (lcm // r[1]) for r in row] for row in m]
+                 for m in ratios]
+
+
 def validate(space):
     """Check d(x,x) = 0, nonnegativity, and all triangle inequalities."""
-    out = []
-    n = len(space.points)
-    for i in range(n):
-        if space.dist[i][i] != 0:
-            out.append(f"d({space.points[i]},{space.points[i]}) = "
-                       f"{format_dist(space.dist[i][i])} != 0")
-    for i in range(n):
-        for j in range(n):
-            v = space.dist[i][j]
-            if v != INF and v < 0:
-                out.append(f"d({space.points[i]},{space.points[j]}) < 0")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if space.dist[i][j] + space.dist[j][k] < space.dist[i][k]:
-                    out.append(
-                        f"triangle fails on ({space.points[i]},"
-                        f"{space.points[j]},{space.points[k]})"
-                    )
+    pts = space.points
+    _, (d,) = _scaled(space)
+    out = [f"d({p},{p}) = {format_dist(space.dist[i][i])} != 0"
+           for i, p in enumerate(pts) if d[i][i] != 0]
+    out += [f"d({pts[i]},{pts[j]}) < 0"
+            for i, row in enumerate(d) for j, v in enumerate(row) if v is not None and v < 0]
+    # d(i,k) <= d(i,j) + d(j,k) holds whenever a right-hand term is oo
+    finite = [[(k, v) for k, v in enumerate(row) if v is not None] for row in d]
+    for i, di in enumerate(d):
+        for j, a in finite[i]:
+            for k, b in finite[j]:
+                c = di[k]
+                if c is None or a + b < c:
+                    out.append(f"triangle fails on ({pts[i]},{pts[j]},{pts[k]})")
     return out
 
 
@@ -111,18 +121,18 @@ def product(*spaces):
     """Pointwise sup of coordinate distances on tuples (the l-infinity rule)."""
     if not spaces:
         raise DomainError("product needs at least one factor")
-    combos = list(iter_product(*(range(len(s.points)) for s in spaces)))
-    points = tuple(
-        ",".join(s.points[c] for s, c in zip(spaces, combo)) for combo in combos
-    )
-    dist = tuple(
-        tuple(
-            max(s.dist[a[c]][b[c]] for c, s in enumerate(spaces))
-            for b in combos
-        )
-        for a in combos
-    )
-    return DMetricSpace(points, dist)
+    _, keys = _scaled(*spaces)
+    top = 1 + max((v for m in keys for row in m for v in row if v is not None), default=0)
+    # cells are (key, entry) with oo keyed above every finite entry; one factor
+    # is folded in at a time, and a tie keeps the earlier factor's entry
+    cells = [[[(top if k is None else k, v) for k, v in zip(krow, vrow)]
+              for krow, vrow in zip(m, s.dist)] for m, s in zip(keys, spaces)]
+    points, rows = spaces[0].points, cells[0]
+    for s, other in zip(spaces[1:], cells[1:]):
+        points = [f"{p},{q}" for p in points for q in s.points]
+        rows = [[f if f[0] > e[0] else e for e in ra for f in sa]
+                for ra in rows for sa in other]
+    return DMetricSpace(tuple(points), tuple(tuple(v for _, v in row) for row in rows))
 
 
 def disjoint_sum(*spaces):
@@ -162,22 +172,26 @@ def quotient(space, pairs):
         uf.union(idx[p], idx[q])
 
     root = [uf.find(i) for i in range(n)]
-    w = [[space.dist[i][j] for j in range(n)] for i in range(n)]
+    lcm, (w,) = _scaled(space)
     for i in range(n):
         for j in range(n):
             if root[i] == root[j] and i != j:
-                w[i][j] = Fraction(0)
+                w[i][j] = 0
     for k in range(n):
         wk = w[k]
+        finite = [(j, v) for j, v in enumerate(wk) if v is not None]
         for i in range(n):
-            wik = w[i][k]
-            if wik == INF:
-                continue
             row = w[i]
-            for j in range(n):
-                c = wik + wk[j]
-                if c < row[j]:
+            wik = row[k]
+            if wik is None:
+                continue
+            for j, v in finite:
+                c = wik + v
+                r = row[j]
+                if r is None or c < r:
                     row[j] = c
+            if i == k:  # a negative d(k,k) lowers row k for the rows after it
+                finite = [(j, v) for j, v in enumerate(wk) if v is not None]
 
     classes = {}
     for i, p in enumerate(space.points):
@@ -186,7 +200,8 @@ def quotient(space, pairs):
     named = sorted((min(members), root) for root, members in classes.items())
     points = tuple(name for name, _root in named)
     reps = [idx[name] for name, _root in named]
-    dist = tuple(tuple(w[a][b] for b in reps) for a in reps)
+    value = {v: Fraction(v, lcm) for v in {v for a in reps for v in w[a]} if v is not None}
+    dist = tuple(tuple(value.get(w[a][b], INF) for b in reps) for a in reps)
     return DMetricSpace(points, dist)
 
 
@@ -209,28 +224,19 @@ def discretized_interval(n):
     """Points 0, 1/n, ..., 1 with forward distance j/n - i/n and oo backward."""
     if n < 1:
         raise DomainError("discretized_interval needs n >= 1")
-    fracs = [Fraction(i, n) for i in range(n + 1)]
-    points = [str(f) for f in fracs]
-
-    def d(p, q):
-        fp, fq = Fraction(p), Fraction(q)
-        return fq - fp if fq >= fp else INF
-
-    return make_space(points, d)
+    step = [Fraction(k, n) for k in range(n + 1)]
+    dist = tuple(tuple(step[j - i] if j >= i else INF for j in range(n + 1))
+                 for i in range(n + 1))
+    return DMetricSpace(tuple(map(str, step)), dist)
 
 
 def discretized_directed_circle(n):
     """n equally spaced points; distance is the forward (anticlockwise) arc."""
     if n < 1:
         raise DomainError("discretized_directed_circle needs n >= 1")
-    fracs = [Fraction(i, n) for i in range(n)]
-    points = [str(f) for f in fracs]
-
-    def d(p, q):
-        fp, fq = Fraction(p), Fraction(q)
-        return (fq - fp) % 1
-
-    return make_space(points, d)
+    step = [Fraction(k, n) for k in range(n)]
+    dist = tuple(tuple(step[(j - i) % n] for j in range(n)) for i in range(n))
+    return DMetricSpace(tuple(map(str, step)), dist)
 
 
 def is_isometric(x, y):
@@ -238,33 +244,30 @@ def is_isometric(x, y):
     if len(x.points) != len(y.points):
         return False
     n = len(x.points)
-    assign = [None] * n
+    x_in, y_in = tuple(zip(*x.dist)), tuple(zip(*y.dist))  # columns
+    assign = []  # images of points 0 .. len(assign) - 1
     used = [False] * n
-
-    def rec(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if (
-                    x.dist[i][k] != y.dist[j][assign[k]]
-                    or x.dist[k][i] != y.dist[assign[k]][j]
-                ):
-                    ok = False
-                    break
-            if ok and x.dist[i][i] == y.dist[j][j]:
-                assign[i] = j
-                used[j] = True
-                if rec(i + 1):
-                    return True
-                used[j] = False
-                assign[i] = None
-        return False
-
-    return rec(0)
+    j = 0  # next image to try for point len(assign)
+    while len(assign) < n:
+        i = len(assign)
+        while j < n and (
+            used[j]
+            or x.dist[i][i] != y.dist[j][j]
+            or tuple(map(y.dist[j].__getitem__, assign)) != x.dist[i][:i]
+            or tuple(map(y_in[j].__getitem__, assign)) != x_in[i][:i]
+        ):
+            j += 1
+        if j < n:
+            assign.append(j)
+            used[j] = True
+            j = 0
+        elif not assign:
+            return False
+        else:
+            j = assign.pop()
+            used[j] = False
+            j += 1
+    return True
 
 
 def parse_dmetric(text):
@@ -291,14 +294,18 @@ def parse_dmetric(text):
     if len(lines) != n + 1:
         raise InputSyntaxError(f"expected {n} matrix rows, got {len(lines) - 1}")
     rows = []
+    values = {}  # each distinct token is parsed once
     for ln, line in lines[1:]:
         entries = line.split()
         if len(entries) != n:
             raise InputSyntaxError(f"expected {n} entries in row", ln)
         try:
-            rows.append(tuple(parse_dist(e) for e in entries))
+            for e in entries:
+                if e not in values:
+                    values[e] = parse_dist(e)
         except InputSyntaxError as exc:
             raise InputSyntaxError(str(exc), ln) from None
+        rows.append(tuple(map(values.__getitem__, entries)))
     try:
         return DMetricSpace(tuple(ids), tuple(rows))
     except DomainError as exc:

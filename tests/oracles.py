@@ -332,3 +332,84 @@ def quotient_distance_oracle(space, class_of, a, b):
         if class_of[k] == class_of[a]:
             rec(k, Fraction(0), n)
     return best[0]
+
+
+# ---------------------------------------------------------------------------
+# directed metrics: the Fraction loops the integer kernel replaced, kept as
+# the reference it is checked against; each returns plain values, not spaces
+
+
+def metric_validate_oracle(points, dist):
+    """Violation messages of d(x,x) = 0, nonnegativity and every triangle
+    inequality, in (i, j, k) order, computed on the entries themselves."""
+    out = []
+    n = len(points)
+    for i in range(n):
+        if dist[i][i] != 0:
+            shown = "inf" if dist[i][i] == INF else str(dist[i][i])
+            out.append(f"d({points[i]},{points[i]}) = {shown} != 0")
+    for i in range(n):
+        for j in range(n):
+            v = dist[i][j]
+            if v != INF and v < 0:
+                out.append(f"d({points[i]},{points[j]}) < 0")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if dist[i][j] + dist[j][k] < dist[i][k]:
+                    out.append(f"triangle fails on ({points[i]},{points[j]},{points[k]})")
+    return out
+
+
+def metric_quotient_oracle(points, dist, pairs):
+    """(points, dist) of the quotient: classes named by their least member,
+    zero inside a class, then Floyd-Warshall on the entries."""
+    n = len(points)
+    idx = {p: i for i, p in enumerate(points)}
+    label = list(range(n))
+    for p, q in pairs:  # relabel until the closure is reached
+        a, b = label[idx[p]], label[idx[q]]
+        label = [min(a, b) if x in (a, b) else x for x in label]
+    w = [list(row) for row in dist]
+    for i in range(n):
+        for j in range(n):
+            if label[i] == label[j] and i != j:
+                w[i][j] = Fraction(0)
+    for k in range(n):
+        for i in range(n):
+            wik = w[i][k]
+            if wik == INF:
+                continue
+            for j in range(n):
+                c = wik + w[k][j]
+                if c < w[i][j]:
+                    w[i][j] = c
+    names = sorted(min(p for p, x in zip(points, label) if x == lab) for lab in set(label))
+    reps = [idx[name] for name in names]
+    return tuple(names), tuple(tuple(w[a][b] for b in reps) for a in reps)
+
+
+def metric_product_oracle(factors):
+    """(points, dist) of the product of ``(points, dist)`` factors: the
+    ``max`` of the coordinate entries, so a tie keeps the earlier factor's."""
+    combos = list(product(*(range(len(pts)) for pts, _ in factors)))
+    points = tuple(",".join(f[0][c] for f, c in zip(factors, combo)) for combo in combos)
+    dist = tuple(
+        tuple(max(f[1][a[c]][b[c]] for c, f in enumerate(factors)) for b in combos)
+        for a in combos
+    )
+    return points, dist
+
+
+def discretized_interval_oracle(n):
+    """(points, dist) of the interval as first written: distances recomputed
+    from the point ids."""
+    points = [str(Fraction(i, n)) for i in range(n + 1)]
+    return points, [[Fraction(q) - Fraction(p) if Fraction(q) >= Fraction(p) else INF
+                     for q in points] for p in points]
+
+
+def discretized_circle_oracle(n):
+    """(points, dist) of the directed circle, distances from the point ids."""
+    points = [str(Fraction(i, n)) for i in range(n)]
+    return points, [[(Fraction(q) - Fraction(p)) % 1 for q in points] for p in points]

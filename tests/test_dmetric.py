@@ -1,11 +1,19 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from dihom import dmetric as dm
 from dihom.errors import DomainError, InputSyntaxError
-from oracles import quotient_distance_oracle
+from oracles import (
+    discretized_circle_oracle,
+    discretized_interval_oracle,
+    metric_product_oracle,
+    metric_quotient_oracle,
+    metric_validate_oracle,
+    quotient_distance_oracle,
+)
 
 F = Fraction
 
@@ -219,3 +227,85 @@ def test_parse_errors():
         dm.parse_dmetric("points 1 a\n-1\n")  # negative
     with pytest.raises(InputSyntaxError):
         dm.parse_dmetric("size 1 a\n0\n")  # bad header
+
+
+def test_parse_error_names_the_first_row_with_a_bad_token():
+    with pytest.raises(InputSyntaxError) as exc:
+        dm.parse_dmetric("points 2 a b\n0 x\nx 0\n")
+    assert str(exc.value) == "line 2: bad distance 'x'"
+    with pytest.raises(InputSyntaxError) as exc:
+        dm.parse_dmetric("points 2 a b\n0 1/2\n-1/2 0\n")
+    assert str(exc.value) == "line 3: negative distance '-1/2'"
+
+
+def test_builders_match_the_construction_from_point_ids():
+    for n in (1, 2, 3, 6, 12):
+        for build, oracle in ((dm.discretized_interval, discretized_interval_oracle),
+                              (dm.discretized_directed_circle, discretized_circle_oracle)):
+            points, dist = oracle(n)
+            expected = dm.DMetricSpace(tuple(points), tuple(map(tuple, dist)))
+            assert dm.format_dmetric(build(n)) == dm.format_dmetric(expected)
+            assert build(n) == expected
+
+
+def test_is_isometric_past_the_recursion_limit():
+    n = max(1100, sys.getrecursionlimit() + 100)
+    x = dm.discretized_interval(n - 1)
+    y = dm.DMetricSpace(tuple(f"p{i}" for i in range(n)), x.dist)  # same Fractions
+    assert dm.is_isometric(x, y)
+
+
+# denominator far past float range: 1 / HUGE is 0.0 as a float, so a kernel
+# that went through floats would lose every term written over it
+HUGE = 10**401 + 7
+
+
+def random_entry(rng):
+    r = rng.random()
+    if r < 0.2:
+        return dm.INF
+    if r < 0.3:
+        return rng.randint(-1, 4)
+    v = Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 4, 6)))
+    return v + Fraction(rng.randint(0, 2), HUGE) if rng.random() < 0.5 else v
+
+
+def random_space(rng, n):
+    """A random matrix: oo, negative entries, nonzero diagonals and broken
+    triangles included; or, half the time, the cheapest-chain closure of a
+    nonnegative one, which is a valid d-metric."""
+    points = tuple(f"p{i}" for i in rng.sample(range(20), n))
+    dist = [[random_entry(rng) if i != j or rng.random() < 0.2 else 0 for j in range(n)]
+            for i in range(n)]
+    if rng.random() < 0.5:
+        dist = [[v if v == dm.INF or v >= 0 else -v for v in row] for row in dist]
+        for i in range(n):
+            dist[i][i] = 0
+        dist = metric_quotient_oracle(points, dist, [])[1]
+    return dm.DMetricSpace(points, tuple(map(tuple, dist)))
+
+
+def test_integer_kernel_matches_fraction_references():
+    rng = random.Random(2024)
+    huge_seen = 0
+    for _ in range(400):
+        space = random_space(rng, rng.randint(1, 6))
+        huge_seen += any(v != dm.INF and Fraction(v).denominator % HUGE == 0
+                         for row in space.dist for v in row)
+        assert dm.validate(space) == metric_validate_oracle(space.points, space.dist)
+
+        pairs = [tuple(rng.sample(space.points, 2)) if len(space.points) > 1
+                 else (space.points[0],) * 2 for _ in range(rng.randint(0, 3))]
+        q = dm.quotient(space, pairs)
+        expected = dm.DMetricSpace(*metric_quotient_oracle(space.points, space.dist, pairs))
+        assert q == expected
+        assert dm.format_dmetric(q) == dm.format_dmetric(expected)
+
+        factors = [space] + [random_space(rng, rng.randint(1, 3))
+                             for _ in range(rng.randint(0, 2))]
+        pr = dm.product(*factors)
+        points, dist = metric_product_oracle([(f.points, f.dist) for f in factors])
+        assert pr.points == points
+        # the winning factor's own entry, as max() picks it, ties included
+        assert all(a is b for ra, rb in zip(pr.dist, dist) for a, b in zip(ra, rb))
+    assert huge_seen > 50
