@@ -8,8 +8,12 @@ functor pair composes to endofunctors homotopic to the identities.  Past
 (terminal) object; stepwise contraction works through chains of full
 subcategories that are immediate deformation retracts.
 
-All searches are exhaustive and brute force, guarded by explicit size
-limits that raise :class:`SizeGuardError` instead of degrading.
+All searches are exhaustive, guarded by explicit size limits that raise
+:class:`SizeGuardError` instead of degrading.  They prune, but return the
+same results in the same order as a full enumeration: object maps are cut
+as soon as an arrow between mapped objects has an empty hom-set to go to,
+transformation components are checked against the naturality squares
+they complete, and composite functors are compared by key.
 
 The module also carries the presentation machinery used by the van Kampen
 computations: pushouts of generators-and-relations presentations along
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .errors import (
     DomainError,
@@ -414,7 +417,38 @@ class NatTransf:
         return f"NatTransf({cs})"
 
 
+def _backtrack(options, fits):
+    """Yield every choice list ``chosen`` (one list, updated in place) with
+    ``chosen[k]`` from ``options[k]``, in product order, depth-first:
+    ``fits(k, chosen)`` is asked once ``chosen[:k + 1]`` is set, and a
+    prefix it rejects is not extended."""
+    n = len(options)
+    chosen = [None] * n
+    tried = [0] * n  # options tried so far at each depth
+    k = 0
+    while k >= 0:
+        if k == n:
+            yield chosen
+            k -= 1
+            continue
+        opts = options[k]
+        while tried[k] < len(opts):
+            chosen[k] = opts[tried[k]]
+            tried[k] += 1
+            if fits(k, chosen):
+                break
+        else:
+            tried[k] = 0
+            k -= 1
+            continue
+        k += 1
+
+
 def _nat_search(f, g, fixed=None, find_all=True):
+    """Natural transformations f -> g: components chosen object by object
+    (in object order, each over its hom-set in order), a candidate at x
+    checked against the naturality squares of the arrows whose later
+    endpoint is x, in arrow order."""
     if f.domain is not g.domain or f.codomain is not g.codomain:
         if (f.domain.objects, f.domain.arrows) != (g.domain.objects, g.domain.arrows) or (
             f.codomain.objects,
@@ -422,33 +456,30 @@ def _nat_search(f, g, fixed=None, find_all=True):
         ) != (g.codomain.objects, g.codomain.arrows):
             raise DomainError("functors are not parallel")
     c, d = f.domain, f.codomain
-    objs = list(c.objects)
     fixed = fixed or {}
-    found = []
-    comp = {}
+    cands = []
+    for x in c.objects:
+        cands.append((fixed[x],) if x in fixed else d.hom(f.obj(x), g.obj(x)))
+        if not cands[-1]:
+            return []
+    pos = {x: i for i, x in enumerate(c.objects)}
+    squares = [[] for _ in c.objects]
+    for a, (s, t) in c.arrows.items():
+        i, j = pos[s], pos[t]
+        squares[max(i, j)].append((f.arr(a), i, j, g.arr(a)))
+    compose = d.compose
 
-    def consistent(x):
-        # check every arrow with both endpoint components assigned
-        for a, (s, t) in c.arrows.items():
-            if s in comp and t in comp and (s == x or t == x):
-                if d.compose(f.arr(a), comp[t]) != d.compose(comp[s], g.arr(a)):
-                    return False
+    def natural(k, comp):
+        for fa, s, t, ga in squares[k]:
+            if compose(fa, comp[t]) != compose(comp[s], ga):
+                return False
         return True
 
-    def rec(i):
-        if i == len(objs):
-            found.append(NatTransf(f, g, comp))
-            return not find_all
-        x = objs[i]
-        cands = (fixed[x],) if x in fixed else d.hom(f.obj(x), g.obj(x))
-        for a in cands:
-            comp[x] = a
-            if consistent(x) and rec(i + 1):
-                return True
-            del comp[x]
-        return False
-
-    rec(0)
+    found = []
+    for comp in _backtrack(cands, natural):
+        found.append(NatTransf(f, g, zip(c.objects, comp)))
+        if not find_all:
+            break
     return found
 
 
@@ -477,44 +508,75 @@ def all_functors(c, d, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS,
 def _functor_search(c, d, obj_preset, arr_preset, images):
     """Yield every functor c -> d that extends the given object and arrow
     images: the other objects range over ``images`` (outer loop, in product
-    order), the other non-identity arrows over the matching hom-sets of d
-    (depth-first, in sorted arrow order), pruned by the composition table.
+    order, see :func:`_object_maps`), the other non-identity arrows over the
+    matching hom-sets of d (depth-first, in sorted arrow order), pruned by
+    the composition table.
     """
     arrows = sorted(c.non_identity_arrows())
-    # the composition-table entries each arrow takes part in
+    n = len(arrows)
+    # the depth at which each arrow's image is set: identities and presets
+    # are set from the start
+    level = dict.fromkeys([*c.identity.values(), *arr_preset], -1)
+    level.update((a, k) for k, a in enumerate(arrows) if a not in arr_preset)
+    # the composition-table entries to check once arrows[k] is mapped: those
+    # it takes part in whose arrows are all mapped by then
     entries = {}
     for (u, v), w in c.table.items():
         for a in {u, v, w}:
             entries.setdefault(a, []).append((u, v, w))
-    free = [x for x in c.objects if x not in obj_preset]
-    for chosen in iter_product(images, repeat=len(free)):
-        omap = dict(obj_preset)
-        omap.update(zip(free, chosen))
+    checks = [
+        [e for e in entries.get(a, ()) if all(level.get(m, n) <= k for m in e)]
+        for k, a in enumerate(arrows)
+    ]
+    table = d.table
+    for omap in _object_maps(c, d, obj_preset, arr_preset, images):
         amap = {c.identity[x]: d.identity[omap[x]] for x in c.objects}
         amap.update(arr_preset)
+        options = []
+        for a in arrows:
+            s, t = c.arrows[a]
+            options.append((arr_preset[a],) if a in arr_preset else d.hom(omap[s], omap[t]))
 
-        def consistent(a):
-            for u, v, w in entries.get(a, ()):
-                if u in amap and v in amap and w in amap:
-                    if d.table.get((amap[u], amap[v])) != amap[w]:
-                        return False
+        def composes(k, chosen):
+            # amap keeps deeper arrows' stale images; checks[k] never reads them
+            amap[arrows[k]] = chosen[k]
+            for u, v, w in checks[k]:
+                if table.get((amap[u], amap[v])) != amap[w]:
+                    return False
             return True
 
-        def extend(i):
-            if i == len(arrows):
-                yield FunctorMap(c, d, omap, amap)
-                return
-            a = arrows[i]
-            preset = arr_preset.get(a)
-            s, t = c.arrows[a]
-            for h in d.hom(omap[s], omap[t]) if preset is None else (preset,):
-                amap[a] = h
-                if consistent(a):
-                    yield from extend(i + 1)
-            if preset is None:
-                amap.pop(a, None)
+        for _ in _backtrack(options, composes):
+            yield FunctorMap(c, d, omap, amap)
 
-        yield from extend(0)
+
+def _object_maps(c, d, obj_preset, arr_preset, images):
+    """Yield, in ``itertools.product(images)`` order over the objects of c
+    not in ``obj_preset``, every object map under which each non-identity
+    arrow not in ``arr_preset`` has a nonempty hom-set to map into.
+
+    The free objects are assigned depth-first; a prefix is cut as soon as
+    an arrow with both endpoints mapped has nowhere to go, since no functor
+    extends it.  The one dict yielded is updated in place between yields.
+    """
+    free = [x for x in c.objects if x not in obj_preset]
+    depth = {x: k for k, x in enumerate(free)}
+    # arrows checked once their later free endpoint is mapped (-1: preset ends)
+    checks = [[] for _ in range(len(free) + 1)]
+    for a in c.non_identity_arrows():
+        if a not in arr_preset:
+            s, t = c.arrows[a]
+            checks[max(depth.get(s, -1), depth.get(t, -1))].append((s, t))
+    linked = set(d.arrows.values())
+    omap = dict(obj_preset)
+    if not all((omap[s], omap[t]) in linked for s, t in checks[-1]):
+        return
+
+    def linkable(k, chosen):
+        omap[free[k]] = chosen[k]
+        return all((omap[s], omap[t]) in linked for s, t in checks[k])
+
+    for _ in _backtrack([images] * len(free), linkable):
+        yield omap
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +584,27 @@ def _functor_search(c, d, obj_preset, arr_preset, images):
 
 
 class _Components:
-    def __init__(self, functors):
-        self.index = {f: i for i, f in enumerate(functors)}
-        n = len(functors)
-        self.uf = _UnionFind(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.uf.find(i) == self.uf.find(j):
-                    continue
-                fi, fj = functors[i], functors[j]
-                if exists_nat_transformation(fi, fj) or exists_nat_transformation(fj, fi):
-                    self.uf.union(i, j)
+    """Zig-zag components of a list of parallel functors, looked up by
+    ``FunctorMap._key``: pairs (i, j), i < j, are tested for a natural
+    transformation either way unless already joined."""
 
-    def connected(self, f, g):
-        return self.uf.find(self.index[f]) == self.uf.find(self.index[g])
+    def __init__(self, functors):
+        self.index = {f._key: i for i, f in enumerate(functors)}
+        self.uf = _UnionFind(len(functors))
+        find = self.uf.find
+        for i, fi in enumerate(functors):
+            ri = find(i)
+            for j in range(i + 1, len(functors)):
+                rj = find(j)
+                if ri == rj:
+                    continue
+                fj = functors[j]
+                if exists_nat_transformation(fi, fj) or exists_nat_transformation(fj, fi):
+                    self.uf.union(ri, rj)
+                    ri = min(ri, rj)
+
+    def root(self, key):
+        return self.uf.find(self.index[key])
 
 
 def dhomotopic_functors(f, g, **guards):
@@ -543,23 +612,33 @@ def dhomotopic_functors(f, g, **guards):
     decided on the graph of all parallel functors."""
     functors = all_functors(f.domain, f.codomain, **guards)
     comps = _Components(functors)
-    if f not in comps.index or g not in comps.index:
+    if f._key not in comps.index or g._key not in comps.index:
         raise DomainError("functor is not valid for the given categories")
-    return comps.connected(f, g)
+    return comps.root(f._key) == comps.root(g._key)
+
+
+def _composite_key(f, g):
+    """``compose_functors(f, g)._key``, read off the keys of f and g."""
+    objs, arrs = f._key
+    return (
+        tuple((x, g.obj_map[y]) for x, y in objs),
+        tuple((a, g.arr_map[b]) for a, b in arrs),
+    )
 
 
 def equivalence_witness(c, d, **guards):
     """A pair (f, g) with both composites zig-zag homotopic to the
-    identities, or None."""
+    identities, or None; pairs are tried f-major in search order."""
     fs = all_functors(c, d, **guards)
     gs = all_functors(d, c, **guards)
     comp_c = _Components(all_functors(c, c, **guards))
     comp_d = _Components(all_functors(d, d, **guards))
-    id_c, id_d = identity_functor(c), identity_functor(d)
+    id_c = comp_c.root(identity_functor(c)._key)
+    id_d = comp_d.root(identity_functor(d)._key)
     for f in fs:
         for g in gs:
-            if comp_c.connected(compose_functors(f, g), id_c) and comp_d.connected(
-                compose_functors(g, f), id_d
+            if comp_c.root(_composite_key(f, g)) == id_c and (
+                comp_d.root(_composite_key(g, f)) == id_d
             ):
                 return (f, g)
     return None
@@ -1073,7 +1152,8 @@ def parse_category(text):
     """Category file: ``object <id>``, ``arrow <id> <src> <tgt>``,
     ``compose <f> <g> = <h>``; identities are implicit per object."""
 
-    objects, arrows, compose = [], {}, {}
+    objects, arrows, compose = {}, {}, {}  # objects: id -> line
+    arrow_line = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1082,19 +1162,27 @@ def parse_category(text):
         if tok[0] == "object":
             if len(tok) != 2:
                 raise InputSyntaxError("object wants 1 field", ln)
-            objects.append(tok[1])
+            if tok[1] in objects:
+                raise InputSyntaxError(f"duplicate object id {tok[1]}", ln)
+            objects[tok[1]] = ln
         elif tok[0] == "arrow":
             if len(tok) != 4:
                 raise InputSyntaxError("arrow wants 3 fields", ln)
             if tok[1] in arrows:
                 raise InputSyntaxError(f"duplicate arrow id {tok[1]}", ln)
             arrows[tok[1]] = (tok[2], tok[3])
+            arrow_line[tok[1]] = ln
         elif tok[0] == "compose":
             if len(tok) != 5 or tok[3] != "=":
                 raise InputSyntaxError("compose wants: compose <f> <g> = <h>", ln)
             compose[(tok[1], tok[2])] = tok[4]
         else:
             raise InputSyntaxError(f"unknown directive {tok[0]!r}", ln)
+    for a, ends in arrows.items():
+        for x in ends:
+            if x not in objects:
+                raise InputSyntaxError(f"arrow {a}: endpoint {x} is not an object",
+                                       arrow_line[a])
     return FinCategory.build(objects, arrows, compose)
 
 

@@ -317,8 +317,18 @@ def format_dmetric(space):
     order = sorted(range(len(space.points)), key=lambda i: space.points[i])
     points = [space.points[i] for i in order]
     lines = ["points " + " ".join([str(len(points))] + points)]
+    # products and sums repeat a few entry objects: format each one once,
+    # keyed by id (space.dist keeps every entry alive for the whole call)
+    shown = {}
     for i in order:
-        lines.append(" ".join(format_dist(space.dist[i][j]) for j in order))
+        row = space.dist[i]
+        cells = []
+        for j in order:
+            key = id(row[j])
+            if key not in shown:
+                shown[key] = format_dist(row[j])
+            cells.append(shown[key])
+        lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 
 

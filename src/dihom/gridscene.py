@@ -162,24 +162,31 @@ def square_id(x, y):
     return f"s{x}_{y}"
 
 
-def _east_ok(scene, x, y):
-    # closed segment [x, x+1] x {y} vs each open box
-    return all(
-        not (b.y0 < y < b.y1 and x + 1 > b.x0 and x < b.x1) for b in scene.boxes
-    )
+def _blocked_cells(scene):
+    """Flags of the vertices, east edges, north edges and squares whose closed
+    carrier meets an open box, one bytearray per kind indexed by
+    ``x * (height + 1) + y`` (the cell at (x, y) has its lower-left corner
+    there).  Each box marks its own index ranges, one column slice at a
+    time, so the cost follows the boxes' areas and the memory the grid's."""
+    stride = scene.height + 1
+    kinds = [bytearray((scene.width + 1) * stride) for _ in range(4)]
+    verts, east, north, squares = kinds
 
+    def mark(flags, xs, ys):
+        lo, hi = max(ys.start, 0), min(ys.stop, stride)
+        if lo >= hi:
+            return
+        for x in range(max(xs.start, 0), min(xs.stop, scene.width + 1)):
+            flags[x * stride + lo:x * stride + hi] = b"\1" * (hi - lo)
 
-def _north_ok(scene, x, y):
-    return all(
-        not (b.x0 < x < b.x1 and y + 1 > b.y0 and y < b.y1) for b in scene.boxes
-    )
-
-
-def _square_ok(scene, x, y):
-    return all(
-        not (x + 1 > b.x0 and x < b.x1 and y + 1 > b.y0 and y < b.y1)
-        for b in scene.boxes
-    )
+    for b in scene.boxes:
+        inner_x, inner_y = range(b.x0 + 1, b.x1), range(b.y0 + 1, b.y1)
+        span_x, span_y = range(b.x0, b.x1), range(b.y0, b.y1)
+        mark(verts, inner_x, inner_y)
+        mark(east, span_x, inner_y)
+        mark(north, inner_x, span_y)
+        mark(squares, span_x, span_y)
+    return kinds
 
 
 def to_precubical(scene):
@@ -190,28 +197,30 @@ def to_precubical(scene):
     east edges on its bottom/top side, so the square relates
     east-then-north with north-then-east between its extreme corners.
     """
+    blocked_verts, blocked_east, blocked_north, blocked_squares = _blocked_cells(scene)
+    stride = scene.height + 1
     verts, edges, squares, labels = [], {}, {}, {}
     for x in range(scene.width + 1):
         for y in range(scene.height + 1):
-            if point_allowed(scene, (x, y)):
+            if not blocked_verts[x * stride + y]:
                 v = vertex_id(x, y)
                 verts.append(v)
                 labels[(0, v)] = f"({x},{y})"
     for x in range(scene.width):
         for y in range(scene.height + 1):
-            if _east_ok(scene, x, y):
+            if not blocked_east[x * stride + y]:
                 e = east_edge_id(x, y)
                 edges[e] = (vertex_id(x, y), vertex_id(x + 1, y))
                 labels[(1, e)] = f"({x},{y})->({x + 1},{y})"
     for x in range(scene.width + 1):
         for y in range(scene.height):
-            if _north_ok(scene, x, y):
+            if not blocked_north[x * stride + y]:
                 e = north_edge_id(x, y)
                 edges[e] = (vertex_id(x, y), vertex_id(x, y + 1))
                 labels[(1, e)] = f"({x},{y})->({x},{y + 1})"
     for x in range(scene.width):
         for y in range(scene.height):
-            if _square_ok(scene, x, y):
+            if not blocked_squares[x * stride + y]:
                 w = square_id(x, y)
                 squares[w] = (
                     north_edge_id(x, y),

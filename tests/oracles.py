@@ -3,13 +3,19 @@
 Everything here deliberately avoids the library's own algorithms: paths are
 step words checked against raw scene geometry, class closures are fixpoint
 iterations over explicit move relations, category searches are plain
-itertools products with direct law checks.
+itertools products with direct law checks.  The exceptions are marked as
+such: searches and loops that faster library code replaced, kept as they
+were so the replacement can be checked against them result for result.
 """
 
 import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+
+from dihom.catho import FunctorMap, NatTransf, compose_functors, identity_functor
+from dihom.errors import DomainError
+from dihom.fundcat import _UnionFind
 
 INF = math.inf
 
@@ -283,6 +289,130 @@ def retract_step_possible(cat, sub_objs):
     return False
 
 
+# ---------------------------------------------------------------------------
+# categories: the unpruned searches the pruned ones replaced, kept as the
+# reference they are checked against (same results, same order)
+
+
+def functor_search_oracle(c, d, obj_preset, arr_preset, images):
+    """Every functor c -> d extending the presets: each object map in
+    ``iter_product(images)`` order is built in full before any arrow is
+    tried, then the arrows are extended depth-first in sorted order."""
+    arrows = sorted(c.non_identity_arrows())
+    entries = {}
+    for (u, v), w in c.table.items():
+        for a in {u, v, w}:
+            entries.setdefault(a, []).append((u, v, w))
+    free = [x for x in c.objects if x not in obj_preset]
+    for chosen in product(images, repeat=len(free)):
+        omap = dict(obj_preset)
+        omap.update(zip(free, chosen))
+        amap = {c.identity[x]: d.identity[omap[x]] for x in c.objects}
+        amap.update(arr_preset)
+
+        def consistent(a):
+            for u, v, w in entries.get(a, ()):
+                if u in amap and v in amap and w in amap:
+                    if d.table.get((amap[u], amap[v])) != amap[w]:
+                        return False
+            return True
+
+        def extend(i):
+            if i == len(arrows):
+                yield FunctorMap(c, d, omap, amap)
+                return
+            a = arrows[i]
+            preset = arr_preset.get(a)
+            s, t = c.arrows[a]
+            for h in d.hom(omap[s], omap[t]) if preset is None else (preset,):
+                amap[a] = h
+                if consistent(a):
+                    yield from extend(i + 1)
+            if preset is None:
+                amap.pop(a, None)
+
+        yield from extend(0)
+
+
+def nat_search_oracle(f, g, fixed=None, find_all=True):
+    """Natural transformations f -> g by recursive backtracking over the
+    objects in order, re-scanning every arrow of the domain per candidate."""
+    if f.domain is not g.domain or f.codomain is not g.codomain:
+        if (f.domain.objects, f.domain.arrows) != (g.domain.objects, g.domain.arrows) or (
+            f.codomain.objects,
+            f.codomain.arrows,
+        ) != (g.codomain.objects, g.codomain.arrows):
+            raise DomainError("functors are not parallel")
+    c, d = f.domain, f.codomain
+    objs = list(c.objects)
+    fixed = fixed or {}
+    found = []
+    comp = {}
+
+    def consistent(x):
+        for a, (s, t) in c.arrows.items():
+            if s in comp and t in comp and (s == x or t == x):
+                if d.compose(f.arr(a), comp[t]) != d.compose(comp[s], g.arr(a)):
+                    return False
+        return True
+
+    def rec(i):
+        if i == len(objs):
+            found.append(NatTransf(f, g, comp))
+            return not find_all
+        x = objs[i]
+        cands = (fixed[x],) if x in fixed else d.hom(f.obj(x), g.obj(x))
+        for a in cands:
+            comp[x] = a
+            if consistent(x) and rec(i + 1):
+                return True
+            del comp[x]
+        return False
+
+    rec(0)
+    return found
+
+
+class ComponentsOracle:
+    """Zig-zag components of a functor list: every pair (i, j), i < j, not
+    yet joined is tested for a transformation either way."""
+
+    def __init__(self, functors):
+        self.index = {f: i for i, f in enumerate(functors)}
+        n = len(functors)
+        self.uf = _UnionFind(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if self.uf.find(i) == self.uf.find(j):
+                    continue
+                fi, fj = functors[i], functors[j]
+                if nat_search_oracle(fi, fj, find_all=False) or nat_search_oracle(
+                    fj, fi, find_all=False
+                ):
+                    self.uf.union(i, j)
+
+    def connected(self, f, g):
+        return self.uf.find(self.index[f]) == self.uf.find(self.index[g])
+
+
+def equivalence_witness_oracle(c, d):
+    """The first (f, g) in (functors c -> d) x (functors d -> c) order whose
+    composites are connected to the identities, or None; builds every
+    composite as a FunctorMap."""
+    fs = list(functor_search_oracle(c, d, {}, {}, d.objects))
+    gs = list(functor_search_oracle(d, c, {}, {}, c.objects))
+    comp_c = ComponentsOracle(list(functor_search_oracle(c, c, {}, {}, c.objects)))
+    comp_d = ComponentsOracle(list(functor_search_oracle(d, d, {}, {}, d.objects)))
+    id_c, id_d = identity_functor(c), identity_functor(d)
+    for f in fs:
+        for g in gs:
+            if comp_c.connected(compose_functors(f, g), id_c) and comp_d.connected(
+                compose_functors(g, f), id_d
+            ):
+                return (f, g)
+    return None
+
+
 def contractible_steps_oracle(cat, full_subcategory, n):
     """Exhaustive retract-chain search over full-subcategory object chains."""
     def rec(objs, budget):
@@ -399,6 +529,15 @@ def metric_product_oracle(factors):
         for a in combos
     )
     return points, dist
+
+
+def metric_format_oracle(points, dist):
+    """The matrix file text with every entry formatted where it stands."""
+    order = sorted(range(len(points)), key=lambda i: points[i])
+    lines = ["points " + " ".join([str(len(points))] + [points[i] for i in order])]
+    for i in order:
+        lines.append(" ".join("inf" if dist[i][j] == INF else str(dist[i][j]) for j in order))
+    return "\n".join(lines) + "\n"
 
 
 def discretized_interval_oracle(n):

@@ -8,11 +8,16 @@ from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
 from dihom.errors import DomainError, EnumerationLimitError, InputSyntaxError, SizeGuardError
+import oracles
 from oracles import (
+    ComponentsOracle,
     all_component_families,
     contractible_steps_oracle,
+    equivalence_witness_oracle,
     functor_maps,
+    functor_search_oracle,
     is_natural,
+    nat_search_oracle,
     retract_step_possible,
     strong_contraction_objects,
 )
@@ -209,6 +214,102 @@ def test_past_future_duality_under_opposite():
 
 
 # homotopy equivalence
+
+def _rows(functors):
+    """Functors as (object items, arrow items): values and dict order."""
+    return [(list(f.obj_map.items()), list(f.arr_map.items())) for f in functors]
+
+
+def _transformation_rows(transformations):
+    return [list(t.components.items()) for t in transformations]
+
+
+def _random_presets(rng, c, d):
+    """Presets as the searches accept them, not only as their callers build
+    them: preset arrows may land outside the hom-set of their endpoints'
+    images, and the images come in shuffled order."""
+    objs = [x for x in c.objects if rng.random() < 0.3]
+    obj_preset = {x: rng.choice(d.objects) for x in objs}
+    arrs = [a for a in sorted(c.non_identity_arrows()) if rng.random() < 0.3]
+    arr_preset = {a: rng.choice(sorted(d.arrows)) for a in arrs}
+    images = rng.sample(d.objects, rng.randint(1, len(d.objects)))
+    return obj_preset, arr_preset, images
+
+
+def _object_maps_oracle(c, d, obj_preset, arr_preset, images):
+    free = [x for x in c.objects if x not in obj_preset]
+    out = []
+    for chosen in product(images, repeat=len(free)):
+        omap = dict(obj_preset)
+        omap.update(zip(free, chosen))
+        if all(d.hom(omap[s], omap[t]) for a, (s, t) in c.arrows.items()
+               if not c.is_identity(a) and a not in arr_preset):
+            out.append(list(omap.items()))
+    return out
+
+
+def _retract_oracle(cat, sub, strong):
+    """retract_endofunctors spelled out on the reference searches."""
+    ident = ct.identity_functor(cat)
+    fixed = {x: cat.identity[x] for x in sub} if strong else None
+    kept = {x: x for x in cat.objects if x in sub}
+    inside = {a: a for a in sorted(cat.non_identity_arrows())
+              if cat.src(a) in sub and cat.tgt(a) in sub}
+    out = []
+    for q in functor_search_oracle(cat, cat, kept, inside, sorted(sub)):
+        if nat_search_oracle(ident, q, fixed, find_all=False):
+            out.append((q, "future"))
+        if nat_search_oracle(q, ident, fixed, find_all=False):
+            out.append((q, "past"))
+    return out
+
+
+def test_pruned_searches_match_the_unpruned_references(monkeypatch):
+    calls = []
+
+    def recorded(search):
+        def wrapper(f, g, fixed=None, find_all=True):
+            calls.append((f._key, g._key))
+            return search(f, g, fixed, find_all)
+        return wrapper
+
+    monkeypatch.setattr(ct, "_nat_search", recorded(ct._nat_search))
+    monkeypatch.setattr(oracles, "nat_search_oracle", recorded(oracles.nat_search_oracle))
+    rng = random.Random(20261018)
+    for _ in range(160):
+        c, d = ct.random_category(rng), ct.random_category(rng)
+        fs = ct.all_functors(c, d)
+        assert _rows(fs) == _rows(functor_search_oracle(c, d, {}, {}, d.objects))
+        for _ in range(3):
+            presets = _random_presets(rng, c, d)
+            got = [list(m.items()) for m in ct._object_maps(c, d, *presets)]
+            assert got == _object_maps_oracle(c, d, *presets)
+            assert _rows(ct._functor_search(c, d, *presets)) == _rows(
+                functor_search_oracle(c, d, *presets)
+            )
+        for strong in (False, True):
+            sub = rng.sample(c.objects, rng.randint(1, len(c.objects)))
+            got = list(ct.retract_endofunctors(c, sub, strong=strong))
+            want = _retract_oracle(c, sub, strong)
+            assert [(_rows([q]), way) for q, way in got] == [(_rows([q]), way) for q, way in want]
+        for f, g in [(rng.choice(fs), rng.choice(fs)) for _ in range(4)] if fs else []:
+            assert _transformation_rows(ct.nat_transformations(f, g)) == (
+                _transformation_rows(nat_search_oracle(f, g))
+            )
+        ends = ct.all_functors(c, c)
+        calls.clear()
+        reference = ComponentsOracle(ends)
+        want_calls = calls[:]
+        calls.clear()
+        ct._Components(ends)
+        assert calls == want_calls
+        for f, g in [(rng.choice(ends), rng.choice(ends)) for _ in range(4)]:
+            assert ct.dhomotopic_functors(f, g) == reference.connected(f, g)
+        got, want = ct.equivalence_witness(c, d), equivalence_witness_oracle(c, d)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _rows(got) == _rows(want)
+
 
 def test_ordinals_are_equivalent():
     assert ct.dhomotopy_equivalent(TWO, ONE)

@@ -1,4 +1,7 @@
 import io
+import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +264,21 @@ def test_syntax_error_exits_two(workdir, tmp_path):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text,line,reason",
+    [
+        ("object 0\nobject 0\nobject 1\n", 2, "duplicate object id 0"),
+        ("object 0\nobject 1\narrow a x 1\n", 3, "arrow a: endpoint x is not an object"),
+        ("arrow a 0 y\nobject 0\n", 1, "arrow a: endpoint y is not an object"),
+    ],
+)
+def test_category_syntax_errors_name_their_line(tmp_path, text, line, reason):
+    bad = tmp_path / "bad.category"
+    bad.write_text(text)
+    code, out, err = invoke(["cat", "equiv", str(bad), str(bad)])
+    assert (code, out, err) == (2, "", f"error: line {line}: {reason}\n")
+
+
 def test_realize_cyclic_without_bound_exits_one(workdir, tmp_path):
     circ = tmp_path / "circle.pres"
     circ.write_text("object *\ngen a * *\n")
@@ -333,3 +351,62 @@ def test_classes_on_a_long_thin_grid(tmp_path):
     scene = tmp_path / "long.scene"
     scene.write_text("grid 1200 1\nsource 0 0\ntarget 1200 1\n")
     assert invoke(["classes", str(scene)]) == (0, "classes 1\n", "")
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# the verb each fixture is run through; file names resolve in one directory
+FUZZ_VERBS = {
+    "circle.complex": ["monoid", "circle.complex", "--at", "*", "--max-len", "3"],
+    "o1.complex": ["hom", "o1.complex", "--from", "0", "--to", "1", "--reps"],
+    "hole.scene": ["classes", "hole.scene"],
+    "x.scene": ["hom", "x.scene", "--from", "v0_0", "--to", "v6_6", "--reps"],
+    "y.scene": ["one-simple", "y.scene"],
+    "two.category": ["cat", "equiv", "two.category", "oc.category"],
+    "oc.category": ["cat", "equiv", "oc.category", "two.category"],
+    "inc.functor": ["cat", "faithful", "inc.functor"],
+    "discrete2.pres": ["cat", "pushout", "discrete2.pres", "interval.pres",
+                       "interval.pres", "glue.morph", "glue.morph"],
+    "glue.morph": ["cat", "pushout", "discrete2.pres", "interval.pres",
+                   "interval.pres", "glue.morph", "glue.morph"],
+    "interval.pres": ["cat", "realize", "interval.pres", "--bound", "3"],
+    "interval8.dmetric": ["metric", "ball", "interval8.dmetric", "--at", "1/4",
+                          "--eps", "1/2", "--direction", "future"],
+    "endpoints.rel": ["metric", "quotient", "interval8.dmetric", "endpoints.rel"],
+}
+# small integers only: a mutation like "grid 6 99999" is slow, not wrong
+FUZZ_TOKENS = ("0", "1", "2", "-1", "x", "*", "a", "b", "=", ";", "1/2", "inf",
+               "id(0)", "object", "arrow", "gen", "box")
+
+
+def _mutate(rng, lines):
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(3)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    else:
+        tok = lines[i].split()
+        if tok:
+            tok[rng.randrange(len(tok))] = rng.choice(FUZZ_TOKENS)
+        lines[i] = " ".join(tok)
+    return lines
+
+
+def test_fuzzed_fixtures_fail_with_one_error_line(tmp_path):
+    assert sorted(FUZZ_VERBS) == sorted(p.name for p in FIXTURES.iterdir())
+    rng = random.Random(4)
+    for name, verb in FUZZ_VERBS.items():
+        lines = (FIXTURES / name).read_text().splitlines()
+        for trial in range(40):
+            work = tmp_path / f"{name}-{trial}"
+            shutil.copytree(FIXTURES, work)
+            (work / name).write_text("\n".join(_mutate(rng, lines)) + "\n")
+            argv = [str(work / a) if (work / a).exists() else a for a in verb]
+            code, _, err = invoke(argv)
+            if code == 0:
+                assert err == ""
+            else:
+                assert err.startswith("error: ") and err.count("\n") == 1, (name, trial)

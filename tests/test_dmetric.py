@@ -9,6 +9,7 @@ from dihom.errors import DomainError, InputSyntaxError
 from oracles import (
     discretized_circle_oracle,
     discretized_interval_oracle,
+    metric_format_oracle,
     metric_product_oracle,
     metric_quotient_oracle,
     metric_validate_oracle,
@@ -309,3 +310,21 @@ def test_integer_kernel_matches_fraction_references():
         # the winning factor's own entry, as max() picks it, ties included
         assert all(a is b for ra, rb in zip(pr.dist, dist) for a, b in zip(ra, rb))
     assert huge_seen > 50
+
+
+def test_format_matches_the_entrywise_reference():
+    # outputs that share entry objects, plus equal values held by distinct
+    # int and Fraction objects (both print as "2")
+    rng = random.Random(77)
+    for _ in range(150):
+        spaces = [random_space(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            s = spaces[0]
+            spaces[0] = dm.DMetricSpace(s.points, tuple(
+                tuple(2 if (i + j) % 2 else F(2) for j in range(len(row)))
+                for i, row in enumerate(s.dist)))
+        pairs = [tuple(rng.sample(spaces[0].points, 2)) if len(spaces[0].points) > 1
+                 else (spaces[0].points[0],) * 2 for _ in range(rng.randint(0, 2))]
+        for space in (dm.product(*spaces), dm.disjoint_sum(*spaces),
+                      dm.quotient(spaces[0], pairs), spaces[-1]):
+            assert dm.format_dmetric(space) == metric_format_oracle(space.points, space.dist)

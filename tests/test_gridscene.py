@@ -5,7 +5,12 @@ import pytest
 from dihom import gridscene as gs
 from dihom import precubical as pc
 from dihom.errors import InputSyntaxError
-from oracles import closed_cell_meets_open_box
+from oracles import (
+    closed_cell_meets_open_box,
+    edge_east_ok,
+    edge_north_ok,
+    square_ok,
+)
 
 HOLE_3X3 = "grid 3 3\nbox 1 1 2 2\nsource 0 0\ntarget 3 3\n"
 
@@ -101,6 +106,46 @@ def test_cell_selection_matches_sampled_disjointness_oracle():
             assert (gs.square_id(x, y) in k.squares) == (
                 not blocked((x, x + 1, y, y + 1))
             )
+
+
+def test_cells_match_the_per_cell_oracles_on_random_boxed_scenes():
+    rng = random.Random(31)
+    for _ in range(200):
+        w, h = rng.randint(1, 8), rng.randint(1, 8)
+        boxes = []
+        # overlapping boxes, and boxes past the border (GridScene does not check)
+        for _ in range(rng.randint(0, 5)):
+            x0, y0 = rng.randint(-2, w - 1), rng.randint(-2, h - 1)
+            boxes.append((x0, y0, rng.randint(x0 + 1, w + 2), rng.randint(y0 + 1, h + 2)))
+        scene = gs.GridScene(w, h, tuple(gs.Box(*b) for b in boxes), (0, 0), (w, h))
+        k = gs.to_precubical(scene)
+        verts, edges, squares, labels = [], {}, {}, []
+        for x in range(w + 1):
+            for y in range(h + 1):
+                if not any(closed_cell_meets_open_box((x, x, y, y), b) for b in boxes):
+                    verts.append(gs.vertex_id(x, y))
+                    labels.append(((0, gs.vertex_id(x, y)), f"({x},{y})"))
+        for x in range(w):
+            for y in range(h + 1):
+                if edge_east_ok(x, y, boxes):
+                    e = gs.east_edge_id(x, y)
+                    edges[e] = (gs.vertex_id(x, y), gs.vertex_id(x + 1, y))
+                    labels.append(((1, e), f"({x},{y})->({x + 1},{y})"))
+        for x in range(w + 1):
+            for y in range(h):
+                if edge_north_ok(x, y, boxes):
+                    e = gs.north_edge_id(x, y)
+                    edges[e] = (gs.vertex_id(x, y), gs.vertex_id(x, y + 1))
+                    labels.append(((1, e), f"({x},{y})->({x},{y + 1})"))
+        for x in range(w):
+            for y in range(h):
+                if square_ok(x, y, boxes):
+                    q = gs.square_id(x, y)
+                    squares[q] = (gs.north_edge_id(x, y), gs.north_edge_id(x + 1, y),
+                                  gs.east_edge_id(x, y), gs.east_edge_id(x, y + 1))
+                    labels.append(((2, q), f"[{x},{x + 1}]x[{y},{y + 1}]"))
+        assert k == pc.PreCubicalSet(verts, edges, squares, dict(labels))
+        assert list(k.labels.items()) == labels
 
 
 def test_output_always_validates_and_is_face_closed():
