@@ -13,7 +13,9 @@ All searches are exhaustive, guarded by explicit size limits that raise
 same results in the same order as a full enumeration: object maps are cut
 as soon as an arrow between mapped objects has an empty hom-set to go to,
 transformation components are checked against the naturality squares
-they complete, and composite functors are compared by key.
+they complete, and composite functors are compared by key.  Equivalence of
+two thin categories (preorders) needs no search: it is decided by Stong
+cores, without the size guards.
 
 The module also carries the presentation machinery used by the van Kampen
 computations: pushouts of generators-and-relations presentations along
@@ -72,6 +74,7 @@ class FinCategory:
         for a, (s, t) in self.arrows.items():
             self._hom.setdefault((s, t), []).append(a)
         self._hom = {k: tuple(sorted(v)) for k, v in self._hom.items()}
+        self._squares = None  # see _squares_by_later_end
 
     @classmethod
     def build(cls, objects, arrows, compose):
@@ -462,16 +465,12 @@ def _nat_search(f, g, fixed=None, find_all=True):
         cands.append((fixed[x],) if x in fixed else d.hom(f.obj(x), g.obj(x)))
         if not cands[-1]:
             return []
-    pos = {x: i for i, x in enumerate(c.objects)}
-    squares = [[] for _ in c.objects]
-    for a, (s, t) in c.arrows.items():
-        i, j = pos[s], pos[t]
-        squares[max(i, j)].append((f.arr(a), i, j, g.arr(a)))
-    compose = d.compose
+    squares = _squares_by_later_end(c)
+    farr, garr, compose = f.arr_map, g.arr_map, d.compose
 
     def natural(k, comp):
-        for fa, s, t, ga in squares[k]:
-            if compose(fa, comp[t]) != compose(comp[s], ga):
+        for a, s, t in squares[k]:
+            if compose(farr[a], comp[t]) != compose(comp[s], garr[a]):
                 return False
         return True
 
@@ -481,6 +480,20 @@ def _nat_search(f, g, fixed=None, find_all=True):
         if not find_all:
             break
     return found
+
+
+def _squares_by_later_end(c):
+    """The arrows ``(a, i, j)`` of c, a from object number i to j, bucketed
+    by max(i, j): the naturality squares that a component at object number
+    k completes.  Built on first use and kept on the category."""
+    squares = c._squares
+    if squares is None:
+        pos = {x: i for i, x in enumerate(c.objects)}
+        squares = c._squares = [[] for _ in c.objects]
+        for a, (s, t) in c.arrows.items():
+            i, j = pos[s], pos[t]
+            squares[max(i, j)].append((a, i, j))
+    return squares
 
 
 def nat_transformations(f, g):
@@ -645,7 +658,98 @@ def equivalence_witness(c, d, **guards):
 
 
 def dhomotopy_equivalent(c, d, **guards):
+    """Whether c and d are directed homotopy equivalent.
+
+    When both are thin (at most one arrow per hom-set) they are preorders,
+    functors are monotone maps and a transformation f -> g exists iff
+    f(x) <= g(x) everywhere, so the question is whether two finite spaces
+    are homotopy equivalent.  By Stong's theorem that holds iff their cores
+    are isomorphic, which is decided without the object and arrow guards.
+    Every other pair goes through :func:`equivalence_witness`.
+    """
+    if _is_thin(c) and _is_thin(d):
+        return _isomorphic_posets(
+            _stong_core(c), _stong_core(d), guards.get("max_functors", MAX_FUNCTORS)
+        )
     return equivalence_witness(c, d, **guards) is not None
+
+
+def _is_thin(cat):
+    return all(len(h) == 1 for h in cat._hom.values())
+
+
+def _stong_core(cat):
+    """The core of a thin category, as ``(above, below)``: ``above[x]`` is
+    the set of points strictly above x, ``below[x]`` those strictly below.
+    Isomorphic objects are collapsed onto the first of their class, then
+    beat points are removed until none is left.  x is a beat point when the
+    points strictly below it have a maximum y (the one point of them with
+    one point fewer below it than x), or dually above."""
+    rep = {}
+    for x in cat.objects:
+        if x not in rep:
+            for y in cat.objects:
+                if y not in rep and cat.hom(x, y) and cat.hom(y, x):
+                    rep[y] = x
+    points = sorted(set(rep.values()))
+    above = {x: {y for y in points if y != x and cat.hom(x, y)} for x in points}
+    below = {x: {y for y in points if y != x and cat.hom(y, x)} for x in points}
+
+    def beat(x):
+        return any(len(below[y]) == len(below[x]) - 1 for y in below[x]) or any(
+            len(above[y]) == len(above[x]) - 1 for y in above[x]
+        )
+
+    removed = True
+    while removed:
+        removed = False
+        for x in points:
+            if x in above and beat(x):
+                for y in above.pop(x):
+                    below[y].discard(x)
+                for y in below.pop(x):
+                    above[y].discard(x)
+                removed = True
+    return above, below
+
+
+def _isomorphic_posets(p1, p2, max_maps=MAX_FUNCTORS):
+    """Whether two finite posets, given as ``(above, below)`` like
+    :func:`_stong_core` returns them, are isomorphic.  Points of the first
+    are mapped one at a time, each next to as many mapped points as
+    possible, onto points of the second with as many points below and above
+    that agree on every relation to the points mapped before; past
+    ``max_maps`` partial maps tried it raises :class:`EnumerationLimitError`."""
+    (up1, down1), (up2, down2) = p1, p2
+    deg1 = {x: (len(down1[x]), len(up1[x])) for x in up1}
+    deg2 = {y: (len(down2[y]), len(up2[y])) for y in up2}
+    if sorted(deg1.values()) != sorted(deg2.values()):
+        return False
+    order, links = [], dict.fromkeys(up1, 0)
+    while links:
+        x = max(links, key=links.get)  # first of the most linked points
+        del links[x]
+        order.append(x)
+        for y in up1[x] | down1[x]:
+            if y in links:
+                links[y] += 1
+    options = [[y for y in up2 if deg2[y] == deg1[x]] for x in order]
+    tried = 0
+
+    def consistent(k, chosen):
+        nonlocal tried
+        tried += 1
+        if tried > max_maps:
+            raise EnumerationLimitError(f"more than {max_maps} partial isomorphisms tried")
+        x, y = order[k], chosen[k]
+        ux, uy = up1[x], up2[y]
+        for j in range(k):
+            xj, yj = order[j], chosen[j]
+            if yj == y or (xj in ux) != (yj in uy) or (x in up1[xj]) != (y in up2[yj]):
+                return False
+        return True
+
+    return next(_backtrack(options, consistent), None) is not None
 
 
 def is_past_contractible(cat):
@@ -697,35 +801,51 @@ def contractible_in_steps(cat, n, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS
     require_category(cat)
     if n < 0:
         raise DomainError("step count must be >= 0")
-    memo = {}
+    memo = {}  # objs -> fewest steps found, None if none within the budget
 
-    def min_steps(objs, budget):
+    def settled(objs, budget):
+        """The step count of objs when known without searching, else _OPEN."""
         if len(objs) == 1:
             (v,) = objs
             return 0 if _is_trivial_point(cat, v) else None
         if budget <= 0:
             return None
-        if objs in memo and memo[objs] is not None:
-            return memo[objs]
-        sub_cat = full_subcategory(cat, objs)
-        best = None
-        for keep in _proper_subsets(sorted(objs)):
-            found = False
-            for _q, _dir in retract_endofunctors(sub_cat, keep):
-                found = True
-                break
-            if not found:
-                continue
-            rest = min_steps(frozenset(keep), budget - 1)
-            if rest is not None:
-                cand = rest + 1
-                if best is None or cand < best:
-                    best = cand
-        memo[objs] = best
-        return best
+        steps = memo.get(objs)
+        return _OPEN if steps is None else steps
 
-    steps = min_steps(frozenset(cat.objects), n)
+    def retracts(objs):
+        sub_cat = full_subcategory(cat, objs)
+        for keep in _proper_subsets(sorted(objs)):
+            if next(retract_endofunctors(sub_cat, keep), None) is not None:
+                yield frozenset(keep)
+
+    # depth-first over retract chains; a frame is [objs, budget, the
+    # retracts still to try, fewest steps found]
+    root = frozenset(cat.objects)
+    steps = settled(root, n)
+    stack = [[root, n, retracts(root), None]] if steps is _OPEN else []
+    while stack:
+        frame = stack[-1]
+        objs, budget, keeps, _ = frame
+        keep = next(keeps, None)
+        if keep is None:
+            memo[objs] = rest = frame[3]
+            stack.pop()
+            if not stack:
+                steps = rest
+                continue
+            frame = stack[-1]
+        else:
+            rest = settled(keep, budget - 1)
+            if rest is _OPEN:
+                stack.append([keep, budget - 1, retracts(keep), None])
+                continue
+        if rest is not None and (frame[3] is None or rest + 1 < frame[3]):
+            frame[3] = rest + 1
     return steps is not None and steps <= n
+
+
+_OPEN = object()  # a search still to be made
 
 
 def _proper_subsets(items):

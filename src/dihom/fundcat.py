@@ -68,6 +68,16 @@ class DiPath:
             raise DomainError("paths are not consecutive")
         return DiPath(self.complex, self.start, self.edges + other.edges)
 
+    @classmethod
+    def _trusted(cls, complex_, start, edges):
+        """A dipath whose edges are known to compose from ``start``, built
+        without the per-edge check of ``__post_init__``."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "complex", complex_)
+        object.__setattr__(path, "start", start)
+        object.__setattr__(path, "edges", edges)
+        return path
+
 
 @dataclass(frozen=True)
 class HomClass:
@@ -246,9 +256,9 @@ def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_
     engine = _require_walkable(complex_, (source, target), max_len)
     t = engine.index[target]
     out = []
-    for word, at in _walk(engine, engine.index[source], max_len):
+    for word, at in _walk(engine, engine.index[source], max_len, to=t):
         if at == t:
-            out.append(DiPath(complex_, source, tuple(word)))
+            out.append(DiPath._trusted(complex_, source, tuple(word)))
             if len(out) > max_paths:
                 raise EnumerationLimitError(
                     f"more than {max_paths} dipaths {source} -> {target}"
@@ -256,18 +266,25 @@ def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_
     return out
 
 
-def _walk(engine, source, max_len):
+def _walk(engine, source, max_len, to=None):
     """Yield (word, end) for every word out of object number ``source`` of
     length <= ``max_len`` (None: unbounded, acyclic only), in lexicographic
     order; ``word`` is one list that the walk changes in place, so copy it
-    to keep it.  Iterative, so words of any length are fine."""
+    to keep it.  With ``to`` (an object number) only the words that end at
+    an object from which ``to`` is reachable are walked.  Iterative, so
+    words of any length are fine."""
     out, targets = engine.out, engine.targets
+    live = _reaching(targets, to) if to is not None else [True] * len(targets)
+    if not live[source]:
+        return
+    steps = [[(g, w) for g, w in zip(out[v], targets[v]) if live[w]]
+             for v in range(len(targets))]
     word, stack = [], []  # stack[i]: the untried extensions of word[:i]
     at = source
     while True:
         yield word, at
         if max_len is None or len(word) < max_len:
-            stack.append(zip(out[at], targets[at]))
+            stack.append(iter(steps[at]))
         while stack:
             del word[len(stack) - 1:]
             nxt = next(stack[-1], None)
@@ -278,6 +295,24 @@ def _walk(engine, source, max_len):
             stack.pop()
         else:
             return
+
+
+def _reaching(targets, to):
+    """``live[v]``: whether object number ``to`` is reachable from v in the
+    graph with out-neighbours ``targets[v]``."""
+    into = [[] for _ in targets]
+    for v, ws in enumerate(targets):
+        for w in ws:
+            into[w].append(v)
+    live = [False] * len(targets)
+    live[to] = True
+    queue = [to]
+    for w in queue:
+        for v in into[w]:
+            if not live[v]:
+                live[v] = True
+                queue.append(v)
+    return live
 
 
 class _UnionFind:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from dihom.catho import FunctorMap, NatTransf, compose_functors, identity_functor
-from dihom.errors import DomainError
-from dihom.fundcat import _UnionFind
+from dihom.errors import DomainError, EnumerationLimitError
+from dihom.fundcat import DEFAULT_MAX_PATHS, DiPath, _require_walkable, _UnionFind
 
 INF = math.inf
 
@@ -123,6 +123,36 @@ def bfs_dipaths(complex_, source, target, max_len):
             if complex_.src(e) == at:
                 queue.append((complex_.tgt(e), word + (e,)))
     return out
+
+
+def enumerate_dipaths_oracle(complex_, source, target, max_len=None,
+                             max_paths=DEFAULT_MAX_PATHS):
+    """``fundcat.enumerate_dipaths`` as it was before the walk was pruned:
+    every word out of the source is walked, dead ends included, and each
+    word that ends at the target is built as a checked ``DiPath``."""
+    engine = _require_walkable(complex_, (source, target), max_len)
+    out, targets = engine.out, engine.targets
+    t = engine.index[target]
+    found = []
+    word, stack = [], []  # stack[i]: the untried extensions of word[:i]
+    at = engine.index[source]
+    while True:
+        if at == t:
+            found.append(DiPath(complex_, source, tuple(word)))
+            if len(found) > max_paths:
+                raise EnumerationLimitError(f"more than {max_paths} dipaths {source} -> {target}")
+        if max_len is None or len(word) < max_len:
+            stack.append(zip(out[at], targets[at]))
+        while stack:
+            del word[len(stack) - 1:]
+            nxt = next(stack[-1], None)
+            if nxt is not None:
+                g, at = nxt
+                word.append(g)
+                break
+            stack.pop()
+        else:
+            return found
 
 
 def swap_partition(complex_, words):

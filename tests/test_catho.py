@@ -337,6 +337,116 @@ def test_size_guard_fires():
         ct.all_functors(ct.ordinal(5), ct.ordinal(5), max_objects=4)
 
 
+def crown_order(n, tag=""):
+    """The 2n-crown: minimal points a_i below maximal points b_i, b_(i+1)."""
+    els = [f"{tag}a{i}" for i in range(n)] + [f"{tag}b{i}" for i in range(n)]
+    le = [(f"{tag}a{i}", f"{tag}b{j}") for i in range(n) for j in (i, (i + 1) % n)]
+    return els, le
+
+
+def crown(n):
+    return ct.poset_category(*crown_order(n))
+
+
+def random_poset(rng, n):
+    els = [f"q{i}" for i in rng.sample(range(n), n)]
+    le = [(els[i], els[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    return ct.poset_category(els, le)
+
+
+def random_preorder(rng, n):
+    """A thin category on a random preorder, isomorphic objects allowed."""
+    objs = [f"p{i}" for i in range(n)]
+    le = {(x, x) for x in objs}
+    le.update((x, y) for x in objs for y in objs if rng.random() < 0.3)
+    for k in objs:
+        for i in objs:
+            for j in objs:
+                if (i, k) in le and (k, j) in le:
+                    le.add((i, j))
+
+    def arrow(x, y):
+        return f"id({x})" if x == y else f"a({x},{y})"
+
+    arrows = {arrow(x, y): (x, y) for x, y in le if x != y}
+    compose = {
+        (arrow(x, y), arrow(y, z)): arrow(x, z)
+        for x, y in le
+        for y2, z in le
+        if y == y2 and x != y and y != z
+    }
+    return ct.FinCategory.build(objs, arrows, compose)
+
+
+def test_thin_equivalence_by_cores_matches_the_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a thin pair went through the functor search")
+
+    monkeypatch.setattr(ct, "equivalence_witness", no_search)
+    rng = random.Random(20261018)
+    empty = ct.discrete_category([])
+    cats = [empty, ONE]
+    for _ in range(60):
+        cats.append(random_poset(rng, rng.randint(1, 4)))
+        cats.append(random_preorder(rng, rng.randint(1, 4)))
+    for cat in cats:
+        assert ct.validate_category(cat) == []
+    pairs = [(empty, cat) for cat in cats[:30]] + [(cat, empty) for cat in cats[:4]]
+    pairs += [(rng.choice(cats), rng.choice(cats)) for _ in range(160)]
+    answers = []
+    for c, d in pairs:
+        want = equivalence_witness_oracle(c, d) is not None
+        assert ct.dhomotopy_equivalent(c, d) == want, (c.arrows, d.arrows)
+        answers.append(want)
+    assert 40 < sum(answers) < len(answers) - 40
+
+
+def saturating_monoid():
+    """{1, e} with e e = e: a one-object category equivalent to the point."""
+    mul = {("1", "1"): "1", ("1", "e"): "e", ("e", "1"): "e", ("e", "e"): "e"}
+    return ct.monoid_category(["1", "e"], "1", mul)
+
+
+def test_mixed_pairs_keep_the_search(monkeypatch):
+    z2 = ct.monoid_category(["0", "1"], "0", {(a, b): str((int(a) + int(b)) % 2)
+                                              for a in "01" for b in "01"})
+    searched = []
+    witness = ct.equivalence_witness
+    monkeypatch.setattr(ct, "equivalence_witness",
+                        lambda c, d, **g: searched.append(1) or witness(c, d, **g))
+    assert ct.dhomotopy_equivalent(saturating_monoid(), ONE)
+    assert ct.dhomotopy_equivalent(ONE, saturating_monoid())
+    assert not ct.dhomotopy_equivalent(z2, ONE)
+    assert not ct.dhomotopy_equivalent(ONE, z2)
+    assert len(searched) == 4
+    with pytest.raises(SizeGuardError):
+        ct.dhomotopy_equivalent(ct.ordinal(6), z2)
+
+
+def test_thin_pairs_above_the_guard():
+    assert ct.dhomotopy_equivalent(ct.ordinal(8), ONE)
+    assert not ct.dhomotopy_equivalent(crown(2), ONE)
+    # weakly equivalent (both model the circle) but not homotopy equivalent
+    assert not ct.dhomotopy_equivalent(crown(3), crown(2))
+    # the 4-crown with beat points hung on: c0 < c1 < a0, b0 < d, a1 < e
+    padded = ct.poset_category(
+        ["a0", "a1", "b0", "b1", "c0", "c1", "d", "e"],
+        [("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1"),
+         ("c0", "c1"), ("c1", "a0"), ("b0", "d"), ("a1", "e")],
+    )
+    assert ct.dhomotopy_equivalent(padded, crown(2))
+    assert ct.dhomotopy_equivalent(crown(2), padded)
+    assert not ct.dhomotopy_equivalent(padded, ONE)
+    # both cores have four points below two and four above two
+    (els1, le1), (els2, le2) = crown_order(2, "x"), crown_order(2, "y")
+    two_circles = ct.poset_category(els1 + els2, le1 + le2)
+    assert not ct.dhomotopy_equivalent(crown(4), two_circles)
+    assert ct.dhomotopy_equivalent(two_circles, two_circles)
+    assert ct.dhomotopy_equivalent(crown(4), ct.poset_category(*crown_order(4, "z")))
+    with pytest.raises(EnumerationLimitError):
+        ct.dhomotopy_equivalent(crown(3), crown(3), max_functors=3)
+
+
 # step contractibility
 
 def test_point_in_zero_steps():
@@ -353,6 +463,18 @@ def test_stairway_needs_exactly_two_steps():
     assert not ct.contractible_in_steps(st, 1)
     assert contractible_steps_oracle(st, ct.full_subcategory, 2)
     assert not contractible_steps_oracle(st, ct.full_subcategory, 1)
+
+
+def test_contractible_in_steps_matches_the_chain_oracle():
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(150):
+        cat = ct.random_category(rng)
+        for n in range(4):
+            got = ct.contractible_in_steps(cat, n)
+            assert got == contractible_steps_oracle(cat, ct.full_subcategory, n)
+            verdicts.add((n, got))
+    assert {(0, False), (1, True), (1, False), (3, True)} <= verdicts
 
 
 def test_retract_steps_match_oracle():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from dihom import catho as ct
 from dihom.cli import run
 
 X_SCENE = "grid 6 6\nbox 1 1 4 2\nbox 1 4 4 5\nsource 0 0\ntarget 6 6\n"
@@ -143,6 +144,23 @@ def test_cat_equiv(workdir):
         ["cat", "equiv", str(workdir / "two.category"), str(workdir / "oc.category")]
     )
     assert (code, out) == (0, "equivalent false\n")
+
+
+def test_cat_equiv_on_thin_categories_above_the_guard(workdir):
+    # 7 objects each: the chain 0 < ... < 6, and the 4-crown a0, a1 < b0, b1
+    # with the beat points c < a0, b0 < d and a1 < e hung on
+    crown = ct.poset_category(
+        ["a0", "a1", "b0", "b1", "c", "d", "e"],
+        [("a0", "b0"), ("a0", "b1"), ("a1", "b0"), ("a1", "b1"),
+         ("c", "a0"), ("b0", "d"), ("a1", "e")],
+    )
+    (workdir / "chain7.category").write_text(ct.format_category(ct.ordinal(7)))
+    (workdir / "crown7.category").write_text(ct.format_category(crown))
+    two = str(workdir / "two.category")
+    for name, answer in (("chain7", "true"), ("crown7", "false")):
+        path = str(workdir / f"{name}.category")
+        assert invoke(["cat", "equiv", path, two]) == (0, f"equivalent {answer}\n", "")
+        assert invoke(["cat", "equiv", two, path]) == (0, f"equivalent {answer}\n", "")
 
 
 def test_cat_pushout(workdir):

@@ -7,7 +7,7 @@ from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
 from dihom.errors import DomainError, EnumerationLimitError, UnboundedEnumerationError
-from oracles import bfs_dipaths, scene_path_classes, swap_partition
+from oracles import bfs_dipaths, enumerate_dipaths_oracle, scene_path_classes, swap_partition
 
 
 def scene_complex(text):
@@ -439,6 +439,24 @@ def test_engine_hom_classes_match_oracle_partition():
             assert got == oracle_classes(k, x, y, bound), (k, x, y, bound)
             checked += h.count
     assert checked > 100
+
+
+def test_enumerate_dipaths_matches_the_unpruned_walk():
+    found = 0
+    for rng, k, bound in random_cases(20261018, 150):
+        verts = list(k.vertices)
+        for _ in range(3):
+            x, y = rng.choice(verts), rng.choice(verts)
+            want = enumerate_dipaths_oracle(k, x, y, bound)
+            got = fc.enumerate_dipaths(k, x, y, bound)
+            assert [(p.start, p.edges) for p in got] == [(p.start, p.edges) for p in want]
+            assert all(p.complex is k for p in got)
+            found += len(want)
+            if want:
+                fc.enumerate_dipaths(k, x, y, bound, max_paths=len(want))
+                with pytest.raises(EnumerationLimitError):
+                    fc.enumerate_dipaths(k, x, y, bound, max_paths=len(want) - 1)
+    assert found > 300
 
 
 def test_engine_monoid_table_matches_oracle_partition():
