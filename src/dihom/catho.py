@@ -793,6 +793,9 @@ def _is_trivial_point(cat, obj):
     return len(cat.hom(obj, obj)) == 1
 
 
+_OPEN = object()  # a step count still to be searched for
+
+
 def contractible_in_steps(cat, n, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS):
     """Whether a chain of <= n immediate deformation-retract steps shrinks
     the category, through full subcategories, down to a single object with
@@ -843,9 +846,6 @@ def contractible_in_steps(cat, n, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS
         if rest is not None and (frame[3] is None or rest + 1 < frame[3]):
             frame[3] = rest + 1
     return steps is not None and steps <= n
-
-
-_OPEN = object()  # a search still to be made
 
 
 def _proper_subsets(items):
