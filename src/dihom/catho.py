@@ -74,7 +74,6 @@ class FinCategory:
         for a, (s, t) in self.arrows.items():
             self._hom.setdefault((s, t), []).append(a)
         self._hom = {k: tuple(sorted(v)) for k, v in self._hom.items()}
-        self._squares = None  # see _squares_by_later_end
 
     @classmethod
     def build(cls, objects, arrows, compose):
@@ -465,12 +464,16 @@ def _nat_search(f, g, fixed=None, find_all=True):
         cands.append((fixed[x],) if x in fixed else d.hom(f.obj(x), g.obj(x)))
         if not cands[-1]:
             return []
-    squares = _squares_by_later_end(c)
-    farr, garr, compose = f.arr_map, g.arr_map, d.compose
+    pos = {x: i for i, x in enumerate(c.objects)}
+    squares = [[] for _ in c.objects]
+    for a, (s, t) in c.arrows.items():
+        i, j = pos[s], pos[t]
+        squares[max(i, j)].append((f.arr(a), i, j, g.arr(a)))
+    compose = d.compose
 
     def natural(k, comp):
-        for a, s, t in squares[k]:
-            if compose(farr[a], comp[t]) != compose(comp[s], garr[a]):
+        for fa, s, t, ga in squares[k]:
+            if compose(fa, comp[t]) != compose(comp[s], ga):
                 return False
         return True
 
@@ -480,20 +483,6 @@ def _nat_search(f, g, fixed=None, find_all=True):
         if not find_all:
             break
     return found
-
-
-def _squares_by_later_end(c):
-    """The arrows ``(a, i, j)`` of c, a from object number i to j, bucketed
-    by max(i, j): the naturality squares that a component at object number
-    k completes.  Built on first use and kept on the category."""
-    squares = c._squares
-    if squares is None:
-        pos = {x: i for i, x in enumerate(c.objects)}
-        squares = c._squares = [[] for _ in c.objects]
-        for a, (s, t) in c.arrows.items():
-            i, j = pos[s], pos[t]
-            squares[max(i, j)].append((a, i, j))
-    return squares
 
 
 def nat_transformations(f, g):
@@ -657,21 +646,24 @@ def equivalence_witness(c, d, **guards):
     return None
 
 
-def dhomotopy_equivalent(c, d, **guards):
+def dhomotopy_equivalent(c, d, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS,
+                         max_functors=MAX_FUNCTORS):
     """Whether c and d are directed homotopy equivalent.
 
     When both are thin (at most one arrow per hom-set) they are preorders,
     functors are monotone maps and a transformation f -> g exists iff
     f(x) <= g(x) everywhere, so the question is whether two finite spaces
     are homotopy equivalent.  By Stong's theorem that holds iff their cores
-    are isomorphic, which is decided without the object and arrow guards.
-    Every other pair goes through :func:`equivalence_witness`.
+    are isomorphic, which is decided without the object and arrow guards;
+    on such a pair ``max_functors`` caps the partial maps between the cores
+    tried.  Every other pair goes through :func:`equivalence_witness` with
+    all three guards.
     """
     if _is_thin(c) and _is_thin(d):
-        return _isomorphic_posets(
-            _stong_core(c), _stong_core(d), guards.get("max_functors", MAX_FUNCTORS)
-        )
-    return equivalence_witness(c, d, **guards) is not None
+        return _isomorphic_posets(_stong_core(c), _stong_core(d), max_functors)
+    return equivalence_witness(
+        c, d, max_objects=max_objects, max_arrows=max_arrows, max_functors=max_functors
+    ) is not None
 
 
 def _is_thin(cat):
@@ -793,9 +785,6 @@ def _is_trivial_point(cat, obj):
     return len(cat.hom(obj, obj)) == 1
 
 
-_OPEN = object()  # a step count still to be searched for
-
-
 def contractible_in_steps(cat, n, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS):
     """Whether a chain of <= n immediate deformation-retract steps shrinks
     the category, through full subcategories, down to a single object with
@@ -804,47 +793,34 @@ def contractible_in_steps(cat, n, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS
     require_category(cat)
     if n < 0:
         raise DomainError("step count must be >= 0")
-    memo = {}  # objs -> fewest steps found, None if none within the budget
+    memo = {}
 
-    def settled(objs, budget):
-        """The step count of objs when known without searching, else _OPEN."""
+    def min_steps(objs, budget):
         if len(objs) == 1:
             (v,) = objs
             return 0 if _is_trivial_point(cat, v) else None
         if budget <= 0:
             return None
-        steps = memo.get(objs)
-        return _OPEN if steps is None else steps
-
-    def retracts(objs):
+        if objs in memo and memo[objs] is not None:
+            return memo[objs]
         sub_cat = full_subcategory(cat, objs)
+        best = None
         for keep in _proper_subsets(sorted(objs)):
-            if next(retract_endofunctors(sub_cat, keep), None) is not None:
-                yield frozenset(keep)
+            found = False
+            for _q, _dir in retract_endofunctors(sub_cat, keep):
+                found = True
+                break
+            if not found:
+                continue
+            rest = min_steps(frozenset(keep), budget - 1)
+            if rest is not None:
+                cand = rest + 1
+                if best is None or cand < best:
+                    best = cand
+        memo[objs] = best
+        return best
 
-    # depth-first over retract chains; a frame is [objs, budget, the
-    # retracts still to try, fewest steps found]
-    root = frozenset(cat.objects)
-    steps = settled(root, n)
-    stack = [[root, n, retracts(root), None]] if steps is _OPEN else []
-    while stack:
-        frame = stack[-1]
-        objs, budget, keeps, _ = frame
-        keep = next(keeps, None)
-        if keep is None:
-            memo[objs] = rest = frame[3]
-            stack.pop()
-            if not stack:
-                steps = rest
-                continue
-            frame = stack[-1]
-        else:
-            rest = settled(keep, budget - 1)
-            if rest is _OPEN:
-                stack.append([keep, budget - 1, retracts(keep), None])
-                continue
-        if rest is not None and (frame[3] is None or rest + 1 < frame[3]):
-            frame[3] = rest + 1
+    steps = min_steps(frozenset(cat.objects), n)
     return steps is not None and steps <= n
 
 

@@ -256,7 +256,7 @@ def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_
     engine = _require_walkable(complex_, (source, target), max_len)
     t = engine.index[target]
     out = []
-    for word, at in _walk(engine, engine.index[source], max_len, to=t):
+    for word, at in _walk(engine, engine.index[source], max_len):
         if at == t:
             out.append(DiPath._trusted(complex_, source, tuple(word)))
             if len(out) > max_paths:
@@ -266,25 +266,22 @@ def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_
     return out
 
 
-def _walk(engine, source, max_len, to=None):
+def _walk(engine, source, max_len):
     """Yield (word, end) for every word out of object number ``source`` of
     length <= ``max_len`` (None: unbounded, acyclic only), in lexicographic
     order; ``word`` is one list that the walk changes in place, so copy it
-    to keep it.  With ``to`` (an object number) only the words that end at
-    an object from which ``to`` is reachable are walked.  Iterative, so
-    words of any length are fine."""
+    to keep it.  Iterative, so words of any length are fine."""
     out, targets = engine.out, engine.targets
-    live = _reaching(targets, to) if to is not None else [True] * len(targets)
-    if not live[source]:
-        return
-    steps = [[(g, w) for g, w in zip(out[v], targets[v]) if live[w]]
-             for v in range(len(targets))]
+    steps = {}  # object number -> its (generator, target) pairs, on first visit
     word, stack = [], []  # stack[i]: the untried extensions of word[:i]
     at = source
     while True:
         yield word, at
         if max_len is None or len(word) < max_len:
-            stack.append(iter(steps[at]))
+            nxt = steps.get(at)
+            if nxt is None:
+                nxt = steps[at] = list(zip(out[at], targets[at]))
+            stack.append(iter(nxt))
         while stack:
             del word[len(stack) - 1:]
             nxt = next(stack[-1], None)
@@ -295,24 +292,6 @@ def _walk(engine, source, max_len, to=None):
             stack.pop()
         else:
             return
-
-
-def _reaching(targets, to):
-    """``live[v]``: whether object number ``to`` is reachable from v in the
-    graph with out-neighbours ``targets[v]``."""
-    into = [[] for _ in targets]
-    for v, ws in enumerate(targets):
-        for w in ws:
-            into[w].append(v)
-    live = [False] * len(targets)
-    live[to] = True
-    queue = [to]
-    for w in queue:
-        for v in into[w]:
-            if not live[v]:
-                live[v] = True
-                queue.append(v)
-    return live
 
 
 class _UnionFind:

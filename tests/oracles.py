@@ -127,9 +127,9 @@ def bfs_dipaths(complex_, source, target, max_len):
 
 def enumerate_dipaths_oracle(complex_, source, target, max_len=None,
                              max_paths=DEFAULT_MAX_PATHS):
-    """``fundcat.enumerate_dipaths`` as it was before the walk was pruned:
-    every word out of the source is walked, dead ends included, and each
-    word that ends at the target is built as a checked ``DiPath``."""
+    """``fundcat.enumerate_dipaths`` with every word that ends at the target
+    built as a checked ``DiPath``, and the out-edges of each word read
+    afresh from the engine."""
     engine = _require_walkable(complex_, (source, target), max_len)
     out, targets = engine.out, engine.targets
     t = engine.index[target]

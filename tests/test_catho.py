@@ -445,6 +445,10 @@ def test_thin_pairs_above_the_guard():
     assert ct.dhomotopy_equivalent(crown(4), ct.poset_category(*crown_order(4, "z")))
     with pytest.raises(EnumerationLimitError):
         ct.dhomotopy_equivalent(crown(3), crown(3), max_functors=3)
+    # the object and arrow guards bind only the search; a misspelled guard fails
+    assert ct.dhomotopy_equivalent(crown(3), crown(3), max_objects=1, max_arrows=1)
+    with pytest.raises(TypeError):
+        ct.dhomotopy_equivalent(crown(3), crown(3), max_functor=3)
 
 
 # step contractibility

@@ -441,7 +441,7 @@ def test_engine_hom_classes_match_oracle_partition():
     assert checked > 100
 
 
-def test_enumerate_dipaths_matches_the_unpruned_walk():
+def test_enumerate_dipaths_matches_the_checked_walk():
     found = 0
     for rng, k, bound in random_cases(20261018, 150):
         verts = list(k.vertices)
