@@ -15,7 +15,7 @@ def complex_dot(complex_, highlight_edges=(), name="complex"):
     for v in complex_.vertices:
         label = complex_.label(0, v) or v
         lines.append(f"  {_quote(v)} [label={_quote(label)}];")
-    for e, (s, t) in sorted(complex_.edges.items()):
+    for e, (s, t) in complex_.edges.items():  # kept in id order
         attrs = [f"label={_quote(e)}"]
         if e in hl:
             attrs.append("color=red")

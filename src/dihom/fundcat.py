@@ -24,6 +24,7 @@ Unbounded computation is only allowed on acyclic complexes and is refused
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -46,15 +47,18 @@ class DiPath:
 
     def __post_init__(self):
         k = self.complex
-        if self.start not in k.vertices:
+        engine = _engine_of(require_valid(k))
+        at = engine.index.get(self.start)
+        if at is None:
             raise DomainError(f"unknown vertex {self.start}")
-        at = self.start
         for e in self.edges:
-            if e not in k.edges:
+            j = engine.pos.get(e)
+            if j is None:
                 raise DomainError(f"unknown edge {e}")
-            if k.src(e) != at:
-                raise DomainError(f"edge {e} does not start at {at}")
-            at = k.tgt(e)
+            out = engine.out[at]
+            if j >= len(out) or out[j] != e:
+                raise DomainError(f"edge {e} does not start at {k.vertices[at]}")
+            at = engine.targets[at][j]
 
     @property
     def end(self):
@@ -199,39 +203,16 @@ def _square_relations(k):
 
 
 def _engine_of(k):
-    """The class engine of a validated complex: vertices, edges, squares."""
-    return _SwapEngine(k.vertices, k.edges, _square_relations(k))
+    """The class engine of a validated complex (vertices, edges, squares),
+    built on the first call and kept on the complex."""
+    if k._engine is None:
+        k._engine = _SwapEngine(k.vertices, k._edges, _square_relations(k))
+    return k._engine
 
 
 def is_acyclic(complex_):
     """True iff edge reachability has no nontrivial cycle (self-loops count)."""
-    k = require_valid(complex_)
-    return _is_acyclic(_SwapEngine(k.vertices, k.edges, ()).targets)
-
-
-def _is_acyclic(targets):
-    """Whether the graph with out-neighbours ``targets[v]`` (vertices are
-    list positions) has no cycle; iterative depth-first search."""
-    color = [0] * len(targets)  # 1 = on stack, 2 = done
-    for root in range(len(targets)):
-        if color[root]:
-            continue
-        stack = [(root, iter(targets[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            for w in it:
-                c = color[w]
-                if c == 1:
-                    return False
-                if not c:
-                    color[w] = 1
-                    stack.append((w, iter(targets[w])))
-                    break
-            else:
-                color[v] = 2
-                stack.pop()
-    return True
+    return _engine_of(require_valid(complex_)).acyclic
 
 
 def _require_walkable(complex_, vertices, max_len):
@@ -241,7 +222,7 @@ def _require_walkable(complex_, vertices, max_len):
     for v in vertices:
         if v not in engine.index:
             raise DomainError(f"unknown vertex {v}")
-    if max_len is None and not _is_acyclic(engine.targets):
+    if max_len is None and not engine.acyclic:
         raise UnboundedEnumerationError(
             "unbounded enumeration on cyclic complex; pass a length bound"
         )
@@ -380,6 +361,32 @@ class _SwapEngine:
                 starts = self.relations[len(u)] = [[] for _ in objects]
             starts[index[generators[u[0]][0]]].append([pos[g] for g in u + v])
         self.depth = max(self.relations, default=1)
+
+    @cached_property
+    def acyclic(self):
+        """Whether the generator graph has no cycle (self-loops count);
+        iterative depth-first search, run on first read."""
+        targets = self.targets
+        color = [0] * len(targets)  # 1 = on stack, 2 = done
+        for root in range(len(targets)):
+            if color[root]:
+                continue
+            stack = [(root, iter(targets[root]))]
+            color[root] = 1
+            while stack:
+                v, it = stack[-1]
+                for w in it:
+                    c = color[w]
+                    if c == 1:
+                        return False
+                    if not c:
+                        color[w] = 1
+                        stack.append((w, iter(targets[w])))
+                        break
+                else:
+                    color[v] = 2
+                    stack.pop()
+        return True
 
     def layers(self, source, max_len, max_classes):
         """Yield the _Layer of each length 0, 1, ... up to ``max_len``, or
@@ -530,18 +537,17 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
 def path_preorder(complex_):
     """x <= y iff some dipath runs x -> y; reflexive-transitive by construction."""
     k = require_valid(complex_)
+    targets, verts = _engine_of(k).targets, k.vertices
     reach = {}
-    for root in k.vertices:
+    for root, name in enumerate(verts):
         seen = {root}
         stack = [root]
         while stack:
-            v = stack.pop()
-            for e in k.out_edges(v):
-                w = k.tgt(e)
+            for w in targets[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        reach[root] = frozenset(seen)
+        reach[name] = frozenset(verts[v] for v in seen)
     return reach
 
 
@@ -549,14 +555,14 @@ def pi0(complex_):
     """Partition of vertices by the equivalence the path preorder generates
     (= weak connectivity of the edge graph)."""
     k = require_valid(complex_)
-    verts = list(k.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
+    targets, verts = _engine_of(k).targets, k.vertices
     uf = _UnionFind(len(verts))
-    for _e, (s, t) in k.edges.items():
-        uf.union(idx[s], idx[t])
+    for v, ts in enumerate(targets):
+        for w in ts:
+            uf.union(v, w)
     groups = {}
-    for v in verts:
-        groups.setdefault(uf.find(idx[v]), []).append(v)
+    for v, name in enumerate(verts):
+        groups.setdefault(uf.find(v), []).append(name)
     return tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
 
@@ -570,7 +576,7 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     """
     k = require_valid(complex_)
     engine = _engine_of(k)
-    acyclic = _is_acyclic(engine.targets)
+    acyclic = engine.acyclic
     if max_len is None and not acyclic:
         raise UnboundedEnumerationError(
             "one-simplicity on a cyclic complex needs a length bound"

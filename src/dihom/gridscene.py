@@ -4,7 +4,10 @@ A scene is a W x H rectangle carrying the componentwise product order, a
 list of open rectangular holes, and two marked lattice points (source and
 target).  Scenes compile to pre-cubical sets whose cells are the unit
 vertices/edges/squares of the grid; a cell survives iff its closed carrier
-misses every open box, so hole shorelines stay traversable.
+misses every open box, so hole shorelines stay traversable.  A cell's
+label is its coordinates; a compiled scene builds its labels on the first
+label read (``label``, ``labels``, ``cells``), since most queries never
+read one.
 
 Data given in the 45-degree "cone" order (both diagonals bound the slope)
 converts to this product order via :func:`cone_to_product_coords`.
@@ -166,19 +169,27 @@ def _blocked_cells(scene):
     """Flags of the vertices, east edges, north edges and squares whose closed
     carrier meets an open box, one bytearray per kind indexed by
     ``x * (height + 1) + y`` (the cell at (x, y) has its lower-left corner
-    there).  Each box marks its own index ranges, one column slice at a
-    time, so the cost follows the boxes' areas and the memory the grid's."""
-    stride = scene.height + 1
-    kinds = [bytearray((scene.width + 1) * stride) for _ in range(4)]
+    there).  The places where the grid has no such cell (east edges and
+    squares at x = width, north edges and squares at y = height) are
+    flagged too.  Each box marks its own index ranges, one column slice at
+    a time, so the cost follows the boxes' areas and the memory the grid's."""
+    width, stride = scene.width, scene.height + 1
+    kinds = [bytearray((width + 1) * stride) for _ in range(4)]
     verts, east, north, squares = kinds
 
     def mark(flags, xs, ys):
         lo, hi = max(ys.start, 0), min(ys.stop, stride)
         if lo >= hi:
             return
-        for x in range(max(xs.start, 0), min(xs.stop, scene.width + 1)):
+        for x in range(max(xs.start, 0), min(xs.stop, width + 1)):
             flags[x * stride + lo:x * stride + hi] = b"\1" * (hi - lo)
 
+    columns, rows = range(width + 1), range(stride)
+    last_column, last_row = range(width, width + 1), range(stride - 1, stride)
+    mark(east, last_column, rows)
+    mark(north, columns, last_row)
+    mark(squares, last_column, rows)
+    mark(squares, columns, last_row)
     for b in scene.boxes:
         inner_x, inner_y = range(b.x0 + 1, b.x1), range(b.y0 + 1, b.y1)
         span_x, span_y = range(b.x0, b.x1), range(b.y0, b.y1)
@@ -196,37 +207,48 @@ def to_precubical(scene):
     (x, y): d1m/d1p are the north edges on its left/right side, d2m/d2p the
     east edges on its bottom/top side, so the square relates
     east-then-north with north-then-east between its extreme corners.
+
+    Every id string is made once, and the cells go to the complex already
+    in id order, unchecked: the ids of all kinds sort the way the vertex
+    ids do, east edges before north edges.  The labels are built on the
+    first label read.
     """
-    blocked_verts, blocked_east, blocked_north, blocked_squares = _blocked_cells(scene)
+    blocked = _blocked_cells(scene)
+    blocked_verts, blocked_east, blocked_north, blocked_squares = blocked
     stride = scene.height + 1
-    verts, edges, squares, labels = [], {}, {}, {}
-    for x in range(scene.width + 1):
-        for y in range(scene.height + 1):
-            if not blocked_verts[x * stride + y]:
-                v = vertex_id(x, y)
-                verts.append(v)
-                labels[(0, v)] = f"({x},{y})"
-    for x in range(scene.width):
-        for y in range(scene.height + 1):
-            if not blocked_east[x * stride + y]:
-                e = east_edge_id(x, y)
-                edges[e] = (vertex_id(x, y), vertex_id(x + 1, y))
-                labels[(1, e)] = f"({x},{y})->({x + 1},{y})"
-    for x in range(scene.width + 1):
-        for y in range(scene.height):
-            if not blocked_north[x * stride + y]:
-                e = north_edge_id(x, y)
-                edges[e] = (vertex_id(x, y), vertex_id(x, y + 1))
-                labels[(1, e)] = f"({x},{y})->({x},{y + 1})"
-    for x in range(scene.width):
-        for y in range(scene.height):
-            if not blocked_squares[x * stride + y]:
-                w = square_id(x, y)
-                squares[w] = (
-                    north_edge_id(x, y),
-                    north_edge_id(x + 1, y),
-                    east_edge_id(x, y),
-                    east_edge_id(x, y + 1),
-                )
-                labels[(2, w)] = f"[{x},{x + 1}]x[{y},{y + 1}]"
-    return PreCubicalSet(verts, edges, squares, labels)
+    lattice = [(x, y) for x in range(scene.width + 1) for y in range(stride)]
+    vid = [vertex_id(x, y) for x, y in lattice]
+    eid = [east_edge_id(x, y) for x, y in lattice]
+    nid = [north_edge_id(x, y) for x, y in lattice]
+    order = sorted(range(len(lattice)), key=vid.__getitem__)
+    verts = tuple(vid[i] for i in order if not blocked_verts[i])
+    edges = {eid[i]: (vid[i], vid[i + stride]) for i in order if not blocked_east[i]}
+    edges.update((nid[i], (vid[i], vid[i + 1])) for i in order if not blocked_north[i])
+    squares = {
+        square_id(*lattice[i]): (nid[i], nid[i + stride], eid[i], eid[i + 1])
+        for i in order
+        if not blocked_squares[i]
+    }
+    return PreCubicalSet._trusted(
+        verts, edges, squares, lambda: _scene_labels(lattice, blocked)
+    )
+
+
+# dimension, id and label template of each cell kind, in _blocked_cells order
+_CELL_KINDS = (
+    (0, vertex_id, "({x},{y})"),
+    (1, east_edge_id, "({x},{y})->({x1},{y})"),
+    (1, north_edge_id, "({x},{y})->({x},{y1})"),
+    (2, square_id, "[{x},{x1}]x[{y},{y1}]"),
+)
+
+
+def _scene_labels(lattice, blocked):
+    """The coordinate label of every cell :func:`to_precubical` keeps, kind
+    by kind, each kind in ``lattice`` (x-major) order."""
+    labels = {}
+    for (dim, name, template), flags in zip(_CELL_KINDS, blocked):
+        for (x, y), flag in zip(lattice, flags):
+            if not flag:
+                labels[(dim, name(x, y))] = template.format(x=x, y=y, x1=x + 1, y1=y + 1)
+    return labels

@@ -24,6 +24,12 @@ computation downstream (dipath classes, presentations, preorders) reads the
 face structure only, and only up to dimension 2.
 
 Complexes are immutable after construction; all functions here are pure.
+What is derived from a complex is computed once and kept on it: the
+verdict of :func:`validate` (each call returns a new list of the kept
+violations), and the integer-indexed class engine that
+:mod:`dihom.fundcat` builds on first use, with its acyclicity verdict.
+Labels may be given as a function, called on the first label read; scenes
+compile that way (:func:`dihom.gridscene.to_precubical`).
 """
 
 from __future__ import annotations
@@ -67,6 +73,10 @@ class PreCubicalSet:
     Construction checks only that ids are well formed and unique per
     dimension; face-structure problems are reported by :func:`validate`
     so broken complexes can be represented and diagnosed.
+
+    Derived data (the :func:`validate` verdict, the class engine of
+    :mod:`dihom.fundcat`, the out-edge lists) is computed on first use and
+    kept on the instance.
     """
 
     def __init__(self, vertices, edges, squares, labels=None):
@@ -78,19 +88,37 @@ class PreCubicalSet:
         for cid in list(vs) + list(es) + list(sq):
             if not _ID_RE.match(cid):
                 raise DomainError(f"bad cell id {cid!r}")
-        self._vertices = vs
-        self._edges = {e: (str(s), str(t)) for e, (s, t) in sorted(es.items())}
-        self._squares = {
-            w: tuple(str(f) for f in faces) for w, faces in sorted(sq.items())
-        }
-        for w, faces in self._squares.items():
+        squares = {w: tuple(str(f) for f in faces) for w, faces in sorted(sq.items())}
+        for w, faces in squares.items():
             if len(faces) != 4:
                 raise DomainError(f"square {w}: expected 4 faces")
-        self._labels = dict(labels) if labels else {}
-        out = {}
-        for e, (s, _t) in self._edges.items():
-            out.setdefault(s, []).append(e)
-        self._out = {v: tuple(sorted(es)) for v, es in out.items()}
+        self._set_cells(
+            vs,
+            {e: (str(s), str(t)) for e, (s, t) in sorted(es.items())},
+            squares,
+            dict(labels) if labels else {},
+        )
+
+    @classmethod
+    def _trusted(cls, vertices, edges, squares, make_labels):
+        """A complex from cells known to be well formed: ``vertices`` a
+        sorted tuple of unique id strings, ``edges`` and ``squares`` dicts in
+        id order whose values are tuples of id strings (2 and 4 of them).
+        Nothing is checked or copied.  ``make_labels()`` returns the label
+        dict; it is called on the first label read."""
+        k = object.__new__(cls)
+        k._set_cells(vertices, edges, squares, None)
+        k._make_labels = make_labels
+        return k
+
+    def _set_cells(self, vertices, edges, squares, labels):
+        self._vertices = vertices
+        self._edges = edges
+        self._squares = squares
+        self._labels = labels
+        self._out = None  # vertex -> sorted out-edge ids, see out_edges
+        self._violations = None  # tuple of Violations, see validate
+        self._engine = None  # the class engine, see fundcat._engine_of
 
     @property
     def vertices(self):
@@ -104,20 +132,26 @@ class PreCubicalSet:
     def squares(self):
         return MappingProxyType(self._squares)
 
+    def _label_dict(self):
+        if self._labels is None:
+            self._labels = self._make_labels()
+        return self._labels
+
     def label(self, dim, cell_id):
-        return self._labels.get((dim, cell_id))
+        return self._label_dict().get((dim, cell_id))
 
     @property
     def labels(self):
-        return MappingProxyType(self._labels)
+        return MappingProxyType(self._label_dict())
 
     def cells(self):
+        labels = self._label_dict()
         for v in self._vertices:
-            yield Cell(0, v, self.label(0, v))
+            yield Cell(0, v, labels.get((0, v)))
         for e in self._edges:
-            yield Cell(1, e, self.label(1, e))
+            yield Cell(1, e, labels.get((1, e)))
         for w in self._squares:
-            yield Cell(2, w, self.label(2, w))
+            yield Cell(2, w, labels.get((2, w)))
 
     def cell_keys(self):
         return [c.key for c in self.cells()]
@@ -130,6 +164,11 @@ class PreCubicalSet:
 
     def out_edges(self, vertex):
         """Edge ids leaving ``vertex``, sorted (the enumeration order)."""
+        if self._out is None:
+            out = {}
+            for e, (s, _t) in self._edges.items():  # in id order
+                out.setdefault(s, []).append(e)
+            self._out = {v: tuple(es) for v, es in out.items()}
         return self._out.get(vertex, ())
 
     def __eq__(self, other):
@@ -153,26 +192,41 @@ class PreCubicalSet:
 def validate(complex_):
     """Check face references and the four corner identities of every square.
 
-    Returns a list of Violations; an empty list means the complex is valid.
+    Returns a new list of Violations on each call; an empty list means the
+    complex is valid.  The check runs once per complex; later calls copy
+    the kept answer.
     """
-    out = []
     k = complex_
-    vset = set(k.vertices)
-    for e, (s, t) in k.edges.items():
+    if k._violations is None:
+        k._violations = tuple(_violations(k))
+    return list(k._violations)
+
+
+def _violations(k):
+    out = []
+    vset = set(k._vertices)
+    edges = k._edges
+    for e, (s, t) in edges.items():
         if s not in vset:
             out.append(Violation(1, e, f"src {s} is not a vertex"))
         if t not in vset:
             out.append(Violation(1, e, f"tgt {t} is not a vertex"))
-    for w, (d1m, d1p, d2m, d2p) in k.squares.items():
-        missing = [f for f in (d1m, d1p, d2m, d2p) if f not in k.edges]
-        if missing:
-            out.append(Violation(2, w, f"face edges not in complex: {' '.join(missing)}"))
+    for w, (d1m, d1p, d2m, d2p) in k._squares.items():
+        try:
+            (s1m, t1m), (s1p, t1p), (s2m, t2m), (s2p, t2p) = (
+                edges[d1m], edges[d1p], edges[d2m], edges[d2p]
+            )
+        except KeyError:
+            missing = " ".join(f for f in (d1m, d1p, d2m, d2p) if f not in edges)
+            out.append(Violation(2, w, f"face edges not in complex: {missing}"))
+            continue
+        if s2m == s1m and t2m == s1p and t1m == s2p and t2p == t1p:
             continue
         checks = (
-            (k.src(d2m), k.src(d1m), "src(d2m) = src(d1m)"),
-            (k.tgt(d2m), k.src(d1p), "tgt(d2m) = src(d1p)"),
-            (k.tgt(d1m), k.src(d2p), "tgt(d1m) = src(d2p)"),
-            (k.tgt(d2p), k.tgt(d1p), "tgt(d2p) = tgt(d1p)"),
+            (s2m, s1m, "src(d2m) = src(d1m)"),
+            (t2m, s1p, "tgt(d2m) = src(d1p)"),
+            (t1m, s2p, "tgt(d1m) = src(d2p)"),
+            (t2p, t1p, "tgt(d2p) = tgt(d1p)"),
         )
         for a, b, name in checks:
             if a != b:
@@ -321,7 +375,7 @@ def parse_complex(text):
     Lines: ``vertex <id>``, ``edge <id> <src> <tgt>``,
     ``square <id> <d1m> <d1p> <d2m> <d2p>``; ``#`` starts a comment.
     """
-    verts, edges, squares = [], {}, {}
+    verts, edges, squares = set(), {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -331,7 +385,9 @@ def parse_complex(text):
         if kind == "vertex":
             if len(tok) != 2:
                 raise InputSyntaxError("vertex wants 1 field: vertex <id>", ln)
-            verts.append(tok[1])
+            if tok[1] in verts:
+                raise InputSyntaxError(f"duplicate vertex id {tok[1]}", ln)
+            verts.add(tok[1])
         elif kind == "edge":
             if len(tok) != 4:
                 raise InputSyntaxError("edge wants 3 fields: edge <id> <src> <tgt>", ln)

@@ -462,6 +462,77 @@ def contractible_steps_oracle(cat, full_subcategory, n):
     return rec(frozenset(cat.objects), n)
 
 
+def validate_category_oracle(cat):
+    """The exhaustive law check as it was before thin categories skipped the
+    identity and associativity loops; returns the same violation list."""
+    out = []
+    objset = set(cat.objects)
+    for a, (s, t) in cat.arrows.items():
+        if s not in objset or t not in objset:
+            out.append(f"arrow {a}: endpoint not an object")
+    for x in cat.objects:
+        i = cat.identity.get(x)
+        if i is None or i not in cat.arrows:
+            out.append(f"object {x}: missing identity arrow")
+        elif cat.arrows[i] != (x, x):
+            out.append(f"identity of {x} has endpoints {cat.arrows[i]}")
+    for (f, g), h in cat.table.items():
+        if f not in cat.arrows or g not in cat.arrows or h not in cat.arrows:
+            out.append(f"composition ({f};{g})={h}: unknown arrow")
+            continue
+        if cat.tgt(f) != cat.src(g):
+            out.append(f"composition ({f};{g}) declared on a non-composable pair")
+        elif (cat.src(f), cat.tgt(g)) != (cat.src(h), cat.tgt(h)):
+            out.append(f"composite {f};{g}={h} has wrong endpoints")
+    for f, (_, tf) in cat.arrows.items():
+        for g, (sg, _) in cat.arrows.items():
+            if tf == sg and (f, g) not in cat.table:
+                out.append(f"composition undefined for composable pair ({f};{g})")
+    if out:
+        return out
+    for x in cat.objects:
+        i = cat.identity[x]
+        for f in cat.arrows:
+            if cat.src(f) == x and cat.table[(i, f)] != f:
+                out.append(f"left identity law fails at {f}")
+            if cat.tgt(f) == x and cat.table[(f, i)] != f:
+                out.append(f"right identity law fails at {f}")
+    for (f, g), fg in cat.table.items():
+        tg = cat.tgt(g)
+        for h, (sh, _) in cat.arrows.items():
+            if sh != tg:
+                continue
+            if cat.table[(fg, h)] != cat.table[(f, cat.table[(g, h)])]:
+                out.append(f"associativity fails on ({f};{g};{h})")
+    return out
+
+
+def to_fincategory_oracle(real):
+    """``Realization.to_fincategory`` as it was before it grouped the hom
+    entries by source: every representative scans every hom entry.
+    Returns (objects, arrows, identity, table) in the order built."""
+
+    def name(start, word):
+        return f"id({start})" if not word else ";".join(word)
+
+    arrows, identity = {}, {}
+    for (x, y), reps in real.homs.items():
+        for w in reps:
+            arrows[name(x, w)] = (x, y)
+    for x in real.objects:
+        identity[x] = name(x, ())
+    table = {}
+    for (x, y), reps in real.homs.items():
+        for w1 in reps:
+            for (y2, _z), reps2 in real.homs.items():
+                if y2 != y:
+                    continue
+                for w2 in reps2:
+                    w = real.class_of(x, w1 + w2)
+                    table[(name(x, w1), name(y, w2))] = name(x, w)
+    return arrows, identity, table
+
+
 # ---------------------------------------------------------------------------
 # directed metrics: chain formula by bounded search
 

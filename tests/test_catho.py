@@ -968,3 +968,81 @@ def test_random_scene_pushouts_match_direct_counts():
         for _ in range(6):
             a, b = rng.choice(verts), rng.choice(verts)
             assert real.hom_count(glued(a), glued(b)) == fc.hom_classes(k, a, b).count
+
+
+def broken_copies(rng, cat):
+    """The category with one of its tables or maps damaged, several ways."""
+    arrows, identity, table = dict(cat.arrows), dict(cat.identity), dict(cat.table)
+    names = sorted(arrows)
+    keys = sorted(table)
+    copies = []
+    if keys:
+        drop = dict(table)
+        del drop[rng.choice(keys)]
+        copies.append((arrows, identity, drop))
+        wrong = dict(table)
+        wrong[rng.choice(keys)] = rng.choice(names)
+        copies.append((arrows, identity, wrong))
+        unknown = dict(table)
+        unknown[rng.choice(keys)] = "nowhere"
+        copies.append((arrows, identity, unknown))
+    stray = dict(table)
+    stray[(rng.choice(names), rng.choice(names))] = rng.choice(names)
+    copies.append((arrows, identity, stray))
+    swapped = dict(identity)
+    swapped[rng.choice(cat.objects)] = rng.choice(names)
+    copies.append((arrows, swapped, table))
+    # a second arrow beside an existing one, composites copied from it
+    a = rng.choice(names)
+    twin = f"twin({a})"
+    copies.append((
+        {**arrows, twin: arrows[a]},
+        identity,
+        {**table, **{(twin if f == a else f, twin if g == a else g): h
+                     for (f, g), h in table.items() if a in (f, g)}},
+    ))
+    dangling = dict(arrows)
+    dangling["loose"] = (cat.objects[0], "elsewhere")
+    copies.append((dangling, identity, table))
+    return [ct.FinCategory(cat.objects, *parts) for parts in copies]
+
+
+def test_validate_category_matches_the_full_law_check():
+    rng = random.Random(20261019)
+    thin = broken_thin = 0
+    for trial in range(150):
+        pick = trial % 3
+        if pick == 0:
+            cat = ct.random_category(rng)
+        elif pick == 1:
+            cat = random_poset(rng, rng.randint(1, 5))
+        else:
+            cat = random_preorder(rng, rng.randint(1, 5))
+        for c in [cat, *broken_copies(rng, cat)]:
+            got = ct.validate_category(c)
+            assert got == oracles.validate_category_oracle(c)
+            if ct._is_thin(c):
+                thin += 1
+                broken_thin += bool(got)
+    assert thin > 100 and broken_thin > 50
+
+
+def test_to_fincategory_matches_the_scan_over_every_hom_entry():
+    rng = random.Random(20261018)
+    cases = []
+    for trial in range(200):
+        acyclic = trial % 2 == 0
+        pres = _random_presentation(rng, acyclic)
+        bound = None if acyclic and rng.random() < 0.5 else rng.randint(0, 4)
+        cases.append(ct.realize_presentation(pres, bound))
+    k = gs.to_precubical(gs.make_scene(4, 4, [(1, 1, 2, 2)], (0, 0), (4, 4)))
+    cases.append(ct.realize_presentation(fc.presentation_of(k)))
+    complete = [real for real in cases if not real.truncated]
+    assert len(complete) > 50
+    for real in complete:
+        cat = real.to_fincategory()
+        arrows, identity, table = oracles.to_fincategory_oracle(real)
+        assert list(cat.table.items()) == list(table.items())
+        assert list(cat.identity.items()) == list(identity.items())
+        assert cat.arrows == ct.FinCategory(real.objects, arrows, identity, table).arrows
+        assert cat.objects == tuple(sorted(real.objects))

@@ -428,3 +428,10 @@ def test_fuzzed_fixtures_fail_with_one_error_line(tmp_path):
                 assert err == ""
             else:
                 assert err.startswith("error: ") and err.count("\n") == 1, (name, trial)
+
+
+def test_repeated_vertex_line_exits_two_naming_line_and_id(tmp_path):
+    bad = tmp_path / "dup.complex"
+    bad.write_text("vertex 0\nvertex 1\nedge a 0 1\nvertex 0\n")
+    code, out, err = invoke(["pi0", str(bad)])
+    assert (code, out, err) == (2, "", "error: line 4: duplicate vertex id 0\n")

@@ -6,7 +6,12 @@ import pytest
 from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
-from dihom.errors import DomainError, EnumerationLimitError, UnboundedEnumerationError
+from dihom.errors import (
+    DomainError,
+    EnumerationLimitError,
+    InvalidComplexError,
+    UnboundedEnumerationError,
+)
 from oracles import bfs_dipaths, enumerate_dipaths_oracle, scene_path_classes, swap_partition
 
 
@@ -523,3 +528,50 @@ def test_enumerate_dipaths_on_a_long_thin_grid():
     paths = fc.enumerate_dipaths(k, "v0_0", "v1200_1")
     assert len(paths) == 1201
     assert all(len(p) == 1201 and p.end == "v1200_1" for p in paths)
+
+
+def test_one_complex_builds_its_class_engine_once(monkeypatch):
+    built = []
+
+    class CountingEngine(fc._SwapEngine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fc, "_SwapEngine", CountingEngine)
+    k = scene_complex("grid 4 4\nbox 1 1 2 2\nbox 2 2 3 3\nsource 0 0\ntarget 4 4\n")
+    first = fc.hom_classes(k, "v0_0", "v4_4")
+    assert fc.hom_classes(k, "v0_0", "v4_4") == first
+    assert fc.is_acyclic(k)
+    fc.path_preorder(k)
+    fc.pi0(k)
+    fc.DiPath(k, "v0_0", ("e0_0",))
+    assert len(built) == 1
+
+
+def test_dipath_needs_a_valid_complex():
+    broken = pc.PreCubicalSet(["0", "1"], {"a": ("0", "1")}, {"w": ("a", "a", "a", "x")})
+    with pytest.raises(InvalidComplexError):
+        fc.DiPath(broken, "0", ("a",))
+
+
+def test_preorder_and_components_match_a_walk_over_the_edges():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        verts = [f"p{i}" for i in range(n)]
+        edges = {f"a{j}": (rng.choice(verts), rng.choice(verts)) for j in range(rng.randint(0, 8))}
+        k = pc.PreCubicalSet(verts, edges, {})
+        reach = {v: {v} for v in verts}
+        for _ in range(n):
+            for s, t in edges.values():
+                for v in verts:
+                    if s in reach[v]:
+                        reach[v].add(t)
+        assert fc.path_preorder(k) == {v: frozenset(r) for v, r in reach.items()}
+        linked = {v: {w for w in verts if w in reach[v] or v in reach[w]} for v in verts}
+        for _ in range(n):
+            for v in verts:
+                linked[v] = set().union(*(linked[w] for w in linked[v]))
+        parts = tuple(sorted({tuple(sorted(linked[v])) for v in verts}))
+        assert fc.pi0(k) == parts

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from dihom import dot
+from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
 from dihom.errors import InputSyntaxError
@@ -179,3 +181,75 @@ def test_full_grid_cell_count_formula():
         assert len(k.vertices) == (w + 1) * (h + 1)
         assert len(k.edges) == w * (h + 1) + h * (w + 1)
         assert len(k.squares) == w * h
+
+
+def eager_labels(w, h, boxes):
+    """Every kept cell's coordinate label, from the per-cell oracles."""
+    labels = {}
+    for x in range(w + 1):
+        for y in range(h + 1):
+            if not any(closed_cell_meets_open_box((x, x, y, y), b) for b in boxes):
+                labels[(0, gs.vertex_id(x, y))] = f"({x},{y})"
+    for x in range(w):
+        for y in range(h + 1):
+            if edge_east_ok(x, y, boxes):
+                labels[(1, gs.east_edge_id(x, y))] = f"({x},{y})->({x + 1},{y})"
+    for x in range(w + 1):
+        for y in range(h):
+            if edge_north_ok(x, y, boxes):
+                labels[(1, gs.north_edge_id(x, y))] = f"({x},{y})->({x},{y + 1})"
+    for x in range(w):
+        for y in range(h):
+            if square_ok(x, y, boxes):
+                labels[(2, gs.square_id(x, y))] = f"[{x},{x + 1}]x[{y},{y + 1}]"
+    return labels
+
+
+def random_scene(rng, trial):
+    """Overlapping boxes, boxes on and past the border, and 1 x n grids."""
+    if trial % 5 == 0:
+        w, h = (1, rng.randint(1, 12)) if rng.random() < 0.5 else (rng.randint(1, 12), 1)
+    else:
+        w, h = rng.randint(1, 9), rng.randint(1, 9)
+    boxes = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.3:  # touching the border
+            x0, y0 = rng.choice([(0, rng.randint(0, h - 1)), (rng.randint(0, w - 1), 0)])
+            x1, y1 = rng.randint(x0 + 1, w), rng.randint(y0 + 1, h)
+        else:
+            x0, y0 = rng.randint(-1, w - 1), rng.randint(-1, h - 1)
+            x1, y1 = rng.randint(x0 + 1, w + 1), rng.randint(y0 + 1, h + 1)
+        boxes.append((x0, y0, x1, y1))
+    return w, h, boxes
+
+
+def test_compiled_scene_equals_its_checked_rebuild():
+    rng = random.Random(20261019)
+    for trial in range(300):
+        w, h, boxes = random_scene(rng, trial)
+        scene = gs.GridScene(w, h, tuple(gs.Box(*b) for b in boxes), (0, 0), (w, h))
+        k = gs.to_precubical(scene)
+        labels = eager_labels(w, h, boxes)
+        public = pc.PreCubicalSet(
+            list(reversed(k.vertices)), dict(reversed(k.edges.items())),
+            dict(reversed(k.squares.items())), labels,
+        )
+        assert k == public
+        assert pc.validate(public) == []
+        assert fc.is_acyclic(public)
+        assert list(k.cells()) == list(public.cells())
+        assert list(k.labels.items()) == list(labels.items())
+        for v in public.vertices:
+            assert k.out_edges(v) == public.out_edges(v)
+        highlight = list(k.edges)[:: max(1, len(k.edges) // 3)]
+        fresh = gs.to_precubical(scene)
+        assert dot.complex_dot(fresh, highlight) == dot.complex_dot(public, highlight)
+
+
+def test_scene_labels_are_built_on_first_read():
+    k = gs.to_precubical(gs.make_scene(3, 2, [(1, 0, 2, 1)], (0, 0), (3, 2)))
+    fc.hom_classes(k, "v0_0", "v3_2")
+    assert k._labels is None
+    assert k.label(1, "e0_1") == "(0,1)->(1,1)"
+    assert k._labels is not None
+    assert dict(pc.opposite(k).labels) == dict(k.labels) == eager_labels(3, 2, [(1, 0, 2, 1)])

@@ -178,3 +178,25 @@ def test_cells_iterator_and_labels():
     assert [c.key for c in cells] == [(0, "0"), (0, "1"), (1, "a")]
     assert cells[0].label == "start" and cells[1].label is None
     assert k.label(0, "0") == "start"
+
+
+def test_validate_returns_a_new_list_of_the_kept_answer(monkeypatch):
+    runs = []
+    check = pc._violations
+    monkeypatch.setattr(pc, "_violations", lambda k: runs.append(k) or check(k))
+    broken = pc.PreCubicalSet(["0"], {"e": ("0", "missing")}, {"w": ("e", "e", "e", "f")})
+    first = pc.validate(broken)
+    assert len(first) == 2
+    first.clear()
+    assert pc.validate(broken) == check(broken) and len(pc.validate(broken)) == 2
+    good = grid_2x1()
+    answer = pc.validate(good)
+    answer.append("not a violation")
+    assert pc.validate(good) == []
+    assert runs == [broken, good]
+
+
+def test_parse_rejects_a_repeated_vertex_with_its_line():
+    with pytest.raises(InputSyntaxError) as exc:
+        pc.parse_complex("vertex a\nvertex b\n\nvertex a\nedge e a b\n")
+    assert str(exc.value) == "line 4: duplicate vertex id a"
