@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from ._unionfind import _UnionFind
 from .errors import (
     DomainError,
     EnumerationLimitError,
@@ -40,7 +41,6 @@ from .errors import (
 from .fundcat import (
     CatPresentation,
     _SwapEngine,
-    _UnionFind,
     _walk,
     validate_presentation,
 )

@@ -8,6 +8,15 @@ Exit codes: 0 success, 1 domain error (guards, cyclic enumeration, law
 violations), 2 syntax/usage error.  Every failure prints a single line
 ``error: <reason>`` to stderr.  Identical invocations produce byte-identical
 output.
+
+Each verb imports only the library modules it runs, at the top of its
+command function: ``pi0`` on a complex loads ``fundcat`` and ``precubical``
+but not ``catho``, ``dmetric``, ``gridscene`` or ``dot``, and the ``metric``
+verbs load ``dmetric`` and the union-find alone.  Each invocation is a fresh
+interpreter, and on a small input importing is most of what it waits for.
+Commands call through the module objects (``fundcat.hom_classes``), never
+through names copied out of them, so a wrapper set on a module attribute
+sees every call.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ import functools
 import sys
 from pathlib import Path
 
-from . import catho, dmetric, dot, fundcat, gridscene, precubical
 from .errors import DihomError, DomainError, InputSyntaxError
 
 
@@ -35,6 +43,8 @@ def _read(path):
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputSyntaxError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputSyntaxError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _sniff(text):
@@ -51,19 +61,18 @@ def _load_complex_or_scene(path):
     text = _read(path)
     kind = _sniff(text)
     if kind == "grid":
+        from . import gridscene
         scene = gridscene.parse_scene(text)
         return gridscene.to_precubical(scene), scene
     if kind in ("vertex", "edge", "square"):
+        from . import precubical
         return precubical.parse_complex(text), None
     raise InputSyntaxError(f"{path}: not a scene or complex file")
 
 
-def _load_category(path):
-    return catho.parse_category(_read(path))
-
-
 def _checked_category(path):
-    cat = _load_category(path)
+    from . import catho
+    cat = catho.parse_category(_read(path))
     bad = catho.validate_category(cat)
     if bad:
         raise DomainError(f"{path}: " + "; ".join(bad[:3]))
@@ -164,6 +173,7 @@ def _shared_parser():
 
 
 def _scene_endpoints(scene):
+    from . import gridscene
     return (
         gridscene.vertex_id(*scene.source),
         gridscene.vertex_id(*scene.target),
@@ -171,6 +181,7 @@ def _scene_endpoints(scene):
 
 
 def _cmd_classes(args, out):
+    from . import fundcat
     complex_, scene = _load_complex_or_scene(args.scene)
     if scene is None:
         raise InputSyntaxError(f"{args.scene}: classes wants a scene file")
@@ -180,6 +191,7 @@ def _cmd_classes(args, out):
 
 
 def _cmd_hom(args, out):
+    from . import fundcat
     complex_, _ = _load_complex_or_scene(args.input)
     h = fundcat.hom_classes(complex_, args.src, args.dst, args.max_len)
     if args.reps:
@@ -189,6 +201,7 @@ def _cmd_hom(args, out):
 
 
 def _cmd_pi0(args, out):
+    from . import fundcat
     complex_, _ = _load_complex_or_scene(args.input)
     parts = fundcat.pi0(complex_)
     out.write(f"components {len(parts)}\n")
@@ -197,6 +210,7 @@ def _cmd_pi0(args, out):
 
 
 def _cmd_preorder(args, out):
+    from . import fundcat
     complex_, _ = _load_complex_or_scene(args.input)
     reach = fundcat.path_preorder(complex_)
     for x in sorted(reach):
@@ -205,6 +219,7 @@ def _cmd_preorder(args, out):
 
 
 def _cmd_one_simple(args, out):
+    from . import fundcat
     complex_, _ = _load_complex_or_scene(args.input)
     res = fundcat.is_one_simple(complex_)
     if res.one_simple:
@@ -214,6 +229,7 @@ def _cmd_one_simple(args, out):
 
 
 def _cmd_monoid(args, out):
+    from . import fundcat
     complex_, _ = _load_complex_or_scene(args.input)
     table = fundcat.fundamental_monoid_classes(complex_, args.at, args.max_len)
     out.write("counts " + " ".join(str(c) for c in table.counts) + "\n")
@@ -222,6 +238,7 @@ def _cmd_monoid(args, out):
 
 
 def _cmd_cat(args, out):
+    from . import catho
     if args.catverb == "contractible":
         cat = _checked_category(args.category)
         check = (
@@ -269,6 +286,7 @@ def _cmd_cat(args, out):
 
 
 def _cmd_metric(args, out):
+    from . import dmetric
     if args.metricverb == "validate":
         space = dmetric.parse_dmetric(_read(args.space))
         bad = dmetric.validate(space)
@@ -298,9 +316,11 @@ def _cmd_metric(args, out):
 
 
 def _cmd_export_dot(args, out):
+    from . import dot
     text = _read(args.input)
     kind = _sniff(text)
     if kind == "object":
+        from . import catho
         cat = catho.parse_category(text)
         dot_text = dot.category_dot(cat, name=Path(args.input).stem)
     else:
@@ -313,6 +333,7 @@ def _cmd_export_dot(args, out):
                 src, dst = args.src, args.dst
             else:
                 raise DomainError("--highlight needs --from and --to on a complex")
+            from . import fundcat
             h = fundcat.hom_classes(complex_, src, dst, args.max_len)
             if not 0 <= args.highlight < h.count:
                 raise DomainError(

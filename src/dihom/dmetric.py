@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._unionfind import _UnionFind
 from .errors import DomainError, InputSyntaxError
-from .fundcat import _UnionFind
 
 INF = math.inf
 

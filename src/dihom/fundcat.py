@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._unionfind import _UnionFind
 from .errors import (
     DomainError,
     EnumerationLimitError,
@@ -275,33 +276,6 @@ def _walk(engine, source, max_len):
             return
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        # find, inlined: this is the class engine's inner loop
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        while p[b] != b:
-            p[b] = p[p[b]]
-            b = p[b]
-        # keep the smaller index as root: roots are then lex-least members
-        if a < b:
-            p[b] = a
-        elif b < a:
-            p[a] = b
-
-
 class _Layer:
     """The classes of all words of one length out of the source.
 
@@ -481,9 +455,19 @@ def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_
 
 
 def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX_CLASSES):
-    """Per-length loop class counts at ``point``, with a concatenation table."""
+    """Per-length loop class counts at ``point``, with a concatenation table.
+
+    ``counts`` has one entry per length up to ``max_len``, so a bound of
+    ``max_classes`` or more raises EnumerationLimitError before anything is
+    built.
+    """
     if max_len is None or max_len < 0:
         raise DomainError("monoid class counting needs a length bound >= 0")
+    if max_len + 1 > max_classes:
+        raise EnumerationLimitError(
+            f"length bound {max_len} asks for {max_len + 1} class counts, "
+            f"more than the cap of {max_classes}"
+        )
     engine = _require_walkable(complex_, (point,), max_len)
     p = engine.index[point]
     layers = list(engine.layers(point, max_len, max_classes))

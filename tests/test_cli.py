@@ -1,10 +1,13 @@
 import io
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dihom
 from dihom import catho as ct
 from dihom.cli import run
 
@@ -435,3 +438,69 @@ def test_repeated_vertex_line_exits_two_naming_line_and_id(tmp_path):
     bad.write_text("vertex 0\nvertex 1\nedge a 0 1\nvertex 0\n")
     code, out, err = invoke(["pi0", str(bad)])
     assert (code, out, err) == (2, "", "error: line 4: duplicate vertex id 0\n")
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [["pi0", "{}"], ["metric", "validate", "{}"]],
+    ids=["pi0", "metric-validate"],
+)
+def test_non_utf8_input_exits_two(tmp_path, verb):
+    bad = tmp_path / "bad.complex"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = invoke([a.format(bad) for a in verb])
+    assert (code, out, err) == (2, "", f"error: cannot read {bad}: not UTF-8 text\n")
+
+
+def test_monoid_length_bound_past_the_class_cap_exits_one(tmp_path):
+    k = tmp_path / "ab.complex"
+    k.write_text("vertex a\nvertex b\nedge e a b\n")
+    code, out, err = invoke(
+        ["monoid", str(k), "--at", "a", "--max-len", "10000000000000000000"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: length bound ") and err.count("\n") == 1
+
+
+# a fresh interpreter: this one has already imported every dihom module
+LOADED_MODULES = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from dihom.cli import main; "
+    "code = main(sys.argv[2:]); "
+    "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('dihom.')))); "
+    "sys.exit(code)"
+)
+PI0_MODULES = "dihom._unionfind dihom.cli dihom.errors dihom.fundcat dihom.precubical"
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["pi0", "circle.complex"], PI0_MODULES),
+        (
+            ["hom", "hole.scene", "--from", "v0_0", "--to", "v3_3"],
+            PI0_MODULES + " dihom.gridscene",
+        ),
+        (
+            ["metric", "quotient", "i4.dmetric", "ends.rel"],
+            "dihom._unionfind dihom.cli dihom.dmetric dihom.errors",
+        ),
+        (["cat", "equiv", "two.category", "oc.category"], PI0_MODULES + " dihom.catho"),
+        (
+            ["export-dot", "o1.complex", "-o", "o1.dot"],
+            "dihom.cli dihom.dot dihom.errors dihom.precubical",
+        ),
+        (
+            ["export-dot", "two.category", "-o", "two.dot"],
+            PI0_MODULES + " dihom.catho dihom.dot",
+        ),
+    ],
+    ids=["pi0", "hom-scene", "metric-quotient", "cat-equiv", "dot-complex", "dot-category"],
+)
+def test_each_verb_loads_only_its_modules(workdir, argv, loaded):
+    src = str(Path(dihom.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, src, *argv],
+        cwd=workdir, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(proc.stderr.split()) == sorted(loaded.split())
