@@ -37,6 +37,7 @@ from .errors import (
     EnumerationLimitError,
     InputSyntaxError,
     SizeGuardError,
+    directives,
 )
 from .fundcat import (
     CatPresentation,
@@ -748,20 +749,23 @@ def _isomorphic_posets(p1, p2, max_maps=MAX_FUNCTORS):
     return next(_backtrack(options, consistent), None) is not None
 
 
-def is_past_contractible(cat):
-    """(flag, witness): true iff the category has an initial object."""
+def _universal_object(cat, hom):
+    """(flag, witness): the first object v with one arrow in hom(v, x) for
+    every object x."""
     for v in cat.objects:
-        if all(len(cat.hom(v, x)) == 1 for x in cat.objects):
+        if all(len(hom(v, x)) == 1 for x in cat.objects):
             return True, v
     return False, None
+
+
+def is_past_contractible(cat):
+    """(flag, witness): true iff the category has an initial object."""
+    return _universal_object(cat, cat.hom)
 
 
 def is_future_contractible(cat):
     """(flag, witness): true iff the category has a terminal object."""
-    for v in cat.objects:
-        if all(len(cat.hom(x, v)) == 1 for x in cat.objects):
-            return True, v
-    return False, None
+    return _universal_object(cat, lambda v, x: cat.hom(x, v))
 
 
 def retract_endofunctors(cat, sub_objs, strong=False):
@@ -851,39 +855,25 @@ def is_faithful(fun):
     return True
 
 
+def _cancels(hom_sets, composite):
+    """Whether no two arrows of one hom-set have the same composite."""
+    for hs in hom_sets:
+        seen = set()
+        for f in hs:
+            c = composite(f)
+            if c in seen:
+                return False
+            seen.add(c)
+    return True
+
+
 def cancellable_arrows(cat):
     """Arrows that are both mono and epi, found by exhausting the table."""
-    out = set()
-    for m, (my, mz) in cat.arrows.items():
-        mono = True
-        for x in cat.objects:
-            hs = cat.hom(x, my)
-            for i, f in enumerate(hs):
-                for g in hs[i + 1 :]:
-                    if cat.compose(f, m) == cat.compose(g, m):
-                        mono = False
-                        break
-                if not mono:
-                    break
-            if not mono:
-                break
-        if not mono:
-            continue
-        epi = True
-        for z in cat.objects:
-            hs = cat.hom(mz, z)
-            for i, f in enumerate(hs):
-                for g in hs[i + 1 :]:
-                    if cat.compose(m, f) == cat.compose(m, g):
-                        epi = False
-                        break
-                if not epi:
-                    break
-            if not epi:
-                break
-        if epi:
-            out.add(m)
-    return frozenset(out)
+    return frozenset(
+        m for m, (my, mz) in cat.arrows.items()
+        if _cancels((cat.hom(x, my) for x in cat.objects), lambda f: cat.compose(f, m))
+        and _cancels((cat.hom(mz, z) for z in cat.objects), lambda f: cat.compose(m, f))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1248,36 +1238,34 @@ def _associative(els, mul):
 # text formats
 
 
+_COMPOSE_FORM = "compose wants: compose <f> <g> = <h>"
+_CATEGORY_DIRECTIVES = {
+    "object": (1, "object wants 1 field"),
+    "arrow": (3, "arrow wants 3 fields"),
+    "compose": (4, _COMPOSE_FORM),
+}
+
+
 def parse_category(text):
     """Category file: ``object <id>``, ``arrow <id> <src> <tgt>``,
     ``compose <f> <g> = <h>``; identities are implicit per object."""
 
     objects, arrows, compose = {}, {}, {}  # objects: id -> line
     arrow_line = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for ln, tok in directives(text, _CATEGORY_DIRECTIVES):
         if tok[0] == "object":
-            if len(tok) != 2:
-                raise InputSyntaxError("object wants 1 field", ln)
             if tok[1] in objects:
                 raise InputSyntaxError(f"duplicate object id {tok[1]}", ln)
             objects[tok[1]] = ln
         elif tok[0] == "arrow":
-            if len(tok) != 4:
-                raise InputSyntaxError("arrow wants 3 fields", ln)
             if tok[1] in arrows:
                 raise InputSyntaxError(f"duplicate arrow id {tok[1]}", ln)
             arrows[tok[1]] = (tok[2], tok[3])
             arrow_line[tok[1]] = ln
-        elif tok[0] == "compose":
-            if len(tok) != 5 or tok[3] != "=":
-                raise InputSyntaxError("compose wants: compose <f> <g> = <h>", ln)
-            compose[(tok[1], tok[2])] = tok[4]
+        elif tok[3] != "=":
+            raise InputSyntaxError(_COMPOSE_FORM, ln)
         else:
-            raise InputSyntaxError(f"unknown directive {tok[0]!r}", ln)
+            compose[(tok[1], tok[2])] = tok[4]
     for a, ends in arrows.items():
         for x in ends:
             if x not in objects:
@@ -1307,32 +1295,32 @@ def format_category(cat):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_REL_FORM = "rel wants: rel <word> = <word>"
+_PRESENTATION_DIRECTIVES = {
+    "object": (1, "object wants 1 field"),
+    "gen": (3, "gen wants 3 fields"),
+    "rel": (3, _REL_FORM),
+}
+
+
 def parse_presentation(text):
     """Presentation file: ``object <id>``, ``gen <id> <src> <tgt>``,
     ``rel <word> = <word>`` with ;-separated generator words."""
 
-    objects, gens, rels = [], {}, []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    objects, gens, rels = set(), {}, []
+    for ln, tok in directives(text, _PRESENTATION_DIRECTIVES):
         if tok[0] == "object":
-            if len(tok) != 2:
-                raise InputSyntaxError("object wants 1 field", ln)
-            objects.append(tok[1])
+            if tok[1] in objects:
+                raise InputSyntaxError(f"duplicate object id {tok[1]}", ln)
+            objects.add(tok[1])
         elif tok[0] == "gen":
-            if len(tok) != 4:
-                raise InputSyntaxError("gen wants 3 fields", ln)
             if tok[1] in gens:
                 raise InputSyntaxError(f"duplicate generator id {tok[1]}", ln)
             gens[tok[1]] = (tok[2], tok[3])
-        elif tok[0] == "rel":
-            if len(tok) != 4 or tok[2] != "=":
-                raise InputSyntaxError("rel wants: rel <word> = <word>", ln)
-            rels.append((tuple(tok[1].split(";")), tuple(tok[3].split(";"))))
+        elif tok[2] != "=":
+            raise InputSyntaxError(_REL_FORM, ln)
         else:
-            raise InputSyntaxError(f"unknown directive {tok[0]!r}", ln)
+            rels.append((tuple(tok[1].split(";")), tuple(tok[3].split(";"))))
     pres = CatPresentation(tuple(sorted(objects)), gens, tuple(rels))
     bad = validate_presentation(pres)
     if bad:
@@ -1350,6 +1338,14 @@ def format_presentation(pres):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_FUNCTOR_DIRECTIVES = {
+    "domain": (1, "domain wants 1 field"),
+    "codomain": (1, "codomain wants 1 field"),
+    "object": (2, "object wants 2 fields"),
+    "arrow": (2, "arrow wants 2 fields"),
+}
+
+
 def parse_functor(text, resolve):
     """Functor file: ``domain <ref>``, ``codomain <ref>``, then
     ``object <x> <Fx>`` and ``arrow <f> <Ff>`` lines; identity images are
@@ -1357,29 +1353,15 @@ def parse_functor(text, resolve):
 
     dom = cod = None
     omap, amap = {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for _, tok in directives(text, _FUNCTOR_DIRECTIVES):
         if tok[0] == "domain":
-            if len(tok) != 2:
-                raise InputSyntaxError("domain wants 1 field", ln)
             dom = resolve(tok[1])
         elif tok[0] == "codomain":
-            if len(tok) != 2:
-                raise InputSyntaxError("codomain wants 1 field", ln)
             cod = resolve(tok[1])
         elif tok[0] == "object":
-            if len(tok) != 3:
-                raise InputSyntaxError("object wants 2 fields", ln)
             omap[tok[1]] = tok[2]
-        elif tok[0] == "arrow":
-            if len(tok) != 3:
-                raise InputSyntaxError("arrow wants 2 fields", ln)
-            amap[tok[1]] = tok[2]
         else:
-            raise InputSyntaxError(f"unknown directive {tok[0]!r}", ln)
+            amap[tok[1]] = tok[2]
     if dom is None or cod is None:
         raise InputSyntaxError("functor file needs domain and codomain lines")
     for x in dom.objects:
@@ -1391,24 +1373,20 @@ def parse_functor(text, resolve):
     return FunctorMap(dom, cod, omap, amap)
 
 
+_MORPHISM_DIRECTIVES = {
+    "object": (2, "object wants 2 fields"),
+    "gen": (2, "gen wants 2 fields"),
+}
+
+
 def parse_presentation_morphism(text, source, target):
     """Morphism file: ``object <x> <image>``, ``gen <g> <word>`` with a
     ;-separated nonempty image word."""
 
     omap, gmap = {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        if tok[0] == "object":
-            if len(tok) != 3:
-                raise InputSyntaxError("object wants 2 fields", ln)
-            omap[tok[1]] = tok[2]
-        elif tok[0] == "gen":
-            if len(tok) != 3:
-                raise InputSyntaxError("gen wants 2 fields", ln)
-            gmap[tok[1]] = tuple(tok[2].split(";"))
+    for _, (kind, key, image) in directives(text, _MORPHISM_DIRECTIVES):
+        if kind == "object":
+            omap[key] = image
         else:
-            raise InputSyntaxError(f"unknown directive {tok[0]!r}", ln)
+            gmap[key] = tuple(image.split(";"))
     return PresentationMorphism(source, target, omap, gmap)

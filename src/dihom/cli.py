@@ -26,7 +26,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .errors import DihomError, DomainError, InputSyntaxError
+from .errors import DihomError, DomainError, InputSyntaxError, directives
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,11 +49,7 @@ def _read(path):
 
 def _sniff(text):
     """First directive decides the file kind."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            return line.split()[0]
-    return ""
+    return next((tok[0] for _, tok in directives(text)), "")
 
 
 def _load_complex_or_scene(path):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._unionfind import _UnionFind
-from .errors import DomainError, InputSyntaxError
+from .errors import DomainError, InputSyntaxError, directives
 
 INF = math.inf
 
@@ -273,15 +273,10 @@ def is_isometric(x, y):
 def parse_dmetric(text):
     """Matrix file: ``points <n> <id...>`` then n rows of n entries;
     entries are decimals, p/q rationals, or ``inf``; ``#`` comments."""
-    lines = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((ln, line))
+    lines = list(directives(text))
     if not lines:
         raise InputSyntaxError("empty d-metric file")
-    ln0, head = lines[0]
-    tok = head.split()
+    ln0, tok = lines[0]
     if tok[0] != "points" or len(tok) < 2:
         raise InputSyntaxError("first line must be: points <n> <ids...>", ln0)
     try:
@@ -295,8 +290,7 @@ def parse_dmetric(text):
         raise InputSyntaxError(f"expected {n} matrix rows, got {len(lines) - 1}")
     rows = []
     values = {}  # each distinct token is parsed once
-    for ln, line in lines[1:]:
-        entries = line.split()
+    for ln, entries in lines[1:]:
         if len(entries) != n:
             raise InputSyntaxError(f"expected {n} entries in row", ln)
         try:
@@ -335,11 +329,7 @@ def format_dmetric(space):
 def parse_relation(text):
     """Relation file for quotients: each line names two point ids."""
     pairs = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for ln, tok in directives(text):
         if len(tok) != 2:
             raise InputSyntaxError("relation line wants 2 point ids", ln)
         pairs.append((tok[0], tok[1]))

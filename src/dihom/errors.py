@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all dihom modules.
+"""Exception hierarchy shared by all dihom modules, and the line reader of
+every text format.
 
 InputSyntaxError covers malformed text inputs (exit code 2 in the CLI);
 DomainError covers well-formed inputs that violate an operation's
@@ -16,6 +17,28 @@ class InputSyntaxError(DihomError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def directives(text, spec=None):
+    """Yield (line number, tokens) for each line of ``text`` that has tokens
+    once its ``#`` comment is cut off; blank and comment-only lines are
+    skipped but counted.
+
+    ``spec`` maps each directive to (field count, message): a line whose
+    first token is not in it raises ``unknown directive``, and one with
+    another number of fields after the directive raises that message.
+    """
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
+            continue
+        if spec is not None:
+            if tok[0] not in spec:
+                raise InputSyntaxError(f"unknown directive {tok[0]!r}", ln)
+            fields, message = spec[tok[0]]
+            if len(tok) != fields + 1:
+                raise InputSyntaxError(message, ln)
+        yield ln, tok
 
 
 class DomainError(DihomError):

@@ -168,7 +168,11 @@ class CatPresentation:
 
 def validate_presentation(pres):
     out = []
-    objs = set(pres.objects)
+    objs = set()
+    for x in pres.objects:
+        if x in objs:
+            out.append(f"duplicate object id {x}")
+        objs.add(x)
     for g, (s, t) in pres.generators.items():
         if s not in objs or t not in objs:
             out.append(f"generator {g}: endpoint not an object")
@@ -459,7 +463,9 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
 
     ``counts`` has one entry per length up to ``max_len``, so a bound of
     ``max_classes`` or more raises EnumerationLimitError before anything is
-    built.
+    built.  The table is capped by ``max_classes`` too: its entries are
+    counted as each layer is built, and EnumerationLimitError is raised as
+    soon as they exceed the cap.
     """
     if max_len is None or max_len < 0:
         raise DomainError("monoid class counting needs a length bound >= 0")
@@ -470,7 +476,23 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
         )
     engine = _require_walkable(complex_, (point,), max_len)
     p = engine.index[point]
-    layers = list(engine.layers(point, max_len, max_classes))
+    # prefix[k]: loops shorter than k; entries: the table pairs (i, j) with
+    # len(ri) + len(rj) <= max_len among the loops of the layers built so far
+    layers, prefix, entries = [], [0], 0
+    for length, layer in enumerate(engine.layers(point, max_len, max_classes)):
+        layers.append(layer)
+        here = layer.ends.count(p)
+        prefix.append(prefix[-1] + here)
+        # the new pairs: (this, no longer) and (shorter, this)
+        room = max_len + 1 - length
+        entries += here * (prefix[min(length + 1, room)] + prefix[min(length, room)])
+        if entries > max_classes:
+            built = sum(len(lay.ends) for lay in layers)
+            raise EnumerationLimitError(
+                f"{entries} concatenation table entries over the {built} dipath "
+                f"classes built from {point} up to length {length}, more than "
+                f"the cap of {max_classes}"
+            )
     loops = sorted(
         (rep, length, c)
         for length, layer in enumerate(layers)
@@ -479,9 +501,8 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
     )
     reps = tuple(rep for rep, _, _ in loops)
     rank = {(length, c): i for i, (_, length, c) in enumerate(loops)}
-    counts = [0] * (max_len + 1)
-    for rep in reps:
-        counts[len(rep)] += 1
+    counts = [b - a for a, b in zip(prefix, prefix[1:])]
+    counts += [0] * (max_len + 1 - len(counts))
     # walks[b]: (j, common prefix length with the previous listed rep) for
     # the reps of length <= b, in rep order; in sorted order the common
     # prefix of two reps is the least one between neighbours

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputSyntaxError
+from .errors import InputSyntaxError, directives
 from .precubical import PreCubicalSet
 
 
@@ -86,56 +86,41 @@ def make_scene(width, height, boxes, source, target):
     return _check_scene(scene)
 
 
+_SCENE_DIRECTIVES = {
+    "grid": (2, "grid wants 2 integers"),
+    "box": (4, "box wants 4 integers"),
+    "source": (2, "source wants 2 integers"),
+    "target": (2, "target wants 2 integers"),
+}
+
+
 def parse_scene(text):
     """Parse the scene format.
 
     Lines: ``grid W H``, zero or more ``box x0 y0 x1 y1``, ``source x y``,
     ``target x y``; ``#`` starts a comment; all integers decimal.
     """
-    grid = source = target = None
+    found = {}  # grid, source, target -> integers
     boxes = []
-    line_of = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-
-        def ints(n, what):
-            if len(tok) != n + 1:
-                raise InputSyntaxError(f"{what} wants {n} integers", ln)
-            try:
-                return [int(t) for t in tok[1:]]
-            except ValueError:
-                raise InputSyntaxError(f"{what}: non-integer field", ln) from None
-
-        if tok[0] == "grid":
-            if grid is not None:
-                raise InputSyntaxError("duplicate grid line", ln)
-            grid = ints(2, "grid")
-            line_of["grid"] = ln
-        elif tok[0] == "box":
-            boxes.append(Box(*ints(4, "box")))
-            line_of[("box", len(boxes) - 1)] = ln
-        elif tok[0] == "source":
-            if source is not None:
-                raise InputSyntaxError("duplicate source line", ln)
-            source = tuple(ints(2, "source"))
-            line_of["source"] = ln
-        elif tok[0] == "target":
-            if target is not None:
-                raise InputSyntaxError("duplicate target line", ln)
-            target = tuple(ints(2, "target"))
-            line_of["target"] = ln
+    line_of = {}  # box lines are keyed ("box", index)
+    for ln, (kind, *fields) in directives(text, _SCENE_DIRECTIVES):
+        if kind in line_of:
+            raise InputSyntaxError(f"duplicate {kind} line", ln)
+        try:
+            ints = tuple(int(t) for t in fields)
+        except ValueError:
+            raise InputSyntaxError(f"{kind}: non-integer field", ln) from None
+        if kind == "box":
+            line_of[("box", len(boxes))] = ln
+            boxes.append(Box(*ints))
         else:
-            raise InputSyntaxError(f"unknown directive {tok[0]!r}", ln)
-    if grid is None:
-        raise InputSyntaxError("missing grid line")
-    if source is None:
-        raise InputSyntaxError("missing source line")
-    if target is None:
-        raise InputSyntaxError("missing target line")
-    scene = GridScene(grid[0], grid[1], tuple(boxes), source, target)
+            line_of[kind] = ln
+            found[kind] = ints
+    for kind in ("grid", "source", "target"):
+        if kind not in found:
+            raise InputSyntaxError(f"missing {kind} line")
+    (width, height), source, target = found["grid"], found["source"], found["target"]
+    scene = GridScene(width, height, tuple(boxes), source, target)
     return _check_scene(scene, line_of)
 
 

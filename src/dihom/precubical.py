@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import DomainError, InputSyntaxError, InvalidComplexError
+from .errors import DomainError, InputSyntaxError, InvalidComplexError, directives
 
 
 @dataclass(frozen=True)
@@ -369,43 +369,26 @@ def intersect(k1, k2):
     return PreCubicalSet(verts, edges, squares, labels)
 
 
+_COMPLEX_DIRECTIVES = {
+    "vertex": (1, "vertex wants 1 field: vertex <id>"),
+    "edge": (3, "edge wants 3 fields: edge <id> <src> <tgt>"),
+    "square": (5, "square wants 5 fields: square <id> <d1m> <d1p> <d2m> <d2p>"),
+}
+
+
 def parse_complex(text):
     """Parse the line-based complex format.
 
     Lines: ``vertex <id>``, ``edge <id> <src> <tgt>``,
     ``square <id> <d1m> <d1p> <d2m> <d2p>``; ``#`` starts a comment.
     """
-    verts, edges, squares = set(), {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        kind = tok[0]
-        if kind == "vertex":
-            if len(tok) != 2:
-                raise InputSyntaxError("vertex wants 1 field: vertex <id>", ln)
-            if tok[1] in verts:
-                raise InputSyntaxError(f"duplicate vertex id {tok[1]}", ln)
-            verts.add(tok[1])
-        elif kind == "edge":
-            if len(tok) != 4:
-                raise InputSyntaxError("edge wants 3 fields: edge <id> <src> <tgt>", ln)
-            if tok[1] in edges:
-                raise InputSyntaxError(f"duplicate edge id {tok[1]}", ln)
-            edges[tok[1]] = (tok[2], tok[3])
-        elif kind == "square":
-            if len(tok) != 6:
-                raise InputSyntaxError(
-                    "square wants 5 fields: square <id> <d1m> <d1p> <d2m> <d2p>", ln
-                )
-            if tok[1] in squares:
-                raise InputSyntaxError(f"duplicate square id {tok[1]}", ln)
-            squares[tok[1]] = tuple(tok[2:6])
-        else:
-            raise InputSyntaxError(f"unknown directive {kind!r}", ln)
+    cells = {kind: {} for kind in _COMPLEX_DIRECTIVES}  # kind -> id -> faces
+    for ln, (kind, cell, *faces) in directives(text, _COMPLEX_DIRECTIVES):
+        if cell in cells[kind]:
+            raise InputSyntaxError(f"duplicate {kind} id {cell}", ln)
+        cells[kind][cell] = tuple(faces)
     try:
-        return PreCubicalSet(verts, edges, squares)
+        return PreCubicalSet(cells["vertex"], cells["edge"], cells["square"])
     except DomainError as exc:
         raise InputSyntaxError(str(exc)) from exc
 

@@ -579,6 +579,23 @@ def test_non_cancellable_idempotent():
     assert "e" not in ct.cancellable_arrows(cat)
 
 
+def test_cancellable_arrows_match_the_definition_on_seeded_categories():
+    rng = random.Random(9)
+    for _ in range(60):
+        cat = ct.random_category(rng)
+
+        def injective(hom_sets, composite):
+            return all(composite(f) != composite(g)
+                       for hs in hom_sets for f in hs for g in hs if f != g)
+
+        expected = {
+            m for m, (my, mz) in cat.arrows.items()
+            if injective([cat.hom(x, my) for x in cat.objects], lambda f: cat.compose(f, m))
+            and injective([cat.hom(mz, z) for z in cat.objects], lambda f: cat.compose(m, f))
+        }
+        assert ct.cancellable_arrows(cat) == expected
+
+
 def test_cancellable_component_lemma_on_seeded_instances():
     # transformations with cancellable components preserve faithfulness
     rng = random.Random(20240818)
@@ -709,6 +726,16 @@ def test_realize_cap_counts_classes_per_source_object():
     assert ct.realize_presentation(circ, 9, max_words=10).hom_count("*", "*") == 10
     with pytest.raises(EnumerationLimitError, match="11 dipath classes built from"):
         ct.realize_presentation(circ, 10, max_words=10)
+
+
+def test_repeated_presentation_object_is_rejected():
+    with pytest.raises(InputSyntaxError, match=r"^line 2: duplicate object id a$"):
+        ct.parse_presentation("object a\nobject a\nobject b\ngen g a b\n")
+    # built in the library, the repeat reaches validation
+    pres = fc.CatPresentation(("a", "a", "b"), {"g": ("a", "b")}, ())
+    assert fc.validate_presentation(pres) == ["duplicate object id a"]
+    with pytest.raises(DomainError, match="duplicate object id a"):
+        ct.realize_presentation(pres)
 
 
 def test_realize_rejects_length_changing_relations_when_truncated():

@@ -9,7 +9,11 @@ import pytest
 
 import dihom
 from dihom import catho as ct
-from dihom.cli import run
+from dihom import dmetric as dm
+from dihom import gridscene as gs
+from dihom import precubical as pc
+from dihom.cli import _sniff, run
+from dihom.errors import InputSyntaxError
 
 X_SCENE = "grid 6 6\nbox 1 1 4 2\nbox 1 4 4 5\nsource 0 0\ntarget 6 6\n"
 HOLE_SCENE = "grid 3 3\nbox 1 1 2 2\nsource 0 0\ntarget 3 3\n"
@@ -300,6 +304,83 @@ def test_category_syntax_errors_name_their_line(tmp_path, text, line, reason):
     assert (code, out, err) == (2, "", f"error: line {line}: {reason}\n")
 
 
+FORMAT_PARSERS = {
+    "complex": pc.parse_complex,
+    "scene": gs.parse_scene,
+    "category": ct.parse_category,
+    "presentation": ct.parse_presentation,
+    "functor": lambda text: ct.parse_functor(text, resolve=None),
+    "morphism": lambda text: ct.parse_presentation_morphism(text, None, None),
+    "metric": dm.parse_dmetric,
+    "relation": dm.parse_relation,
+}
+# (format, faulty line, its message): every directive one token short, the
+# `=` of compose and rel, and an unknown directive
+FORMAT_ERRORS = [
+    ("complex", "vertex", "vertex wants 1 field: vertex <id>"),
+    ("complex", "edge a 0", "edge wants 3 fields: edge <id> <src> <tgt>"),
+    ("complex", "square w a b c", "square wants 5 fields: square <id> <d1m> <d1p> <d2m> <d2p>"),
+    ("complex", "zzz 0", "unknown directive 'zzz'"),
+    ("scene", "grid 3", "grid wants 2 integers"),
+    ("scene", "box 0 0 1", "box wants 4 integers"),
+    ("scene", "source 0", "source wants 2 integers"),
+    ("scene", "target 0", "target wants 2 integers"),
+    ("scene", "zzz 0 0", "unknown directive 'zzz'"),
+    ("category", "object", "object wants 1 field"),
+    ("category", "arrow a 0", "arrow wants 3 fields"),
+    ("category", "compose f g =", "compose wants: compose <f> <g> = <h>"),
+    ("category", "compose f g : h", "compose wants: compose <f> <g> = <h>"),
+    ("category", "zzz", "unknown directive 'zzz'"),
+    ("presentation", "object", "object wants 1 field"),
+    ("presentation", "gen g 0", "gen wants 3 fields"),
+    ("presentation", "rel a =", "rel wants: rel <word> = <word>"),
+    ("presentation", "rel a : b", "rel wants: rel <word> = <word>"),
+    ("presentation", "zzz", "unknown directive 'zzz'"),
+    ("functor", "domain", "domain wants 1 field"),
+    ("functor", "codomain", "codomain wants 1 field"),
+    ("functor", "object 0", "object wants 2 fields"),
+    ("functor", "arrow a", "arrow wants 2 fields"),
+    ("functor", "zzz", "unknown directive 'zzz'"),
+    ("morphism", "object p", "object wants 2 fields"),
+    ("morphism", "gen g", "gen wants 2 fields"),
+    ("morphism", "zzz", "unknown directive 'zzz'"),
+    ("metric", "points", "first line must be: points <n> <ids...>"),
+    ("metric", "points 2 a", "expected 2 point ids, got 1"),
+    ("metric", "zzz", "first line must be: points <n> <ids...>"),
+    ("relation", "a", "relation line wants 2 point ids"),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt,line,reason", FORMAT_ERRORS,
+    ids=[f"{fmt}-{line}" for fmt, line, _ in FORMAT_ERRORS],
+)
+def test_each_format_names_the_faulty_line(fmt, line, reason):
+    # comment-only and blank lines count, and a trailing comment is cut
+    text = f"# leading comment\n\n   # indented comment\n{line}  # trailing\n"
+    with pytest.raises(InputSyntaxError) as exc:
+        FORMAT_PARSERS[fmt](text)
+    assert str(exc.value) == f"line 4: {reason}"
+
+
+def test_metric_row_one_entry_short_names_its_line():
+    text = "points 2 a b\n# comment\n\n0 0\n0 # short\n"
+    with pytest.raises(InputSyntaxError, match=r"^line 5: expected 2 entries in row$"):
+        dm.parse_dmetric(text)
+
+
+def test_sniff_reads_the_first_directive():
+    assert _sniff("# only a comment\n\n   # and another\n") == ""
+    assert _sniff("\n# comment\n  grid 3 3 # trailing\n") == "grid"
+
+
+def test_repeated_presentation_object_exits_two(tmp_path):
+    bad = tmp_path / "dup.pres"
+    bad.write_text("object a\nobject a\nobject b\ngen g a b\n")
+    code, out, err = invoke(["cat", "realize", str(bad)])
+    assert (code, out, err) == (2, "", "error: line 2: duplicate object id a\n")
+
+
 def test_realize_cyclic_without_bound_exits_one(workdir, tmp_path):
     circ = tmp_path / "circle.pres"
     circ.write_text("object *\ngen a * *\n")
@@ -460,6 +541,16 @@ def test_monoid_length_bound_past_the_class_cap_exits_one(tmp_path):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: length bound ") and err.count("\n") == 1
+
+
+def test_monoid_table_past_the_class_cap_exits_one(workdir):
+    # the length bound passes the class-count guard; the table would not fit
+    code, out, err = invoke(
+        ["monoid", str(workdir / "circle.complex"), "--at", "*", "--max-len", "999999"]
+    )
+    assert (code, out) == (1, "")
+    assert "concatenation table entries" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # a fresh interpreter: this one has already imported every dihom module

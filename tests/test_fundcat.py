@@ -522,6 +522,21 @@ def test_class_cap_is_enforced_and_reports_the_count():
         fc.fundamental_monoid_classes(pc.model("wedge_circles(2)"), "*", 8, max_classes=100)
 
 
+def test_monoid_table_is_capped_while_layers_are_built():
+    # 21 loop classes, 21 * 22 / 2 = 231 table entries
+    with pytest.raises(EnumerationLimitError, match="concatenation table entries"):
+        fc.fundamental_monoid_classes(pc.model("directed_circle"), "*", 20, max_classes=100)
+
+
+@pytest.mark.parametrize("model,length", [("directed_circle", 20), ("wedge_circles(2)", 5),
+                                          ("wedge_circles(3)", 4)])
+def test_monoid_table_cap_counts_exactly_the_entries(model, length):
+    entries = len(fc.fundamental_monoid_classes(pc.model(model), "*", length).table)
+    fc.fundamental_monoid_classes(pc.model(model), "*", length, max_classes=entries)
+    with pytest.raises(EnumerationLimitError, match=f"^{entries} concatenation"):
+        fc.fundamental_monoid_classes(pc.model(model), "*", length, max_classes=entries - 1)
+
+
 def test_enumerate_dipaths_on_a_long_thin_grid():
     # dipaths of 1201 edges: deeper than the interpreter's recursion limit
     k = scene_complex("grid 1200 1\nsource 0 0\ntarget 1200 1\n")
