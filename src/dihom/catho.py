@@ -41,6 +41,7 @@ from .errors import (
 )
 from .fundcat import (
     CatPresentation,
+    _reach,
     _SwapEngine,
     _walk,
     validate_presentation,
@@ -212,28 +213,22 @@ def poset_category(elements, le_pairs):
     required.
     """
     els = sorted(set(elements))
-    rel = {(x, x) for x in els}
-    rel.update((str(a), str(b)) for a, b in le_pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    for (a, b) in rel:
-        if a != b and (b, a) in rel:
-            raise DomainError(f"not a poset: {a} and {b} are equivalent")
-        if a not in els or b not in els:
-            raise DomainError(f"relation mentions unknown element {a if a not in els else b}")
-    arrows = {f"a({a},{b})": (a, b) for (a, b) in rel if a != b}
-    compose = {}
-    for (a, b) in rel:
-        for (c, d) in rel:
-            if b == c and a != b and c != d:
-                # antisymmetry guarantees a != d here
-                compose[(f"a({a},{b})", f"a({c},{d})")] = f"a({a},{d})"
+    index = {x: i for i, x in enumerate(els)}
+    above = [[] for _ in els]
+    for a, b in le_pairs:
+        a, b = str(a), str(b)
+        if a not in index or b not in index:
+            raise DomainError(f"relation mentions unknown element {a if a not in index else b}")
+        above[index[a]].append(index[b])
+    up = [_reach(above, i) for i in range(len(els))]
+    for i, js in enumerate(up):
+        twins = [j for j in js if j > i and i in up[j]]
+        if twins:
+            raise DomainError(f"not a poset: {els[i]} and {els[min(twins)]} are equivalent")
+    name = {(i, j): f"a({els[i]},{els[j]})" for i, js in enumerate(up) for j in js if i != j}
+    arrows = {a: (els[i], els[j]) for (i, j), a in name.items()}
+    # antisymmetry makes i, j and k distinct
+    compose = {(name[i, j], name[j, k]): name[i, k] for i, j in name for k in up[j] if k != j}
     return FinCategory.build(els, arrows, compose)
 
 
@@ -843,16 +838,9 @@ def _proper_subsets(items):
 
 
 def is_faithful(fun):
+    """Whether the functor is injective on every hom-set."""
     c = fun.domain
-    for x in c.objects:
-        for y in c.objects:
-            seen = {}
-            for a in c.hom(x, y):
-                fa = fun.arr(a)
-                if fa in seen:
-                    return False
-                seen[fa] = a
-    return True
+    return _cancels((c.hom(x, y) for x in c.objects for y in c.objects), fun.arr)
 
 
 def _cancels(hom_sets, composite):
@@ -1003,42 +991,30 @@ def pushout(p0, p1, p2, u1, u2):
         raise DomainError("u2 does not start at p0")
     require_morphism(u1)
     require_morphism(u2)
+    sides = (("1", p1), ("2", p2))
     # sorted, so the lowest index of a class, its root, is its least tag
-    tagged = sorted([f"1:{x}" for x in p1.objects] + [f"2:{x}" for x in p2.objects])
+    tagged = sorted(f"{tag}:{x}" for tag, p in sides for x in p.objects)
     index = {t: i for i, t in enumerate(tagged)}
     uf = _UnionFind(len(tagged))
     for x in p0.objects:
         uf.union(index[f"1:{u1.obj(x)}"], index[f"2:{u2.obj(x)}"])
     cls = {t: tagged[uf.find(i)] for t, i in index.items()}
 
-    objects = sorted(set(cls.values()))
-    gens = {}
-    for g, (s, t) in p1.generators.items():
-        gens[f"1:{g}"] = (cls[f"1:{s}"], cls[f"1:{t}"])
-    for g, (s, t) in p2.generators.items():
-        gens[f"2:{g}"] = (cls[f"2:{s}"], cls[f"2:{t}"])
+    def tag_word(word, tag):
+        return tuple(f"{tag}:{g}" for g in word)
 
-    def tag_word(word, side):
-        return tuple(f"{side}:{g}" for g in word)
-
-    relations = [
-        (tag_word(u, "1"), tag_word(v, "1")) for u, v in p1.relations
-    ] + [(tag_word(u, "2"), tag_word(v, "2")) for u, v in p2.relations]
+    gens, relations = {}, []
+    for tag, p in sides:
+        for g, (s, t) in p.generators.items():
+            gens[f"{tag}:{g}"] = (cls[f"{tag}:{s}"], cls[f"{tag}:{t}"])
+        relations += [(tag_word(u, tag), tag_word(v, tag)) for u, v in p.relations]
     for a in sorted(p0.generators):
         relations.append((tag_word(u1.gen_map[a], "1"), tag_word(u2.gen_map[a], "2")))
-
-    pres = CatPresentation(tuple(objects), gens, tuple(relations))
-    left = PresentationMorphism(
-        p1,
-        pres,
-        {x: cls[f"1:{x}"] for x in p1.objects},
-        {g: (f"1:{g}",) for g in p1.generators},
-    )
-    right = PresentationMorphism(
-        p2,
-        pres,
-        {x: cls[f"2:{x}"] for x in p2.objects},
-        {g: (f"2:{g}",) for g in p2.generators},
+    pres = CatPresentation(tuple(sorted(set(cls.values()))), gens, tuple(relations))
+    left, right = (
+        PresentationMorphism(p, pres, {x: cls[f"{tag}:{x}"] for x in p.objects},
+                             {g: (f"{tag}:{g}",) for g in p.generators})
+        for tag, p in sides
     )
     return Pushout(pres, left, right)
 

@@ -139,23 +139,13 @@ def disjoint_sum(*spaces):
     """Disjoint union; distances across different summands are oo."""
     if not spaces:
         raise DomainError("sum needs at least one summand")
-    points = []
-    owner = []
-    for i, s in enumerate(spaces):
-        for j, p in enumerate(s.points):
-            points.append(f"{i}:{p}")
-            owner.append((i, j))
-    n = len(points)
-    dist = tuple(
-        tuple(
-            spaces[owner[a][0]].dist[owner[a][1]][owner[b][1]]
-            if owner[a][0] == owner[b][0]
-            else INF
-            for b in range(n)
-        )
-        for a in range(n)
-    )
-    return DMetricSpace(tuple(points), dist)
+    points = tuple(f"{i}:{p}" for i, s in enumerate(spaces) for p in s.points)
+    blanks = [(INF,) * len(s.points) for s in spaces]
+    dist = []
+    for i, s in enumerate(spaces):  # by index: one space may be passed twice
+        left, right = sum(blanks[:i], ()), sum(blanks[i + 1:], ())
+        dist += [left + tuple(row) + right for row in s.dist]
+    return DMetricSpace(points, tuple(dist))
 
 
 def quotient(space, pairs):

@@ -58,4 +58,5 @@ class EnumerationLimitError(DomainError):
 
 
 class SizeGuardError(DomainError):
-    """A brute-force categorical search exceeded its size guard."""
+    """An input exceeded a size guard: that of a brute-force categorical
+    search, or the lattice point cap of scene compilation."""

@@ -257,6 +257,8 @@ def _walk(engine, source, max_len):
     length <= ``max_len`` (None: unbounded, acyclic only), in lexicographic
     order; ``word`` is one list that the walk changes in place, so copy it
     to keep it.  Iterative, so words of any length are fine."""
+    if max_len is not None and max_len < 0:
+        raise DomainError(f"length bound {max_len} is negative")
     out, targets = engine.out, engine.targets
     steps = {}  # object number -> its (generator, target) pairs, on first visit
     word, stack = [], []  # stack[i]: the untried extensions of word[:i]
@@ -342,33 +344,26 @@ class _SwapEngine:
 
     @cached_property
     def acyclic(self):
-        """Whether the generator graph has no cycle (self-loops count);
-        iterative depth-first search, run on first read."""
+        """Whether the generator graph has no cycle (self-loops count), by
+        Kahn's algorithm on first read: an object on a cycle is never freed."""
         targets = self.targets
-        color = [0] * len(targets)  # 1 = on stack, 2 = done
-        for root in range(len(targets)):
-            if color[root]:
-                continue
-            stack = [(root, iter(targets[root]))]
-            color[root] = 1
-            while stack:
-                v, it = stack[-1]
-                for w in it:
-                    c = color[w]
-                    if c == 1:
-                        return False
-                    if not c:
-                        color[w] = 1
-                        stack.append((w, iter(targets[w])))
-                        break
-                else:
-                    color[v] = 2
-                    stack.pop()
-        return True
+        into = [0] * len(targets)  # in-generators not yet removed
+        for ts in targets:
+            for w in ts:
+                into[w] += 1
+        free = [v for v, n in enumerate(into) if not n]
+        for v in free:  # the list grows while it is read
+            for w in targets[v]:
+                into[w] -= 1
+                if not into[w]:
+                    free.append(w)
+        return len(free) == len(targets)
 
     def layers(self, source, max_len, max_classes):
         """Yield the _Layer of each length 0, 1, ... up to ``max_len``, or
         until a layer is empty; only the last max(m) layers are kept here."""
+        if max_len is not None and max_len < 0:
+            raise DomainError(f"length bound {max_len} is negative")
         out, targets, depth = self.out, self.targets, self.depth
         relations = self.relations.items()
         layer = _Layer([self.index[source]], [1], [()])
@@ -543,17 +538,20 @@ def path_preorder(complex_):
     """x <= y iff some dipath runs x -> y; reflexive-transitive by construction."""
     k = require_valid(complex_)
     targets, verts = _engine_of(k).targets, k.vertices
-    reach = {}
-    for root, name in enumerate(verts):
-        seen = {root}
-        stack = [root]
-        while stack:
-            for w in targets[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach[name] = frozenset(verts[v] for v in seen)
-    return reach
+    return {x: frozenset(verts[v] for v in _reach(targets, i)) for i, x in enumerate(verts)}
+
+
+def _reach(targets, root):
+    """The numbers reachable from ``root`` (itself included) when ``targets[v]``
+    lists the numbers one step from v: an iterative depth-first search."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for w in targets[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def pi0(complex_):

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputSyntaxError, directives
+from .errors import InputSyntaxError, SizeGuardError, directives
 from .precubical import PreCubicalSet
+
+MAX_LATTICE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,12 @@ def to_precubical(scene):
     Every id string is made once, and the cells go to the complex already
     in id order, unchecked: the ids of all kinds sort the way the vertex
     ids do, east edges before north edges.  The labels are built on the
-    first label read.
+    first label read.  A scene of more than ``MAX_LATTICE_POINTS`` lattice
+    points raises :class:`SizeGuardError` before anything is built.
     """
+    points = (scene.width + 1) * (scene.height + 1)
+    if points > MAX_LATTICE_POINTS:
+        raise SizeGuardError(f"scene has {points} lattice points (guard {MAX_LATTICE_POINTS})")
     blocked = _blocked_cells(scene)
     blocked_verts, blocked_east, blocked_north, blocked_squares = blocked
     stride = scene.height + 1

@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
-from dihom.catho import FunctorMap, NatTransf, compose_functors, identity_functor
+from dihom.catho import FinCategory, FunctorMap, NatTransf, compose_functors, identity_functor
 from dihom.errors import DomainError, EnumerationLimitError
 from dihom.fundcat import DEFAULT_MAX_PATHS, DiPath, _require_walkable, _UnionFind
 
@@ -184,6 +184,36 @@ def swap_partition(complex_, words):
     for w, root in labels.items():
         groups.setdefault(root, set()).add(w)
     return sorted(groups.values(), key=lambda g: sorted(g)[0])
+
+
+def has_no_cycle_oracle(objects, generators):
+    """Whether the graph of ``generators`` (id -> (src, tgt)) has no cycle,
+    self-loops included: the three-colour depth-first search that Kahn's
+    algorithm replaced in the class engine."""
+    index = {v: i for i, v in enumerate(objects)}
+    targets = [[] for _ in objects]
+    for g, (s, t) in sorted(generators.items()):
+        targets[index[s]].append(index[t])
+    color = [0] * len(targets)  # 1 = on stack, 2 = done
+    for root in range(len(targets)):
+        if color[root]:
+            continue
+        stack = [(root, iter(targets[root]))]
+        color[root] = 1
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                c = color[w]
+                if c == 1:
+                    return False
+                if not c:
+                    color[w] = 1
+                    stack.append((w, iter(targets[w])))
+                    break
+            else:
+                color[v] = 2
+                stack.pop()
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +490,35 @@ def contractible_steps_oracle(cat, full_subcategory, n):
         return False
 
     return rec(frozenset(cat.objects), n)
+
+
+def poset_category_oracle(elements, le_pairs):
+    """The poset category as it was built before the reachability walk:
+    the relation is closed by re-scanning all pairs of pairs until it stops
+    growing.  Which error a bad input raises follows set order here."""
+    els = sorted(set(elements))
+    rel = {(x, x) for x in els}
+    rel.update((str(a), str(b)) for a, b in le_pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for (c, d) in list(rel):
+                if b == c and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    for (a, b) in rel:
+        if a != b and (b, a) in rel:
+            raise DomainError(f"not a poset: {a} and {b} are equivalent")
+        if a not in els or b not in els:
+            raise DomainError(f"relation mentions unknown element {a if a not in els else b}")
+    arrows = {f"a({a},{b})": (a, b) for (a, b) in rel if a != b}
+    compose = {}
+    for (a, b) in rel:
+        for (c, d) in rel:
+            if b == c and a != b and c != d:
+                compose[(f"a({a},{b})", f"a({c},{d})")] = f"a({a},{d})"
+    return FinCategory.build(els, arrows, compose)
 
 
 def validate_category_oracle(cat):

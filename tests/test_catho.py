@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -771,6 +775,16 @@ def test_acyclic_bound_completeness_flag():
     assert ct.realize_presentation(itv, bound=0).truncated
 
 
+@pytest.mark.parametrize("relations", [(), ((("a", "b"), ("c",)),)])
+def test_realize_refuses_a_negative_bound(relations):
+    # with a length-changing relation the words are listed, not classed
+    pres = fc.CatPresentation(
+        ("0", "1", "2"), {"a": ("0", "1"), "b": ("1", "2"), "c": ("0", "2")}, relations
+    )
+    with pytest.raises(DomainError, match="length bound -1 is negative"):
+        ct.realize_presentation(pres, bound=-1)
+
+
 def _random_presentation(rng, acyclic):
     """Seeded random presentation with length-preserving relations of
     lengths 1-3; acyclic ones send every generator up the object order."""
@@ -1073,3 +1087,65 @@ def test_to_fincategory_matches_the_scan_over_every_hom_entry():
         assert list(cat.identity.items()) == list(identity.items())
         assert cat.arrows == ct.FinCategory(real.objects, arrows, identity, table).arrows
         assert cat.objects == tuple(sorted(real.objects))
+
+
+# poset categories
+
+
+def test_poset_category_matches_the_closure_oracle():
+    rng = random.Random(20261020)
+    built = refused = 0
+    for trial in range(300):
+        n = rng.randint(0, 6)
+        els = [f"e{i}" for i in rng.sample(range(10), n)]
+        # pairs up a random order, then maybe a pair back down it or an
+        # element not in the list
+        le = [(a, b) for i, a in enumerate(els) for b in els[i:] if rng.random() < 0.3]
+        if els and trial % 3 == 1:
+            le.append((rng.choice(els), rng.choice(els)))
+        if trial % 7 == 2:
+            le.insert(rng.randint(0, len(le)), (rng.choice(els + ["x"]), "y"))
+        rng.shuffle(le)
+        try:
+            want = oracles.poset_category_oracle(els, le)
+        except DomainError:
+            with pytest.raises(DomainError):
+                ct.poset_category(els, le)
+            refused += 1
+            continue
+        got = ct.poset_category(els, le)
+        assert got.objects == want.objects
+        assert got.arrows == want.arrows
+        assert got.identity == want.identity
+        assert got.table == want.table
+        built += 1
+    assert built > 150 and refused > 40
+
+
+POSET_ERRORS_AND_ORDINAL = """
+from dihom import catho
+from dihom.errors import DomainError
+
+for pairs in ([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"), ("b", "c")],
+              [("a", "x"), ("y", "a")]):
+    try:
+        catho.poset_category(["a", "b", "c", "d"], pairs)
+    except DomainError as exc:
+        print(exc)
+print(catho.format_category(catho.ordinal(4)), end="")
+"""
+
+
+def test_poset_category_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(ct.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", POSET_ERRORS_AND_ORDINAL], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    [out] = outputs
+    assert out.startswith(
+        "not a poset: a and b are equivalent\nrelation mentions unknown element x\n"
+    )

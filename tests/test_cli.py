@@ -553,6 +553,24 @@ def test_monoid_table_past_the_class_cap_exits_one(workdir):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["hom", "x.scene", "--from", "v0_0", "--to", "v0_0", "--max-len", "-1"],
+    ["classes", "x.scene", "--max-len", "-1"],
+    ["cat", "realize", "interval.pres", "--bound", "-1"],
+])
+def test_negative_length_bound_exits_one(workdir, argv):
+    code, out, err = invoke([str(workdir / a) if "." in a else a for a in argv])
+    assert (code, out, err) == (1, "", "error: length bound -1 is negative\n")
+
+
+def test_scene_past_the_lattice_point_cap_exits_one(tmp_path):
+    big = tmp_path / "big.scene"
+    big.write_text("grid 100000 100000\nsource 0 0\ntarget 1 1\n")
+    code, out, err = invoke(["classes", str(big)])
+    assert (code, out) == (1, "")
+    assert err == "error: scene has 10000200001 lattice points (guard 1000000)\n"
+
+
 # a fresh interpreter: this one has already imported every dihom module
 LOADED_MODULES = (
     "import sys; sys.path.insert(0, sys.argv[1]); from dihom.cli import main; "

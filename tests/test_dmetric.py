@@ -75,11 +75,14 @@ def test_product_distance_is_max_everywhere():
 
 
 def test_sum_has_infinite_cross_distances():
-    sm = dm.disjoint_sum(two_chain(), two_chain())
+    chain = two_chain()
+    sm = dm.disjoint_sum(chain, two_chain(), chain)  # summands told apart by place
     assert dm.validate(sm) == []
     assert sm.d("0:a", "1:a") == dm.INF
     assert sm.d("1:b", "0:a") == dm.INF
+    assert sm.d("0:a", "2:a") == sm.d("2:b", "0:b") == dm.INF
     assert sm.d("0:a", "0:b") == F(1)
+    assert sm.dist[4][5] is chain.dist[0][1]  # entries are not copied
 
 
 def test_quotient_by_equality_is_isometric_copy():

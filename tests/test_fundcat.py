@@ -12,7 +12,13 @@ from dihom.errors import (
     InvalidComplexError,
     UnboundedEnumerationError,
 )
-from oracles import bfs_dipaths, enumerate_dipaths_oracle, scene_path_classes, swap_partition
+from oracles import (
+    bfs_dipaths,
+    enumerate_dipaths_oracle,
+    has_no_cycle_oracle,
+    scene_path_classes,
+    swap_partition,
+)
 
 
 def scene_complex(text):
@@ -66,6 +72,28 @@ def test_ordered_circle_is_acyclic():
     assert fc.is_acyclic(pc.model("ordered_circle"))
 
 
+def test_acyclic_matches_the_depth_first_oracle():
+    rng = random.Random(20261021)
+    seen = set()
+    for trial in range(400):
+        objects = [f"o{i}" for i in range(rng.randint(0, 7))]
+        generators = {}
+        if objects:
+            # mostly up the object order, so that both verdicts are common;
+            # repeated pairs make parallel edges, unused objects stay isolated
+            for g in range(rng.randint(0, 10)):
+                i, j = sorted(rng.randrange(len(objects)) for _ in range(2))
+                if rng.random() < 0.1:
+                    i, j = j, i
+                if i == j and rng.random() < 0.7:
+                    continue
+                generators[f"g{g}"] = (objects[i], objects[j])
+        want = has_no_cycle_oracle(objects, generators)
+        assert fc._SwapEngine(objects, generators, ()).acyclic == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
 # enumeration
 
 def test_full_2x2_has_six_paths():
@@ -88,6 +116,16 @@ def test_unreachable_pair_gives_empty():
 def test_unbounded_on_cyclic_is_refused():
     with pytest.raises(UnboundedEnumerationError):
         fc.enumerate_dipaths(pc.model("directed_circle"), "*", "*")
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: fc.hom_classes(k, "*", "*", -1),
+    lambda k: fc.enumerate_dipaths(k, "*", "*", -1),
+    lambda k: fc.is_one_simple(k, -2),
+])
+def test_negative_length_bound_is_refused(call):
+    with pytest.raises(DomainError, match="length bound -[12] is negative"):
+        call(pc.model("directed_circle"))
 
 
 def test_enumeration_cap_is_enforced():

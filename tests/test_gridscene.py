@@ -6,7 +6,7 @@ from dihom import dot
 from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
-from dihom.errors import InputSyntaxError
+from dihom.errors import InputSyntaxError, SizeGuardError
 from oracles import (
     closed_cell_meets_open_box,
     edge_east_ok,
@@ -253,3 +253,9 @@ def test_scene_labels_are_built_on_first_read():
     assert k.label(1, "e0_1") == "(0,1)->(1,1)"
     assert k._labels is not None
     assert dict(pc.opposite(k).labels) == dict(k.labels) == eager_labels(3, 2, [(1, 0, 2, 1)])
+
+
+def test_scene_past_the_lattice_point_cap_is_refused():
+    scene = gs.make_scene(1000, 1000, [], (0, 0), (1, 1))
+    with pytest.raises(SizeGuardError, match="1002001 lattice points"):
+        gs.to_precubical(scene)
