@@ -22,8 +22,9 @@ computations: pushouts of generators-and-relations presentations along
 morphisms, and their realization as explicit categories (full when the
 generator graph is acyclic, length-truncated otherwise).  Realization
 builds the classes of generator words one length at a time with the class
-engine of :mod:`dihom.fundcat` when every relation preserves length, and
-lists words only for length-changing relations.
+engine of :mod:`dihom.fundcat`; length-changing relations are first made
+length-preserving by cutting each generator into one piece per unit of
+height it climbs, which needs an acyclic presentation.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .fundcat import (
     CatPresentation,
     _reach,
     _SwapEngine,
-    _walk,
     validate_presentation,
 )
 
@@ -209,10 +209,10 @@ def discrete_category(names):
 def poset_category(elements, le_pairs):
     """Category of a poset: one arrow per related pair.
 
-    ``le_pairs`` is closed reflexively and transitively; antisymmetry is
-    required.
+    Elements and pairs are taken as strings; ``le_pairs`` is closed
+    reflexively and transitively; antisymmetry is required.
     """
-    els = sorted(set(elements))
+    els = sorted(set(map(str, elements)))
     index = {x: i for i, x in enumerate(els)}
     above = [[] for _ in els]
     for a, b in le_pairs:
@@ -1075,27 +1075,32 @@ def _arrow_name(start, word):
 
 def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
     """Hom-sets of a presented category, fully if the generator graph is
-    acyclic, else for words up to ``bound``.
-
-    With length-preserving relations the classes are built one word length
-    at a time by the class engine of :mod:`dihom.fundcat`, and
-    ``max_words`` caps the classes built per source object; with
-    length-changing relations (acyclic presentations only) every word is
-    listed and ``max_words`` caps the words.  ``truncated`` is set when a
+    acyclic, else for words up to ``bound``; ``truncated`` is set when a
     bound was given and some word of that length can still be extended.
+
+    The class engine of :mod:`dihom.fundcat` builds the classes one word
+    length at a time, at most ``max_words`` per source object.  With
+    length-changing relations (acyclic only, bound at least the longest
+    generator word) it runs on :func:`_subdivided` generators, and the
+    chains' inner classes count towards the cap.
     """
+    if bound is not None and bound < 0:
+        raise DomainError(f"length bound {bound} is negative")
     bad = validate_presentation(pres)
     if bad:
         raise DomainError("invalid presentation: " + "; ".join(bad[:5]))
-    lp = _length_preserving(pres)
-    engine = _SwapEngine(pres.objects, pres.generators, pres.relations if lp else ())
-    acyclic = engine.acyclic
-    if bound is None and not acyclic:
+    engine = _SwapEngine(pres.objects, pres.generators, pres.relations)
+    heights = engine.heights
+    if bound is None and heights is None:
         raise DomainError("cyclic presentation needs a length bound")
-    if not lp:
-        if not acyclic:
+    chains = {g: (g,) for g in pres.generators}
+    whole = tuple  # the identity on the representatives, which are tuples
+    if not _length_preserving(pres):
+        if heights is None or bound is not None and bound < max(heights):
             raise DomainError("length-changing relation in truncated mode")
-        return _realize_words(pres, engine, bound, max_words)
+        chains, *sub = _subdivided(pres, heights)
+        engine = _SwapEngine(*sub)
+        whole = lambda pieces: tuple(g for g, k in pieces if not k)
     objects, out = pres.objects, engine.out
     found = {}
     layers_of = {}
@@ -1104,7 +1109,8 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
         layers = layers_of[x] = list(engine.layers(x, bound, max_words))
         for layer in layers:
             for y, rep in zip(layer.ends, layer.reps):
-                found.setdefault((x, objects[y]), []).append(rep)
+                if y < len(objects):  # not inside a chain
+                    found.setdefault((x, objects[y]), []).append(whole(rep))
         # the last layer is empty unless the bound cut the words off
         truncated = truncated or any(out[v] for v in layers[-1].ends)
     homs = {xy: tuple(sorted(reps)) for xy, reps in sorted(found.items())}
@@ -1113,56 +1119,39 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
         layers = layers_of.get(start)
         if layers is None:
             raise DomainError(f"unknown object {start}")
-        cls = 0
-        for i, g in enumerate(word):
-            if i + 1 == len(layers):
+        cls = depth = 0
+        for g in word:
+            if depth + 1 == len(layers):
                 raise DomainError(f"word longer than the bound {bound}")
-            layer = layers[i]
-            if g not in engine.pos or pres.gen_src(g) != objects[layer.ends[cls]]:
+            if g not in chains or engine.index[pres.gen_src(g)] != layers[depth].ends[cls]:
                 raise DomainError(f"word not composable at generator {g}")
-            cls = layer.step[layer.offsets[cls] + engine.pos[g]]
-        return layers[len(word)].reps[cls]
+            for piece in chains[g]:
+                layer = layers[depth]
+                cls = layer.step[layer.offsets[cls] + engine.pos[piece]]
+                depth += 1
+        return whole(layers[depth].reps[cls])
 
     return Realization(pres, bound, truncated, homs, class_of)
 
 
-def _realize_words(pres, engine, bound, max_words):
-    """Realization by listing every word (up to ``bound``) and joining
-    words one relation substitution apart: the path for length-changing
-    relations, and the reference the engine path is tested against."""
-    objects, out = pres.objects, engine.out
-    words = {}  # (x, y) -> list of words, lexicographic
-    total = 0
-    truncated = False
-    for i, x in enumerate(objects):
-        for word, at in _walk(engine, i, bound):
-            words.setdefault((x, objects[at]), []).append(tuple(word))
-            total += 1
-            if total > max_words:
-                raise EnumerationLimitError(f"more than {max_words} words enumerated")
-            if len(word) == bound and out[at]:
-                truncated = True
-    homs = {}
-    canonical = {}
-    for (x, y), ws in sorted(words.items()):
-        index = {w: i for i, w in enumerate(ws)}
-        uf = _UnionFind(len(ws))
-        for i, w in enumerate(ws):
-            for w2 in _rewrites(pres.relations, w):
-                j = index.get(w2)
-                if j is not None:
-                    uf.union(i, j)
-        roots = [uf.find(i) for i in range(len(ws))]
-        homs[(x, y)] = tuple(ws[r] for r in sorted(set(roots)))
-        for w, r in zip(ws, roots):
-            canonical[(x, w)] = ws[r]
-
-    def class_of(start, word):
-        if (start, word) not in canonical:
-            raise DomainError(f"no word {';'.join(word)} out of {start} here")
-        return canonical[(start, word)]
-
-    return Realization(pres, bound, truncated, homs, class_of)
+def _subdivided(pres, heights):
+    """(chains, objects, generators, relations): ``pres`` with generator g
+    cut into pieces (g, 0), (g, 1), ... through new objects (g, 1), ..., one
+    per unit of height (by object number) it climbs.  A word x -> y then has
+    h(y) - h(x) pieces, so relations preserve length.  Classes between the
+    given objects are unchanged, as inner objects have one piece in and one
+    out, and so are least members: parallel words of an acyclic graph first
+    differ at two generators out of one object, ordered as their first pieces.
+    """
+    height = dict(zip(pres.objects, heights))
+    objects, gens, chains = list(pres.objects), {}, {}
+    for g, (s, t) in pres.generators.items():
+        chain = chains[g] = tuple((g, k) for k in range(height[t] - height[s]))
+        stops = [s, *chain[1:], t]
+        objects += chain[1:]
+        gens.update(zip(chain, zip(stops, stops[1:])))
+    relations = [tuple(tuple(p for g in w for p in chains[g]) for w in r) for r in pres.relations]
+    return chains, objects, gens, relations
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,8 @@ def _cmd_metric(args, out):
 
 def _cmd_export_dot(args, out):
     from . import dot
+    if args.max_len is not None and args.max_len < 0:
+        raise DomainError(f"length bound {args.max_len} is negative")
     text = _read(args.input)
     kind = _sniff(text)
     if kind == "object":

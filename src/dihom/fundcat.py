@@ -217,7 +217,7 @@ def _engine_of(k):
 
 def is_acyclic(complex_):
     """True iff edge reachability has no nontrivial cycle (self-loops count)."""
-    return _engine_of(require_valid(complex_)).acyclic
+    return _engine_of(require_valid(complex_)).heights is not None
 
 
 def _require_walkable(complex_, vertices, max_len):
@@ -227,7 +227,7 @@ def _require_walkable(complex_, vertices, max_len):
     for v in vertices:
         if v not in engine.index:
             raise DomainError(f"unknown vertex {v}")
-    if max_len is None and not engine.acyclic:
+    if max_len is None and engine.heights is None:
         raise UnboundedEnumerationError(
             "unbounded enumeration on cyclic complex; pass a length bound"
         )
@@ -343,21 +343,27 @@ class _SwapEngine:
         self.depth = max(self.relations, default=1)
 
     @cached_property
-    def acyclic(self):
-        """Whether the generator graph has no cycle (self-loops count), by
-        Kahn's algorithm on first read: an object on a cycle is never freed."""
+    def heights(self):
+        """Per object number, the length of the longest generator word into
+        it; None if the generator graph has a cycle (self-loops count).  By
+        Kahn's algorithm: an object is freed after all its predecessors, and
+        never if it is on a cycle."""
         targets = self.targets
         into = [0] * len(targets)  # in-generators not yet removed
         for ts in targets:
             for w in ts:
                 into[w] += 1
+        heights = [0] * len(targets)
         free = [v for v, n in enumerate(into) if not n]
         for v in free:  # the list grows while it is read
+            h = heights[v] + 1
             for w in targets[v]:
+                if heights[w] < h:
+                    heights[w] = h
                 into[w] -= 1
                 if not into[w]:
                     free.append(w)
-        return len(free) == len(targets)
+        return heights if len(free) == len(targets) else None
 
     def layers(self, source, max_len, max_classes):
         """Yield the _Layer of each length 0, 1, ... up to ``max_len``, or
@@ -579,7 +585,7 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     """
     k = require_valid(complex_)
     engine = _engine_of(k)
-    acyclic = engine.acyclic
+    acyclic = engine.heights is not None
     if max_len is None and not acyclic:
         raise UnboundedEnumerationError(
             "one-simplicity on a cyclic complex needs a length bound"

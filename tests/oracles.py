@@ -13,9 +13,25 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
-from dihom.catho import FinCategory, FunctorMap, NatTransf, compose_functors, identity_functor
+from dihom.catho import (
+    MAX_WORDS,
+    FinCategory,
+    FunctorMap,
+    NatTransf,
+    Realization,
+    _rewrites,
+    compose_functors,
+    identity_functor,
+)
 from dihom.errors import DomainError, EnumerationLimitError
-from dihom.fundcat import DEFAULT_MAX_PATHS, DiPath, _require_walkable, _UnionFind
+from dihom.fundcat import (
+    DEFAULT_MAX_PATHS,
+    DiPath,
+    _require_walkable,
+    _SwapEngine,
+    _UnionFind,
+    _walk,
+)
 
 INF = math.inf
 
@@ -590,6 +606,47 @@ def to_fincategory_oracle(real):
                     w = real.class_of(x, w1 + w2)
                     table[(name(x, w1), name(y, w2))] = name(x, w)
     return arrows, identity, table
+
+
+def realize_words_oracle(pres, bound, max_words=MAX_WORDS):
+    """``realize_presentation`` as it was for length-changing relations:
+    list every word (up to ``bound``) and join words one relation
+    substitution apart.  Exact with no bound; a bound can split a class
+    whose members are joined only through longer words."""
+    engine = _SwapEngine(pres.objects, pres.generators, ())
+    objects, out = pres.objects, engine.out
+    words = {}  # (x, y) -> list of words, lexicographic
+    total = 0
+    truncated = False
+    for i, x in enumerate(objects):
+        for word, at in _walk(engine, i, bound):
+            words.setdefault((x, objects[at]), []).append(tuple(word))
+            total += 1
+            if total > max_words:
+                raise EnumerationLimitError(f"more than {max_words} words enumerated")
+            if len(word) == bound and out[at]:
+                truncated = True
+    homs = {}
+    canonical = {}
+    for (x, y), ws in sorted(words.items()):
+        index = {w: i for i, w in enumerate(ws)}
+        uf = _UnionFind(len(ws))
+        for i, w in enumerate(ws):
+            for w2 in _rewrites(pres.relations, w):
+                j = index.get(w2)
+                if j is not None:
+                    uf.union(i, j)
+        roots = [uf.find(i) for i in range(len(ws))]
+        homs[(x, y)] = tuple(ws[r] for r in sorted(set(roots)))
+        for w, r in zip(ws, roots):
+            canonical[(x, w)] = ws[r]
+
+    def class_of(start, word):
+        if (start, word) not in canonical:
+            raise DomainError(f"no word {';'.join(word)} out of {start} here")
+        return canonical[(start, word)]
+
+    return Realization(pres, bound, truncated, homs, class_of)
 
 
 # ---------------------------------------------------------------------------

@@ -777,7 +777,7 @@ def test_acyclic_bound_completeness_flag():
 
 @pytest.mark.parametrize("relations", [(), ((("a", "b"), ("c",)),)])
 def test_realize_refuses_a_negative_bound(relations):
-    # with a length-changing relation the words are listed, not classed
+    # refused before the length-changing relation is looked at
     pres = fc.CatPresentation(
         ("0", "1", "2"), {"a": ("0", "1"), "b": ("1", "2"), "c": ("0", "2")}, relations
     )
@@ -826,8 +826,7 @@ def test_realize_engine_matches_the_word_path_on_random_presentations():
         pres = _random_presentation(rng, acyclic)
         bound = None if acyclic and rng.random() < 0.5 else rng.randint(0, 4)
         real = ct.realize_presentation(pres, bound)
-        engine = fc._SwapEngine(pres.objects, pres.generators, ())
-        listed = ct._realize_words(pres, engine, bound, ct.MAX_WORDS)
+        listed = oracles.realize_words_oracle(pres, bound)
         assert real.homs == listed.homs
         assert real.truncated == listed.truncated
         longest = len(pres.objects) if bound is None else bound
@@ -845,6 +844,95 @@ def test_realize_engine_matches_the_word_path_on_random_presentations():
                     r.class_of(start, word)
         if not real.truncated:
             assert ct.validate_category(real.to_fincategory()) == []
+
+
+def _length_changing_presentation(rng):
+    """Seeded random acyclic presentation whose 1-4 relations join parallel
+    words of lengths 1-4, at least one pair of different lengths; None when
+    the draw has no such pair."""
+    n = rng.randint(2, 5)
+    objects = tuple(f"o{i}" for i in range(n))
+    gens = {}
+    for i in range(rng.randint(1, 6)):
+        s = rng.randrange(n - 1)
+        gens[f"g{i}"] = (objects[s], objects[rng.randint(s + 1, n - 1)])
+    free = fc.CatPresentation(objects, gens, ())
+    parallel = {}  # (src, tgt) -> nonempty words of length <= 4
+    for x in objects:
+        for word, at in _words_out_of(free, x, 4):
+            if word:
+                parallel.setdefault((x, at), []).append(word)
+    groups = [ws for ws in parallel.values() if len(ws) > 1]
+    relations = [tuple(rng.sample(rng.choice(groups), 2)) for _ in range(rng.randint(1, 4))
+                 if groups]
+    if all(len(u) == len(v) for u, v in relations):
+        return None
+    return fc.CatPresentation(objects, gens, tuple(relations))
+
+
+def test_realize_matches_the_word_oracle_with_length_changing_relations():
+    rng = random.Random(20261019)
+    trials = 0
+    while trials < 500:
+        pres = _length_changing_presentation(rng)
+        if pres is None:
+            continue
+        trials += 1
+        real = ct.realize_presentation(pres)
+        listed = oracles.realize_words_oracle(pres, None)
+        assert real.homs == listed.homs
+        assert not real.truncated and not listed.truncated
+        words = {x: list(_words_out_of(pres, x, len(pres.objects))) for x in pres.objects}
+        longest = max(len(w) for ws in words.values() for w, _at in ws)
+        at_longest = ct.realize_presentation(pres, longest)
+        assert (at_longest.homs, at_longest.truncated) == (real.homs, False)
+        assert ct.realize_presentation(pres, longest + 1).homs == real.homs
+        for x, ws in words.items():
+            for word, _at in ws:
+                want = listed.class_of(x, word)
+                assert real.class_of(x, word) == at_longest.class_of(x, word) == want
+        for start, word in ((pres.objects[0], ("nope",)), ("nowhere", ())):
+            with pytest.raises(DomainError):
+                real.class_of(start, word)
+        assert ct.validate_category(real.to_fincategory()) == []
+        with pytest.raises(DomainError, match="^length-changing relation in truncated mode$"):
+            ct.realize_presentation(pres, longest - 1)
+        with pytest.raises(DomainError, match="^length bound -1 is negative$"):
+            ct.realize_presentation(pres, -1)
+
+
+def three_routes():
+    """0 -> 2 by pq, rs and xyz, with pq = xyz and rs = xyz: one arrow,
+    though pq and rs are joined only through the longer word xyz."""
+    gens = {"p": ("0", "1"), "q": ("1", "2"), "r": ("0", "b"), "s": ("b", "2"),
+            "x": ("0", "m"), "y": ("m", "n"), "z": ("n", "2")}
+    relations = ((("p", "q"), ("x", "y", "z")), (("r", "s"), ("x", "y", "z")))
+    return fc.CatPresentation(("0", "1", "2", "b", "m", "n"), gens, relations)
+
+
+def test_three_routes_are_one_arrow_and_a_short_bound_is_refused():
+    for bound in (None, 3):
+        real = ct.realize_presentation(three_routes(), bound)
+        assert real.homs[("0", "2")] == (("p", "q"),)
+        assert real.class_of("0", ("r", "s")) == ("p", "q")
+    with pytest.raises(DomainError, match="^length-changing relation in truncated mode$"):
+        ct.realize_presentation(three_routes(), 2)
+
+
+def test_grid_with_a_diagonal_generator_matches_the_complex_classes():
+    # d = e0_0;n1_0 changes length; listing the words would take minutes
+    k = gs.to_precubical(gs.make_scene(8, 8, [(3, 3, 4, 4)], (0, 0), (8, 8)))
+    grid = fc.presentation_of(k)
+    pres = fc.CatPresentation(
+        grid.objects,
+        {**grid.generators, "d": ("v0_0", "v1_1")},
+        grid.relations + ((("d",), ("e0_0", "n1_0")),),
+    )
+    real = ct.realize_presentation(pres)
+    assert not real.truncated
+    for y in k.vertices:
+        assert real.hom_count("v0_0", y) == fc.hom_classes(k, "v0_0", y).count
+    assert real.class_of("v0_0", ("e0_0", "n1_0")) == ("d",)
 
 
 # pushout universal property oracle
@@ -1120,6 +1208,12 @@ def test_poset_category_matches_the_closure_oracle():
         assert got.table == want.table
         built += 1
     assert built > 150 and refused > 40
+
+
+def test_poset_category_takes_elements_as_strings():
+    chain = ct.poset_category([1, 2], [(1, 2)])
+    assert chain.objects == ("1", "2")
+    assert ct.format_category(chain) == ct.format_category(ct.poset_category(["1", "2"], [("1", "2")]))
 
 
 POSET_ERRORS_AND_ORDINAL = """

@@ -89,7 +89,7 @@ def test_acyclic_matches_the_depth_first_oracle():
                     continue
                 generators[f"g{g}"] = (objects[i], objects[j])
         want = has_no_cycle_oracle(objects, generators)
-        assert fc._SwapEngine(objects, generators, ()).acyclic == want
+        assert (fc._SwapEngine(objects, generators, ()).heights is not None) == want
         seen.add(want)
     assert seen == {True, False}
 
