@@ -923,7 +923,8 @@ def _word_swap_class(pres, word, max_words=MAX_WORDS):
 
 def check_presentation_morphism(morph):
     """Violations list: totality, endpoint preservation, relation preservation
-    (decided by swap closure when the target's relations preserve length)."""
+    (decided by swap closure when the target's relations preserve length,
+    else on the realized target; undecided when that target is cyclic)."""
     out = []
     src, tgt = morph.source, morph.target
     out.extend(f"source: {v}" for v in validate_presentation(src))
@@ -949,16 +950,26 @@ def check_presentation_morphism(morph):
     if out:
         return out
     lp = _length_preserving(tgt)
+    cyclic = not lp and _SwapEngine(tgt.objects, tgt.generators, tgt.relations).heights is None
+    real = None  # the realized target, built for the first relation that needs it
     for i, (u, v) in enumerate(src.relations):
         wu, wv = morph.word(u), morph.word(v)
         if wu == wv:
             continue
-        if not lp:
+        if cyclic:
             out.append(
                 f"relation {i}: preservation undecided "
-                "(target has length-changing relations)"
+                "(target is cyclic and has length-changing relations)"
             )
-        elif wv not in _word_swap_class(tgt, wu):
+            continue
+        if lp:
+            same = wv in _word_swap_class(tgt, wu)
+        else:
+            if real is None:
+                real = realize_presentation(tgt)
+            start = tgt.gen_src(wu[0])
+            same = real.class_of(start, wu) == real.class_of(start, wv)
+        if not same:
             out.append(f"relation {i}: image words are not equivalent in the target")
     return out
 
@@ -1152,51 +1163,6 @@ def _subdivided(pres, heights):
         gens.update(zip(chain, zip(stops, stops[1:])))
     relations = [tuple(tuple(p for g in w for p in chains[g]) for w in r) for r in pres.relations]
     return chains, objects, gens, relations
-
-
-# ---------------------------------------------------------------------------
-# random instances for property testing
-
-
-def random_category(rng, max_objects=4):
-    """Seeded random small category: a random poset or a random monoid
-    table (rejection-sampled for associativity, with a cyclic-group
-    fallback)."""
-    if rng.random() < 0.6:
-        n = rng.randint(1, max_objects)
-        els = [f"o{i}" for i in range(n)]
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.5:
-                    pairs.append((els[i], els[j]))
-        return poset_category(els, pairs)
-    n = rng.randint(1, 3)
-    els = [f"m{i}" for i in range(n)]
-    unit = els[0]
-    for _attempt in range(200):
-        mul = {}
-        for a in els:
-            for b in els:
-                if a == unit:
-                    mul[(a, b)] = b
-                elif b == unit:
-                    mul[(a, b)] = a
-                else:
-                    mul[(a, b)] = els[rng.randrange(n)]
-        if _associative(els, mul):
-            return monoid_category(els, unit, mul)
-    mul = {(els[i], els[j]): els[(i + j) % n] for i in range(n) for j in range(n)}
-    return monoid_category(els, unit, mul)
-
-
-def _associative(els, mul):
-    for a in els:
-        for b in els:
-            for c in els:
-                if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,13 @@ def _square_relations(k):
 
 def _engine_of(k):
     """The class engine of a validated complex (vertices, edges, squares),
-    built on the first call and kept on the complex."""
+    built on the first call and kept on the complex; a compiled scene hands
+    over the engine's arrays instead (:func:`dihom.gridscene.to_precubical`)."""
     if k._engine is None:
-        k._engine = _SwapEngine(k.vertices, k._edges, _square_relations(k))
+        if k._make_engine is None:
+            k._engine = _SwapEngine(k.vertices, k._edges, _square_relations(k))
+        else:
+            k._engine = _SwapEngine._compiled(*k._make_engine())
     return k._engine
 
 
@@ -341,6 +345,18 @@ class _SwapEngine:
                 starts = self.relations[len(u)] = [[] for _ in objects]
             starts[index[generators[u[0]][0]]].append([pos[g] for g in u + v])
         self.depth = max(self.relations, default=1)
+
+    @classmethod
+    def _compiled(cls, index, out, targets, pos, relations, heights):
+        """An engine from arrays laid out as ``__init__`` lays them out, and
+        the ``heights`` of an acyclic generator graph; nothing is sorted,
+        looked up or checked."""
+        engine = object.__new__(cls)
+        engine.index, engine.out, engine.targets, engine.pos = index, out, targets, pos
+        engine.relations = relations
+        engine.depth = max(relations, default=1)
+        engine.heights = heights  # kept in place of the cached Kahn pass
+        return engine
 
     @cached_property
     def heights(self):

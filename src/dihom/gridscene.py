@@ -4,10 +4,12 @@ A scene is a W x H rectangle carrying the componentwise product order, a
 list of open rectangular holes, and two marked lattice points (source and
 target).  Scenes compile to pre-cubical sets whose cells are the unit
 vertices/edges/squares of the grid; a cell survives iff its closed carrier
-misses every open box, so hole shorelines stay traversable.  A cell's
-label is its coordinates; a compiled scene builds its labels on the first
-label read (``label``, ``labels``, ``cells``), since most queries never
-read one.
+misses every open box, so hole shorelines stay traversable.  A compiled
+scene is valid and acyclic by construction: it keeps an empty
+``validate`` verdict, and its class engine gets its arrays and heights
+read off the lattice, unchecked.  A cell's label is its coordinates; the
+labels and the edge and square dicts are built on first read, since the
+class queries never read them.
 
 Data given in the 45-degree "cone" order (both diagonals bound the slope)
 converts to this product order via :func:`cone_to_product_coords`.
@@ -195,11 +197,14 @@ def to_precubical(scene):
     east edges on its bottom/top side, so the square relates
     east-then-north with north-then-east between its extreme corners.
 
-    Every id string is made once, and the cells go to the complex already
-    in id order, unchecked: the ids of all kinds sort the way the vertex
-    ids do, east edges before north edges.  The labels are built on the
-    first label read.  A scene of more than ``MAX_LATTICE_POINTS`` lattice
-    points raises :class:`SizeGuardError` before anything is built.
+    Every id string is made once, and the complex is valid by construction,
+    so it keeps an empty :func:`~dihom.precubical.validate` verdict and gets
+    its cells unchecked, already in id order: the ids of all kinds sort the
+    way the vertex ids do, east edges before north edges.  The edge and
+    square dicts, the labels and the arrays of the class engine
+    (:func:`_scene_engine`) are each built on first use.  A scene of more
+    than ``MAX_LATTICE_POINTS`` lattice points raises
+    :class:`SizeGuardError` before anything is built.
     """
     points = (scene.width + 1) * (scene.height + 1)
     if points > MAX_LATTICE_POINTS:
@@ -212,17 +217,67 @@ def to_precubical(scene):
     eid = [east_edge_id(x, y) for x, y in lattice]
     nid = [north_edge_id(x, y) for x, y in lattice]
     order = sorted(range(len(lattice)), key=vid.__getitem__)
-    verts = tuple(vid[i] for i in order if not blocked_verts[i])
-    edges = {eid[i]: (vid[i], vid[i + stride]) for i in order if not blocked_east[i]}
-    edges.update((nid[i], (vid[i], vid[i + 1])) for i in order if not blocked_north[i])
-    squares = {
-        square_id(*lattice[i]): (nid[i], nid[i + stride], eid[i], eid[i + 1])
-        for i in order
-        if not blocked_squares[i]
-    }
+    kept = [i for i in order if not blocked_verts[i]]
+
+    def cells():
+        edges = {eid[i]: (vid[i], vid[i + stride]) for i in order if not blocked_east[i]}
+        edges.update((nid[i], (vid[i], vid[i + 1])) for i in order if not blocked_north[i])
+        squares = {
+            square_id(*lattice[i]): (nid[i], nid[i + stride], eid[i], eid[i + 1])
+            for i in order
+            if not blocked_squares[i]
+        }
+        return edges, squares
+
     return PreCubicalSet._trusted(
-        verts, edges, squares, lambda: _scene_labels(lattice, blocked)
+        tuple(vid[i] for i in kept),
+        cells,
+        lambda: _scene_labels(lattice, blocked),
+        lambda: _scene_engine(stride, blocked, kept, vid, eid, nid),
     )
+
+
+def _scene_engine(stride, blocked, kept, vid, eid, nid):
+    """The arrays of a compiled scene's class engine, read off the lattice
+    indices: ``(index, out, targets, pos, relations, heights)`` as
+    ``dihom.fundcat._SwapEngine`` lays them out for the complex, with
+    vertices numbered in ``kept`` (id) order.  A vertex lists its east edge
+    before its north edge, which is id order, and starts the relation of
+    at most one square, the one at its own corner.  ``heights[v]`` is the
+    length of the longest dipath into v; a box can leave a vertex without
+    in-edges, so it is not x + y."""
+    _, blocked_east, blocked_north, blocked_squares = blocked
+    number, index = [0] * len(vid), {}  # lattice index, vertex id -> number
+    for n, i in enumerate(kept):
+        number[i] = index[vid[i]] = n
+    out, targets, starts, pos = [], [], [], {}
+    for i in kept:
+        gens, ends = [], []
+        if not blocked_east[i]:
+            pos[eid[i]] = 0
+            gens.append(eid[i])
+            ends.append(number[i + stride])
+        if not blocked_north[i]:
+            pos[nid[i]] = len(gens)
+            gens.append(nid[i])
+            ends.append(number[i + 1])
+        out.append(gens)
+        targets.append(ends)
+        # (d2m d1p) = (d1m d2p) as positions: east then north, north then
+        # east; the north edge on the right side follows its vertex's east
+        # edge, if that is kept
+        starts.append([] if blocked_squares[i] else [[0, 1 - blocked_east[i + stride], 1, 0]])
+    relations = {2: starts} if 0 in blocked_squares else {}
+    # x-major index order visits the west and south ends of a point's
+    # in-edges before the point; the flags block every edge off the grid
+    height = [0] * len(vid)
+    for i, h in enumerate(height):
+        h += 1
+        if not blocked_east[i] and height[i + stride] < h:
+            height[i + stride] = h
+        if not blocked_north[i] and height[i + 1] < h:
+            height[i + 1] = h
+    return index, out, targets, pos, relations, [height[i] for i in kept]
 
 
 # dimension, id and label template of each cell kind, in _blocked_cells order

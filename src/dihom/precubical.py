@@ -28,14 +28,17 @@ What is derived from a complex is computed once and kept on it: the
 verdict of :func:`validate` (each call returns a new list of the kept
 violations), and the integer-indexed class engine that
 :mod:`dihom.fundcat` builds on first use, with its acyclicity verdict.
-Labels may be given as a function, called on the first label read; scenes
-compile that way (:func:`dihom.gridscene.to_precubical`).
+A compiled scene (:func:`dihom.gridscene.to_precubical`) is valid by
+construction, so it starts with an empty verdict, and it hands over the
+engine's arrays; its edge and square dicts and its labels are functions,
+called on the first read, which the class queries never make.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import DomainError, InputSyntaxError, InvalidComplexError, directives
@@ -92,33 +95,47 @@ class PreCubicalSet:
         for w, faces in squares.items():
             if len(faces) != 4:
                 raise DomainError(f"square {w}: expected 4 faces")
-        self._set_cells(
-            vs,
-            {e: (str(s), str(t)) for e, (s, t) in sorted(es.items())},
-            squares,
-            dict(labels) if labels else {},
-        )
+        self._set_fields(vs, dict(labels) if labels else {}, None)
+        self._edges = {e: (str(s), str(t)) for e, (s, t) in sorted(es.items())}
+        self._squares = squares
 
     @classmethod
-    def _trusted(cls, vertices, edges, squares, make_labels):
-        """A complex from cells known to be well formed: ``vertices`` a
-        sorted tuple of unique id strings, ``edges`` and ``squares`` dicts in
-        id order whose values are tuples of id strings (2 and 4 of them).
-        Nothing is checked or copied.  ``make_labels()`` returns the label
-        dict; it is called on the first label read."""
+    def _trusted(cls, vertices, make_cells, make_labels, make_engine):
+        """A valid complex from cells known to be well formed: ``vertices`` a
+        sorted tuple of unique id strings; ``make_cells()`` returns the edge
+        and square dicts, in id order, whose values are tuples of id strings
+        (2 and 4 of them).  Nothing is checked or copied, and the verdict of
+        :func:`validate` is kept as empty.  ``make_cells()`` is called on
+        the first read of either dict, ``make_labels()`` on the first label
+        read, and ``make_engine()`` by :func:`dihom.fundcat._engine_of`
+        (see ``_SwapEngine._compiled``)."""
         k = object.__new__(cls)
-        k._set_cells(vertices, edges, squares, None)
+        k._set_fields(vertices, None, make_engine)
+        k._make_cells = make_cells
         k._make_labels = make_labels
+        k._violations = ()
         return k
 
-    def _set_cells(self, vertices, edges, squares, labels):
+    def _set_fields(self, vertices, labels, make_engine):
         self._vertices = vertices
-        self._edges = edges
-        self._squares = squares
         self._labels = labels
         self._out = None  # vertex -> sorted out-edge ids, see out_edges
         self._violations = None  # tuple of Violations, see validate
         self._engine = None  # the class engine, see fundcat._engine_of
+        self._make_engine = make_engine  # its arrays, for a compiled scene
+
+    # a compiled complex builds its edge and square dicts on the first read
+    # of either, which keeps the other; __init__ sets both
+
+    @cached_property
+    def _edges(self):
+        edges, self._squares = self._make_cells()
+        return edges
+
+    @cached_property
+    def _squares(self):
+        self._edges, squares = self._make_cells()
+        return squares
 
     @property
     def vertices(self):

@@ -22,6 +22,8 @@ from dihom.catho import (
     _rewrites,
     compose_functors,
     identity_functor,
+    monoid_category,
+    poset_category,
 )
 from dihom.errors import DomainError, EnumerationLimitError
 from dihom.fundcat import (
@@ -647,6 +649,51 @@ def realize_words_oracle(pres, bound, max_words=MAX_WORDS):
         return canonical[(start, word)]
 
     return Realization(pres, bound, truncated, homs, class_of)
+
+
+# ---------------------------------------------------------------------------
+# categories: seeded random instances for property testing
+
+
+def random_category(rng, max_objects=4):
+    """Seeded random small category: a random poset or a random monoid
+    table (rejection-sampled for associativity, with a cyclic-group
+    fallback)."""
+    if rng.random() < 0.6:
+        n = rng.randint(1, max_objects)
+        els = [f"o{i}" for i in range(n)]
+        pairs = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    pairs.append((els[i], els[j]))
+        return poset_category(els, pairs)
+    n = rng.randint(1, 3)
+    els = [f"m{i}" for i in range(n)]
+    unit = els[0]
+    for _attempt in range(200):
+        mul = {}
+        for a in els:
+            for b in els:
+                if a == unit:
+                    mul[(a, b)] = b
+                elif b == unit:
+                    mul[(a, b)] = a
+                else:
+                    mul[(a, b)] = els[rng.randrange(n)]
+        if _associative(els, mul):
+            return monoid_category(els, unit, mul)
+    mul = {(els[i], els[j]): els[(i + j) % n] for i in range(n) for j in range(n)}
+    return monoid_category(els, unit, mul)
+
+
+def _associative(els, mul):
+    for a in els:
+        for b in els:
+            for c in els:
+                if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dihom import gridscene as gs
 from dihom import precubical as pc
 from oracles import (
     contractible_steps_oracle,
+    random_category,
     scene_path_classes,
     strong_contraction_objects,
 )
@@ -251,7 +252,7 @@ def test_criterion_9_category_suite():
 
     rng = random.Random(20240810)
     for _ in range(100):
-        cat = ct.random_category(rng)
+        cat = random_category(rng)
         flag, witness = ct.is_past_contractible(cat)
         oracle = strong_contraction_objects(cat)
         assert flag == bool(oracle)
@@ -261,8 +262,8 @@ def test_criterion_9_category_suite():
     rng = random.Random(424242)
     checked = 0
     while checked < 100:
-        d = ct.random_category(rng, max_objects=3)
-        c = ct.random_category(rng, max_objects=2)
+        d = random_category(rng, max_objects=3)
+        c = random_category(rng, max_objects=2)
         cancellable = ct.cancellable_arrows(d)
         functors = ct.all_functors(c, d)
         for h in functors:

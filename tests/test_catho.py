@@ -22,6 +22,7 @@ from oracles import (
     functor_search_oracle,
     is_natural,
     nat_search_oracle,
+    random_category,
     retract_step_possible,
     strong_contraction_objects,
 )
@@ -200,7 +201,7 @@ def test_point_contractible_both_ways():
 def test_initial_object_matches_strong_contraction_oracle():
     rng = random.Random(11)
     for _ in range(40):
-        cat = ct.random_category(rng)
+        cat = random_category(rng)
         flag, witness = ct.is_past_contractible(cat)
         oracle = strong_contraction_objects(cat)
         assert flag == bool(oracle)
@@ -211,7 +212,7 @@ def test_initial_object_matches_strong_contraction_oracle():
 def test_past_future_duality_under_opposite():
     rng = random.Random(12)
     for _ in range(25):
-        cat = ct.random_category(rng)
+        cat = random_category(rng)
         assert ct.is_past_contractible(cat)[0] == ct.is_future_contractible(
             ct.opposite_category(cat)
         )[0]
@@ -281,7 +282,7 @@ def test_pruned_searches_match_the_unpruned_references(monkeypatch):
     monkeypatch.setattr(oracles, "nat_search_oracle", recorded(oracles.nat_search_oracle))
     rng = random.Random(20261018)
     for _ in range(160):
-        c, d = ct.random_category(rng), ct.random_category(rng)
+        c, d = random_category(rng), random_category(rng)
         fs = ct.all_functors(c, d)
         assert _rows(fs) == _rows(functor_search_oracle(c, d, {}, {}, d.objects))
         for _ in range(3):
@@ -477,7 +478,7 @@ def test_contractible_in_steps_matches_the_chain_oracle():
     rng = random.Random(20261019)
     verdicts = set()
     for _ in range(150):
-        cat = ct.random_category(rng)
+        cat = random_category(rng)
         for n in range(4):
             got = ct.contractible_in_steps(cat, n)
             assert got == contractible_steps_oracle(cat, ct.full_subcategory, n)
@@ -586,7 +587,7 @@ def test_non_cancellable_idempotent():
 def test_cancellable_arrows_match_the_definition_on_seeded_categories():
     rng = random.Random(9)
     for _ in range(60):
-        cat = ct.random_category(rng)
+        cat = random_category(rng)
 
         def injective(hom_sets, composite):
             return all(composite(f) != composite(g)
@@ -605,8 +606,8 @@ def test_cancellable_component_lemma_on_seeded_instances():
     rng = random.Random(20240818)
     checked = 0
     while checked < 25:
-        d = ct.random_category(rng, max_objects=3)
-        c = ct.random_category(rng, max_objects=2)
+        d = random_category(rng, max_objects=3)
+        c = random_category(rng, max_objects=2)
         cancel = ct.cancellable_arrows(d)
         fs = ct.all_functors(c, d)
         for h in fs:
@@ -919,6 +920,26 @@ def test_three_routes_are_one_arrow_and_a_short_bound_is_refused():
         ct.realize_presentation(three_routes(), 2)
 
 
+def test_morphism_into_length_changing_relations_is_decided_when_acyclic():
+    pair = fc.CatPresentation(("a", "c"), {"f": ("a", "c"), "g": ("a", "c")},
+                              ((("f",), ("g",)),))
+    routes = three_routes()
+    free = fc.CatPresentation(routes.objects, {**routes.generators, "t": ("0", "2")},
+                              routes.relations)
+    looped = fc.CatPresentation(routes.objects, {**routes.generators, "l": ("2", "2")},
+                                routes.relations)
+    ends = {"a": "0", "c": "2"}
+    for target, rs, verdict in (
+        (routes, ("r", "s"), []),
+        (free, ("r", "s"), []),
+        (free, ("t",), ["relation 0: image words are not equivalent in the target"]),
+        (looped, ("r", "s"), ["relation 0: preservation undecided "
+                              "(target is cyclic and has length-changing relations)"]),
+    ):
+        morph = ct.PresentationMorphism(pair, target, ends, {"f": ("p", "q"), "g": rs})
+        assert ct.check_presentation_morphism(morph) == verdict
+
+
 def test_grid_with_a_diagonal_generator_matches_the_complex_classes():
     # d = e0_0;n1_0 changes length; listing the words would take minutes
     k = gs.to_precubical(gs.make_scene(8, 8, [(3, 3, 4, 4)], (0, 0), (8, 8)))
@@ -1044,7 +1065,7 @@ def test_functor_file_parsing():
 def test_random_categories_validate():
     rng = random.Random(5)
     for _ in range(50):
-        assert ct.validate_category(ct.random_category(rng)) == []
+        assert ct.validate_category(random_category(rng)) == []
 
 
 # randomized pasting consistency
@@ -1142,7 +1163,7 @@ def test_validate_category_matches_the_full_law_check():
     for trial in range(150):
         pick = trial % 3
         if pick == 0:
-            cat = ct.random_category(rng)
+            cat = random_category(rng)
         elif pick == 1:
             cat = random_poset(rng, rng.randint(1, 5))
         else:

@@ -592,14 +592,18 @@ def test_one_complex_builds_its_class_engine_once(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(fc, "_SwapEngine", CountingEngine)
-    k = scene_complex("grid 4 4\nbox 1 1 2 2\nbox 2 2 3 3\nsource 0 0\ntarget 4 4\n")
-    first = fc.hom_classes(k, "v0_0", "v4_4")
-    assert fc.hom_classes(k, "v0_0", "v4_4") == first
-    assert fc.is_acyclic(k)
-    fc.path_preorder(k)
-    fc.pi0(k)
-    fc.DiPath(k, "v0_0", ("e0_0",))
-    assert len(built) == 1
+    scene = scene_complex("grid 4 4\nbox 1 1 2 2\nbox 2 2 3 3\nsource 0 0\ntarget 4 4\n")
+    parsed = pc.parse_complex(pc.format_complex(scene))
+    for k, generic_builds in ((scene, 0), (parsed, 1)):
+        first = fc.hom_classes(k, "v0_0", "v4_4")
+        engine = k._engine
+        assert fc.hom_classes(k, "v0_0", "v4_4") == first
+        assert fc.is_acyclic(k)
+        fc.path_preorder(k)
+        fc.pi0(k)
+        fc.DiPath(k, "v0_0", ("e0_0",))
+        assert k._engine is engine
+        assert len(built) == generic_builds  # a scene hands over its arrays
 
 
 def test_dipath_needs_a_valid_complex():

@@ -246,6 +246,51 @@ def test_compiled_scene_equals_its_checked_rebuild():
         assert dot.complex_dot(fresh, highlight) == dot.complex_dot(public, highlight)
 
 
+# boxes that share a side, boxes that meet at a corner, a box on the border,
+# and two boxes that leave v1_1 without an in-edge (its height is 0, not 2)
+ENGINE_CASES = [
+    (4, 3, [(1, 1, 2, 2), (2, 1, 3, 2)]),
+    (4, 4, [(1, 1, 2, 2), (2, 2, 3, 3)]),
+    (3, 2, [(0, 0, 1, 2)]),
+    (2, 2, [(0, 0, 1, 2), (0, 0, 2, 1)]),
+    (1, 6, [(0, 2, 1, 3)]),
+]
+
+
+def test_compiled_engine_matches_the_generic_engine():
+    rng = random.Random(20261018)
+    scenes = ENGINE_CASES + [random_scene(rng, trial) for trial in range(600)]
+    for w, h, boxes in scenes:
+        scene = gs.GridScene(w, h, tuple(gs.Box(*b) for b in boxes), (0, 0), (w, h))
+        k = gs.to_precubical(scene)
+        compiled = fc._engine_of(k)
+        public = pc.PreCubicalSet(k.vertices, k.edges, k.squares)
+        assert pc.validate(public) == []
+        generic = fc._SwapEngine(k.vertices, k._edges, fc._square_relations(k))
+        assert compiled.index == generic.index
+        assert compiled.out == generic.out
+        assert compiled.targets == generic.targets
+        assert compiled.pos == generic.pos
+        assert compiled.relations == generic.relations
+        assert compiled.depth == generic.depth
+        assert compiled.heights == generic.heights
+    k = gs.to_precubical(gs.make_scene(2, 2, ENGINE_CASES[3][2], (0, 0), (2, 2)))
+    assert fc._engine_of(k).heights[k.vertices.index("v1_1")] == 0
+
+
+def test_scene_queries_build_no_cell_dicts():
+    k = gs.to_precubical(gs.parse_scene(HOLE_3X3))
+    fc.hom_classes(k, "v0_0", "v3_3")
+    fc.is_one_simple(k)
+    fc.path_preorder(k)
+    fc.pi0(k)
+    assert pc.validate(k) == []
+    assert "_edges" not in vars(k) and "_squares" not in vars(k)
+    assert fc.DiPath(k, "v0_0", ("e0_0", "n1_0")).end == "v1_1"
+    assert k.squares == gs.to_precubical(gs.parse_scene(HOLE_3X3)).squares
+    assert len(k.squares) == 8
+
+
 def test_scene_labels_are_built_on_first_read():
     k = gs.to_precubical(gs.make_scene(3, 2, [(1, 0, 2, 1)], (0, 0), (3, 2)))
     fc.hom_classes(k, "v0_0", "v3_2")
