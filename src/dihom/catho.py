@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ._unionfind import _UnionFind
+from ._kernels import _backtrack, _UnionFind
 from .errors import (
     DomainError,
     EnumerationLimitError,
@@ -417,33 +417,6 @@ class NatTransf:
     def __repr__(self):
         cs = ",".join(f"{x}:{a}" for x, a in sorted(self.components.items()))
         return f"NatTransf({cs})"
-
-
-def _backtrack(options, fits):
-    """Yield every choice list ``chosen`` (one list, updated in place) with
-    ``chosen[k]`` from ``options[k]``, in product order, depth-first:
-    ``fits(k, chosen)`` is asked once ``chosen[:k + 1]`` is set, and a
-    prefix it rejects is not extended."""
-    n = len(options)
-    chosen = [None] * n
-    tried = [0] * n  # options tried so far at each depth
-    k = 0
-    while k >= 0:
-        if k == n:
-            yield chosen
-            k -= 1
-            continue
-        opts = options[k]
-        while tried[k] < len(opts):
-            chosen[k] = opts[tried[k]]
-            tried[k] += 1
-            if fits(k, chosen):
-                break
-        else:
-            tried[k] = 0
-            k -= 1
-            continue
-        k += 1
 
 
 def _nat_search(f, g, fixed=None, find_all=True):

@@ -12,7 +12,7 @@ output.
 Each verb imports only the library modules it runs, at the top of its
 command function: ``pi0`` on a complex loads ``fundcat`` and ``precubical``
 but not ``catho``, ``dmetric``, ``gridscene`` or ``dot``, and the ``metric``
-verbs load ``dmetric`` and the union-find alone.  Each invocation is a fresh
+verbs load ``dmetric`` and ``_kernels`` alone.  Each invocation is a fresh
 interpreter, and on a small input importing is most of what it waits for.
 Commands call through the module objects (``fundcat.hom_classes``), never
 through names copied out of them, so a wrapper set on a module attribute

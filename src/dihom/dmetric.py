@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._unionfind import _UnionFind
-from .errors import DomainError, InputSyntaxError, directives
+from ._kernels import _backtrack, _UnionFind
+from .errors import DomainError, InputSyntaxError, SizeGuardError, directives
 
 INF = math.inf
+MAX_PRODUCT_POINTS = 1000  # a matrix of 10**6 entries, as scenes' MAX_LATTICE_POINTS
 
 
 def parse_dist(token):
@@ -118,9 +119,13 @@ def reflect(space):
 
 
 def product(*spaces):
-    """Pointwise sup of coordinate distances on tuples (the l-infinity rule)."""
+    """Pointwise sup of coordinate distances on tuples (the l-infinity rule);
+    more than ``MAX_PRODUCT_POINTS`` points raise :class:`SizeGuardError`."""
     if not spaces:
         raise DomainError("product needs at least one factor")
+    size = math.prod(len(s.points) for s in spaces)
+    if size > MAX_PRODUCT_POINTS:
+        raise SizeGuardError(f"product has {size} points (guard {MAX_PRODUCT_POINTS})")
     _, keys = _scaled(*spaces)
     top = 1 + max((v for m in keys for row in m for v in row if v is not None), default=0)
     # cells are (key, entry) with oo keyed above every finite entry; one factor
@@ -230,34 +235,28 @@ def discretized_directed_circle(n):
 
 
 def is_isometric(x, y):
-    """Existence of a distance-preserving bijection, by backtracking."""
-    if len(x.points) != len(y.points):
-        return False
+    """Existence of a distance-preserving bijection, by backtracking: point i
+    of x tries the points of y with its self-distance in index order."""
     n = len(x.points)
+    if len(y.points) != n:
+        return False
     x_in, y_in = tuple(zip(*x.dist)), tuple(zip(*y.dist))  # columns
-    assign = []  # images of points 0 .. len(assign) - 1
-    used = [False] * n
-    j = 0  # next image to try for point len(assign)
-    while len(assign) < n:
-        i = len(assign)
-        while j < n and (
-            used[j]
-            or x.dist[i][i] != y.dist[j][j]
-            or tuple(map(y.dist[j].__getitem__, assign)) != x.dist[i][:i]
-            or tuple(map(y_in[j].__getitem__, assign)) != x_in[i][:i]
-        ):
-            j += 1
-        if j < n:
-            assign.append(j)
-            used[j] = True
-            j = 0
-        elif not assign:
+    at = [n] * n  # depth at which each point of y was last placed
+
+    def fits(i, chosen):
+        j = chosen[i]
+        if (at[j] < i and chosen[at[j]] == j  # j is still placed at depth at[j]
+                or tuple(map(y.dist[j].__getitem__, chosen[:i])) != x.dist[i][:i]
+                or tuple(map(y_in[j].__getitem__, chosen[:i])) != x_in[i][:i]):
             return False
-        else:
-            j = assign.pop()
-            used[j] = False
-            j += 1
-    return True
+        at[j] = i
+        return True
+
+    images = {}  # self-distance -> points of y with it, in index order
+    for j in range(n):
+        images.setdefault(y.dist[j][j], []).append(j)
+    options = [images.get(x.dist[i][i], ()) for i in range(n)]
+    return next(_backtrack(options, fits), None) is not None
 
 
 def parse_dmetric(text):

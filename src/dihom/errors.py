@@ -59,4 +59,4 @@ class EnumerationLimitError(DomainError):
 
 class SizeGuardError(DomainError):
     """An input exceeded a size guard: that of a brute-force categorical
-    search, or the lattice point cap of scene compilation."""
+    search, or the point cap of scene compilation or of a metric product."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._unionfind import _UnionFind
+from ._kernels import _UnionFind
 from .errors import (
     DomainError,
     EnumerationLimitError,
@@ -117,14 +117,6 @@ class MonoidClassTable:
     counts: tuple[int, ...]
     reps: tuple[tuple[str, ...], ...]
     table: dict
-
-    def is_length_addition(self):
-        """True when every recorded concatenation lands in a class whose
-        length is the sum of the operand lengths."""
-        for (i, j), k in self.table.items():
-            if len(self.reps[k]) != len(self.reps[i]) + len(self.reps[j]):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -618,11 +610,9 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     return OneSimpleResult(True, None, exact)
 
 
-def format_hom_classes(homset, header=True):
+def format_hom_classes(homset):
     """Text report: ``classes <n>`` then ``class <k> size <m> rep <edge ids>``."""
-    lines = []
-    if header:
-        lines.append(f"classes {homset.count}")
+    lines = [f"classes {homset.count}"]
     for i, c in enumerate(homset.classes):
         rep = " ".join(c.representative)
         lines.append(f"class {i} size {c.size} rep {rep}".rstrip())

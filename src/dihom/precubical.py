@@ -119,7 +119,6 @@ class PreCubicalSet:
     def _set_fields(self, vertices, labels, make_engine):
         self._vertices = vertices
         self._labels = labels
-        self._out = None  # vertex -> sorted out-edge ids, see out_edges
         self._violations = None  # tuple of Violations, see validate
         self._engine = None  # the class engine, see fundcat._engine_of
         self._make_engine = make_engine  # its arrays, for a compiled scene
@@ -178,15 +177,6 @@ class PreCubicalSet:
 
     def tgt(self, edge_id):
         return self._edges[edge_id][1]
-
-    def out_edges(self, vertex):
-        """Edge ids leaving ``vertex``, sorted (the enumeration order)."""
-        if self._out is None:
-            out = {}
-            for e, (s, _t) in self._edges.items():  # in id order
-                out.setdefault(s, []).append(e)
-            self._out = {v: tuple(es) for v, es in out.items()}
-        return self._out.get(vertex, ())
 
     def __eq__(self, other):
         if not isinstance(other, PreCubicalSet):

@@ -204,6 +204,15 @@ def swap_partition(complex_, words):
     return sorted(groups.values(), key=lambda g: sorted(g)[0])
 
 
+def is_length_addition(table):
+    """True when every recorded concatenation of a ``MonoidClassTable`` lands
+    in a class whose length is the sum of the operand lengths."""
+    for (i, j), k in table.table.items():
+        if len(table.reps[k]) != len(table.reps[i]) + len(table.reps[j]):
+            return False
+    return True
+
+
 def has_no_cycle_oracle(objects, generators):
     """Whether the graph of ``generators`` (id -> (src, tgt)) has no cycle,
     self-loops included: the three-colour depth-first search that Kahn's
@@ -781,6 +790,39 @@ def metric_quotient_oracle(points, dist, pairs):
     names = sorted(min(p for p, x in zip(points, label) if x == lab) for lab in set(label))
     reps = [idx[name] for name in names]
     return tuple(names), tuple(tuple(w[a][b] for b in reps) for a in reps)
+
+
+def is_isometric_oracle(x, y):
+    """Existence of a distance-preserving bijection, by backtracking: the
+    hand-written search that ``dmetric.is_isometric`` replaced with the shared
+    backtracker, kept as it was."""
+    if len(x.points) != len(y.points):
+        return False
+    n = len(x.points)
+    x_in, y_in = tuple(zip(*x.dist)), tuple(zip(*y.dist))  # columns
+    assign = []  # images of points 0 .. len(assign) - 1
+    used = [False] * n
+    j = 0  # next image to try for point len(assign)
+    while len(assign) < n:
+        i = len(assign)
+        while j < n and (
+            used[j]
+            or x.dist[i][i] != y.dist[j][j]
+            or tuple(map(y.dist[j].__getitem__, assign)) != x.dist[i][:i]
+            or tuple(map(y_in[j].__getitem__, assign)) != x_in[i][:i]
+        ):
+            j += 1
+        if j < n:
+            assign.append(j)
+            used[j] = True
+            j = 0
+        elif not assign:
+            return False
+        else:
+            j = assign.pop()
+            used[j] = False
+            j += 1
+    return True
 
 
 def metric_product_oracle(factors):

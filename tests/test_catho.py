@@ -705,6 +705,46 @@ def test_morphism_relation_preservation_is_checked():
     assert any("not equivalent" in v for v in ct.check_presentation_morphism(bad))
 
 
+def test_morphism_generator_images_are_checked():
+    path = fc.CatPresentation(("0", "1", "2"), {"a": ("0", "1"), "b": ("1", "2")}, ())
+    gens = {g: ("x", "y") for g in ("f", "g", "h", "k")}
+    source = fc.CatPresentation(("x", "y"), gens, ())
+    images = {"g": (), "h": ("b", "a"), "k": ("a", "b")}
+    morph = ct.PresentationMorphism(source, path, {"x": "0", "y": "1"}, images)
+    assert ct.check_presentation_morphism(morph) == [
+        "generator f: image word missing or empty",
+        "generator g: image word missing or empty",
+        "generator h: image word not composable at generator a",
+        "generator k: image word has wrong endpoints",
+    ]
+
+
+def test_morphism_skips_relations_whose_sides_have_one_image():
+    # a cyclic target with a length-changing relation: only equal images are decided
+    gens = {"a": ("0", "1"), "c": ("0", "1"), "l": ("1", "1")}
+    looped = fc.CatPresentation(("0", "1"), gens, ((("a", "l"), ("c",)),))
+    pair = fc.CatPresentation(("x", "y"), {"f": ("x", "y"), "g": ("x", "y")},
+                              ((("f",), ("g",)),))
+    ends = {"x": "0", "y": "1"}
+    same = ct.PresentationMorphism(pair, looped, ends, {"f": ("a",), "g": ("a",)})
+    assert ct.check_presentation_morphism(same) == []
+    other = ct.PresentationMorphism(pair, looped, ends, {"f": ("a",), "g": ("c",)})
+    assert ct.check_presentation_morphism(other) == [
+        "relation 0: preservation undecided (target is cyclic and has length-changing relations)"
+    ]
+
+
+def test_presentation_relations_need_two_parallel_sides():
+    pres = fc.CatPresentation(
+        ("0", "1", "2"), {"a": ("0", "1"), "b": ("1", "2"), "c": ("0", "2")},
+        ((("a", "b"), ()), (("a",), ("c",)), (("a", "b"), ("c",))),
+    )
+    assert fc.validate_presentation(pres) == [
+        "relation 0: empty side (not supported)",
+        "relation 1: sides are not parallel (('0', '1') vs ('0', '2'))",
+    ]
+
+
 def test_realize_interval_gives_the_interval_category():
     real = ct.realize_presentation(interval_pres())
     assert not real.truncated

@@ -65,6 +65,8 @@ def test_classes_verb(workdir):
     code, out, err = invoke(["classes", str(workdir / "x.scene")])
     assert (code, err) == (0, "")
     assert out == "classes 3\n"
+    path = str(workdir / "o1.complex")
+    assert invoke(["classes", path]) == (2, "", f"error: {path}: classes wants a scene file\n")
 
 
 def test_classes_respects_max_len(workdir):
@@ -120,6 +122,9 @@ def test_one_simple_verb(workdir):
     assert (code, out) == (0, "one-simple false witness 0 1\n")
     code, out, _ = invoke(["one-simple", str(workdir / "circle.complex")])
     assert code == 1
+    full = workdir / "full.scene"
+    full.write_text("grid 2 2\nsource 0 0\ntarget 2 2\n")
+    assert invoke(["one-simple", str(full)]) == (0, "one-simple true\n", "")
 
 
 def test_monoid_verb(workdir):
@@ -254,6 +259,23 @@ def test_export_dot_complex_with_highlight(workdir, tmp_path):
     text = target.read_text()
     assert text.startswith("digraph ")
     assert "color=red" in text
+
+
+def test_export_dot_complex_highlight_between_given_vertices(workdir, tmp_path):
+    target = tmp_path / "o1.dot"
+    base = ["export-dot", str(workdir / "o1.complex"), "-o", str(target), "--highlight", "1"]
+    assert invoke(base + ["--from", "0", "--to", "1"]) == (0, "", "")
+    assert target.read_text() == (
+        'digraph "o1" {\n'
+        '  "0" [label="0"];\n'
+        '  "1" [label="1"];\n'
+        '  "0" -> "1" [label="a"];\n'
+        '  "0" -> "1" [label="b", color=red, penwidth=2.0];\n'
+        "}\n"
+    )
+    refused = (1, "", "error: --highlight needs --from and --to on a complex\n")
+    for ends in ([], ["--from", "0"], ["--to", "1"]):
+        assert invoke(base + ends) == refused
 
 
 def test_export_dot_category(workdir, tmp_path):
@@ -572,6 +594,11 @@ def test_scene_past_the_lattice_point_cap_exits_one(tmp_path):
     assert err == "error: scene has 10000200001 lattice points (guard 1000000)\n"
 
 
+def test_metric_product_past_the_point_cap_exits_one(workdir):
+    code, out, err = invoke(["metric", "product"] + [str(workdir / "i4.dmetric")] * 5)
+    assert (code, out, err) == (1, "", "error: product has 3125 points (guard 1000)\n")
+
+
 # a fresh interpreter: this one has already imported every dihom module
 LOADED_MODULES = (
     "import sys; sys.path.insert(0, sys.argv[1]); from dihom.cli import main; "
@@ -579,7 +606,7 @@ LOADED_MODULES = (
     "sys.stderr.write(' '.join(sorted(m for m in sys.modules if m.startswith('dihom.')))); "
     "sys.exit(code)"
 )
-PI0_MODULES = "dihom._unionfind dihom.cli dihom.errors dihom.fundcat dihom.precubical"
+PI0_MODULES = "dihom._kernels dihom.cli dihom.errors dihom.fundcat dihom.precubical"
 
 
 @pytest.mark.parametrize(
@@ -592,7 +619,7 @@ PI0_MODULES = "dihom._unionfind dihom.cli dihom.errors dihom.fundcat dihom.precu
         ),
         (
             ["metric", "quotient", "i4.dmetric", "ends.rel"],
-            "dihom._unionfind dihom.cli dihom.dmetric dihom.errors",
+            "dihom._kernels dihom.cli dihom.dmetric dihom.errors",
         ),
         (["cat", "equiv", "two.category", "oc.category"], PI0_MODULES + " dihom.catho"),
         (

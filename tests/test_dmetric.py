@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from dihom import dmetric as dm
-from dihom.errors import DomainError, InputSyntaxError
+from dihom.errors import DomainError, InputSyntaxError, SizeGuardError
 from oracles import (
     discretized_circle_oracle,
     discretized_interval_oracle,
+    is_isometric_oracle,
     metric_format_oracle,
     metric_product_oracle,
     metric_quotient_oracle,
@@ -257,6 +258,67 @@ def test_is_isometric_past_the_recursion_limit():
     x = dm.discretized_interval(n - 1)
     y = dm.DMetricSpace(tuple(f"p{i}" for i in range(n)), x.dist)  # same Fractions
     assert dm.is_isometric(x, y)
+
+
+# equal values held by distinct int and Fraction objects: 1 and F(2, 2)
+ISO_ENTRIES = (0, 1, 2, F(1, 2), F(2, 2), dm.INF)
+
+
+def first_fit_isometry(x, y):
+    """The search without backtracking: each point of x takes the first
+    point of y that fits it and the points before it."""
+    chosen = []
+    for i in range(len(x.points)):
+        j = next((j for j in range(len(y.points)) if j not in chosen and all(
+            x.dist[i][k] == y.dist[j][c] and x.dist[k][i] == y.dist[c][j]
+            for k, c in enumerate(chosen + [j]))), None)
+        if j is None:
+            return False
+        chosen.append(j)
+    return len(chosen) == len(y.points)
+
+
+def test_is_isometric_matches_the_hand_written_search():
+    rng = random.Random(1313)
+    answers, after_backtracking = set(), 0
+    for trial in range(1200):
+        n = rng.randint(0, 6)
+        values = rng.sample(ISO_ENTRIES, rng.randint(1, 3))  # few values: many ties
+        x = dm.DMetricSpace(tuple(f"x{i}" for i in range(n)), tuple(
+            tuple(rng.choice(values) for _ in range(n)) for _ in range(n)))  # any diagonal
+        kind = trial % 4
+        if kind == 3:  # unequal sizes, the empty space among them
+            m = rng.choice([k for k in range(7) if k != n])
+            y = dm.DMetricSpace(tuple(f"y{i}" for i in range(m)), tuple(
+                tuple(rng.choice(values) for _ in range(m)) for _ in range(m)))
+        else:  # a permuted copy; 1 and F(2, 2) swapped for each other
+            perm = rng.sample(range(n), n)
+            swap = {1: F(2, 2), F(2, 2): 1}
+            rows = [[swap.get(x.dist[perm[i]][perm[j]], x.dist[perm[i]][perm[j]])
+                     for j in range(n)] for i in range(n)]
+            if kind == 2 and n:  # then one entry changed
+                rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(ISO_ENTRIES)
+            y = dm.DMetricSpace(tuple(f"y{i}" for i in range(n)), tuple(map(tuple, rows)))
+        expected = is_isometric_oracle(x, y)
+        assert dm.is_isometric(x, y) == expected
+        if len(x.points) == len(y.points):
+            answers.add(expected)
+            after_backtracking += expected and not first_fit_isometry(x, y)
+    assert answers == {True, False}
+    assert after_backtracking > 20
+    empty = dm.DMetricSpace((), ())
+    assert dm.is_isometric(empty, empty)
+    assert not dm.is_isometric(empty, dm.discretized_interval(1))
+
+
+def test_product_past_the_point_cap_is_refused(monkeypatch):
+    chain = dm.discretized_interval(7)  # 8 points
+    with pytest.raises(SizeGuardError, match=r"^product has 32768 points \(guard 1000\)$"):
+        dm.product(*[chain] * 5)
+    monkeypatch.setattr(dm, "MAX_PRODUCT_POINTS", 8)
+    assert len(dm.product(dm.discretized_interval(1), dm.discretized_interval(3)).points) == 8
+    with pytest.raises(SizeGuardError, match=r"^product has 9 points \(guard 8\)$"):
+        dm.product(dm.discretized_interval(2), dm.discretized_interval(2))
 
 
 # denominator far past float range: 1 / HUGE is 0.0 as a float, so a kernel

@@ -239,8 +239,6 @@ def test_compiled_scene_equals_its_checked_rebuild():
         assert fc.is_acyclic(public)
         assert list(k.cells()) == list(public.cells())
         assert list(k.labels.items()) == list(labels.items())
-        for v in public.vertices:
-            assert k.out_edges(v) == public.out_edges(v)
         highlight = list(k.edges)[:: max(1, len(k.edges) // 3)]
         fresh = gs.to_precubical(scene)
         assert dot.complex_dot(fresh, highlight) == dot.complex_dot(public, highlight)
