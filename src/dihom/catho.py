@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from ._kernels import _backtrack, _UnionFind
 from .errors import (
@@ -757,53 +758,32 @@ def retract_endofunctors(cat, sub_objs, strong=False):
             yield q, "past"
 
 
-def _is_trivial_point(cat, obj):
-    return len(cat.hom(obj, obj)) == 1
-
-
 def contractible_in_steps(cat, n, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS):
     """Whether a chain of <= n immediate deformation-retract steps shrinks
     the category, through full subcategories, down to a single object with
-    only its identity endoarrow."""
+    only its identity endoarrow.  Breadth-first: level k holds the object
+    sets first reached after k steps, and each set is searched from once."""
     _guard(cat, max_objects, max_arrows)
     require_category(cat)
     if n < 0:
         raise DomainError("step count must be >= 0")
-    memo = {}
-
-    def min_steps(objs, budget):
-        if len(objs) == 1:
-            (v,) = objs
-            return 0 if _is_trivial_point(cat, v) else None
-        if budget <= 0:
-            return None
-        if objs in memo and memo[objs] is not None:
-            return memo[objs]
-        sub_cat = full_subcategory(cat, objs)
-        best = None
-        for keep in _proper_subsets(sorted(objs)):
-            found = False
-            for _q, _dir in retract_endofunctors(sub_cat, keep):
-                found = True
-                break
-            if not found:
-                continue
-            rest = min_steps(frozenset(keep), budget - 1)
-            if rest is not None:
-                cand = rest + 1
-                if best is None or cand < best:
-                    best = cand
-        memo[objs] = best
-        return best
-
-    steps = min_steps(frozenset(cat.objects), n)
-    return steps is not None and steps <= n
-
-
-def _proper_subsets(items):
-    n = len(items)
-    for mask in range(1, (1 << n) - 1):
-        yield tuple(items[i] for i in range(n) if mask & (1 << i))
+    level = [frozenset(cat.objects)]
+    seen = set(level)
+    for steps in range(n + 1):
+        if any(len(objs) == 1 and len(cat.hom(*objs, *objs)) == 1 for objs in level):
+            return True
+        if steps == n or not level:
+            break
+        reached = []
+        for objs in level:
+            sub_cat = full_subcategory(cat, objs)
+            for size in range(1, len(objs)):
+                for keep in map(frozenset, combinations(sorted(objs), size)):
+                    if keep not in seen and next(retract_endofunctors(sub_cat, keep), None):
+                        seen.add(keep)
+                        reached.append(keep)
+        level = reached
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1168,6 +1148,8 @@ def parse_category(text):
             arrow_line[tok[1]] = ln
         elif tok[3] != "=":
             raise InputSyntaxError(_COMPOSE_FORM, ln)
+        elif (tok[1], tok[2]) in compose:
+            raise InputSyntaxError(f"duplicate compose {tok[1]} {tok[2]}", ln)
         else:
             compose[(tok[1], tok[2])] = tok[4]
     for a, ends in arrows.items():
@@ -1256,8 +1238,12 @@ def parse_functor(text, resolve):
     implied.  ``resolve`` maps a category reference to a FinCategory."""
 
     dom = cod = None
-    omap, amap = {}, {}
-    for _, tok in directives(text, _FUNCTOR_DIRECTIVES):
+    omap, amap, keys = {}, {}, set()
+    for ln, tok in directives(text, _FUNCTOR_DIRECTIVES):
+        key = " ".join(tok[:-1])  # domain, codomain, object <x> or arrow <f>
+        if key in keys:
+            raise InputSyntaxError(f"duplicate {key}", ln)
+        keys.add(key)
         if tok[0] == "domain":
             dom = resolve(tok[1])
         elif tok[0] == "codomain":
@@ -1288,7 +1274,9 @@ def parse_presentation_morphism(text, source, target):
     ;-separated nonempty image word."""
 
     omap, gmap = {}, {}
-    for _, (kind, key, image) in directives(text, _MORPHISM_DIRECTIVES):
+    for ln, (kind, key, image) in directives(text, _MORPHISM_DIRECTIVES):
+        if key in (omap if kind == "object" else gmap):
+            raise InputSyntaxError(f"duplicate {kind} {key}", ln)
         if kind == "object":
             omap[key] = image
         else:

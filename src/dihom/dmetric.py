@@ -52,7 +52,8 @@ class DMetricSpace:
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
-            raise DomainError("duplicate point id")
+            dup = next(p for i, p in enumerate(self.points) if p in self.points[:i])
+            raise DomainError(f"duplicate point id {dup}")
         n = len(self.points)
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise DomainError("distance matrix shape does not match points")
@@ -291,8 +292,8 @@ def parse_dmetric(text):
         rows.append(tuple(map(values.__getitem__, entries)))
     try:
         return DMetricSpace(tuple(ids), tuple(rows))
-    except DomainError as exc:
-        raise InputSyntaxError(str(exc)) from exc
+    except DomainError as exc:  # a repeated id: rows were checked above
+        raise InputSyntaxError(str(exc), ln0) from exc
 
 
 def format_dmetric(space):

@@ -140,22 +140,19 @@ class CatPresentation:
     def gen_src(self, g):
         return self.generators[g][0]
 
-    def gen_tgt(self, g):
-        return self.generators[g][1]
-
-    def word_endpoints(self, word, at=None):
-        """(src, tgt) of a generator word; ``at`` disambiguates empty words."""
+    def word_endpoints(self, word):
+        """(src, tgt) of a nonempty generator word."""
         if not word:
-            if at is None:
-                raise DomainError("empty word needs an anchor object")
-            return (at, at)
-        src = self.gen_src(word[0])
-        cur = src
+            raise DomainError("empty word has no endpoints")
+        cur = None
         for g in word:
-            if self.gen_src(g) != cur:
+            if g not in self.generators:
+                raise DomainError(f"unknown generator {g}")
+            s, t = self.generators[g]
+            if cur is not None and s != cur:
                 raise DomainError(f"word not composable at generator {g}")
-            cur = self.gen_tgt(g)
-        return (src, cur)
+            cur = t
+        return (self.gen_src(word[0]), cur)
 
 
 def validate_presentation(pres):

@@ -14,16 +14,22 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from dihom.catho import (
+    MAX_ARROWS,
+    MAX_OBJECTS,
     MAX_WORDS,
     FinCategory,
     FunctorMap,
     NatTransf,
     Realization,
+    _guard,
     _rewrites,
     compose_functors,
+    full_subcategory,
     identity_functor,
     monoid_category,
     poset_category,
+    require_category,
+    retract_endofunctors,
 )
 from dihom.errors import DomainError, EnumerationLimitError
 from dihom.fundcat import (
@@ -517,6 +523,58 @@ def contractible_steps_oracle(cat, full_subcategory, n):
         return False
 
     return rec(frozenset(cat.objects), n)
+
+
+def _is_trivial_point(cat, obj):
+    return len(cat.hom(obj, obj)) == 1
+
+
+def contractible_in_steps_oracle(cat, n, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS):
+    """Whether a chain of <= n immediate deformation-retract steps shrinks
+    the category, through full subcategories, down to a single object with
+    only its identity endoarrow.
+
+    ``catho.contractible_in_steps`` as it was before the breadth-first pass:
+    a recursive minimum step count whose memo keeps only successes."""
+    _guard(cat, max_objects, max_arrows)
+    require_category(cat)
+    if n < 0:
+        raise DomainError("step count must be >= 0")
+    memo = {}
+
+    def min_steps(objs, budget):
+        if len(objs) == 1:
+            (v,) = objs
+            return 0 if _is_trivial_point(cat, v) else None
+        if budget <= 0:
+            return None
+        if objs in memo and memo[objs] is not None:
+            return memo[objs]
+        sub_cat = full_subcategory(cat, objs)
+        best = None
+        for keep in _proper_subsets(sorted(objs)):
+            found = False
+            for _q, _dir in retract_endofunctors(sub_cat, keep):
+                found = True
+                break
+            if not found:
+                continue
+            rest = min_steps(frozenset(keep), budget - 1)
+            if rest is not None:
+                cand = rest + 1
+                if best is None or cand < best:
+                    best = cand
+        memo[objs] = best
+        return best
+
+    steps = min_steps(frozenset(cat.objects), n)
+    return steps is not None and steps <= n
+
+
+def _proper_subsets(items):
+    n = len(items)
+    for mask in range(1, (1 << n) - 1):
+        yield tuple(items[i] for i in range(n) if mask & (1 << i))
 
 
 def poset_category_oracle(elements, le_pairs):

@@ -16,6 +16,7 @@ import oracles
 from oracles import (
     ComponentsOracle,
     all_component_families,
+    contractible_in_steps_oracle,
     contractible_steps_oracle,
     equivalence_witness_oracle,
     functor_maps,
@@ -486,6 +487,31 @@ def test_contractible_in_steps_matches_the_chain_oracle():
     assert {(0, False), (1, True), (1, False), (3, True)} <= verdicts
 
 
+
+def test_breadth_first_steps_match_the_recursive_search():
+    # up to 5 objects, so some categories need exactly two steps
+    rng = random.Random(20261018)
+    first_true = set()
+    for _ in range(500):
+        cat = random_category(rng, max_objects=5)
+        got = [ct.contractible_in_steps(cat, n) for n in range(5)]
+        assert got == [contractible_in_steps_oracle(cat, n) for n in range(5)]
+        assert got == [contractible_steps_oracle(cat, ct.full_subcategory, n) for n in range(5)]
+        first_true.add(got.index(True) if True in got else None)
+    assert first_true == {0, 1, 2, None}
+
+
+def test_step_contraction_guards_run_in_order():
+    big_and_broken = ct.FinCategory([f"x{i}" for i in range(6)], {}, {}, {})
+    with pytest.raises(SizeGuardError):
+        ct.contractible_in_steps(big_and_broken, -1)
+    with pytest.raises(DomainError, match="invalid category"):
+        ct.contractible_in_steps(ct.FinCategory(["x"], {}, {}, {}), -1)
+    with pytest.raises(DomainError, match="step count must be >= 0"):
+        ct.contractible_in_steps(TWO, -1)
+    assert not ct.contractible_in_steps(ct.discrete_category([]), 3)
+    assert not ct.contractible_in_steps(ct.discrete_category(["p", "q"]), 4)
+
 def test_retract_steps_match_oracle():
     st = stairway_poset()
     for keep in [("x1", "x2", "x3"), ("x1", "x2"), ("x2",), ("x0", "x3")]:
@@ -677,6 +703,12 @@ def test_pushout_rejects_ill_formed_morphism():
     bad = ct.PresentationMorphism(p0, itv, {"p": "nope"}, {})
     with pytest.raises(DomainError):
         ct.pushout(p0, itv, itv, bad, bad)
+    good = ct.PresentationMorphism(p0, itv, {"p": "0"}, {})
+    other = ct.PresentationMorphism(fc.CatPresentation(("q",), {}, ()), itv, {"q": "0"}, {})
+    with pytest.raises(DomainError, match="u1 does not start at p0"):
+        ct.pushout(p0, itv, itv, other, good)
+    with pytest.raises(DomainError, match="u2 does not start at p0"):
+        ct.pushout(p0, itv, itv, good, other)
 
 
 def test_morphism_relation_preservation_is_checked():

@@ -431,6 +431,84 @@ def test_pushout_with_bad_morphism_exits_one(workdir, tmp_path):
     assert err.startswith("error: ")
 
 
+
+def test_relation_with_unknown_generator_exits_two(tmp_path):
+    bad = tmp_path / "bad.pres"
+    bad.write_text("object 0\nobject 1\ngen a 0 1\nrel a = zz\n")
+    code, out, err = invoke(["cat", "realize", str(bad)])
+    assert (code, out, err) == (2, "", "error: relation 0: unknown generator zz\n")
+
+
+def test_morphism_image_with_unknown_generator_exits_one(workdir, tmp_path):
+    bad = tmp_path / "bad.morph"
+    bad.write_text("object 0 0\nobject 1 1\ngen a nope\n")
+    itv = str(workdir / "interval.pres")
+    code, out, err = invoke(["cat", "pushout", itv, itv, itv, str(bad), str(bad)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ill-formed presentation morphism: generator a: image unknown generator nope\n"
+    )
+
+
+Z3_CATEGORY = (
+    "object *\narrow g1 * *\narrow g2 * *\ncompose g1 g1 = g2\n"
+    "compose g1 g2 = id(*)\ncompose g2 g1 = id(*)\ncompose g2 g2 = g1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "arrows,first",
+    [
+        ("arrow id(*) g1\narrow g1 g1\narrow g2 g2\n", "identity of * not preserved"),
+        ("arrow g1 g1\narrow g2 g1\n", "composition (g1;g1) not preserved"),
+    ],
+    ids=["identity", "composition"],
+)
+def test_faithful_on_a_non_functor_exits_one(tmp_path, arrows, first):
+    (tmp_path / "z3.category").write_text(Z3_CATEGORY)
+    fun = tmp_path / "bad.functor"
+    fun.write_text("domain z3.category\ncodomain z3.category\nobject * *\n" + arrows)
+    code, out, err = invoke(["cat", "faithful", str(fun)])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {fun}: {first}; composition (g1;g2) not preserved; "
+        "composition (g2;g1) not preserved\n"
+    )
+
+
+FUNCTOR_HEAD = "domain two.category\ncodomain oc.category\n"
+
+
+@pytest.mark.parametrize(
+    "name,text,verb,message",
+    [
+        ("idem.category", "object 0\narrow e 0 0\ncompose e e = e\ncompose e e = id(0)\n",
+         ["cat", "equiv", "idem.category", "two.category"], "line 4: duplicate compose e e"),
+        ("f.functor", FUNCTOR_HEAD + "domain oc.category\nobject 0 0\nobject 1 1\n",
+         ["cat", "faithful", "f.functor"], "line 3: duplicate domain"),
+        ("f.functor", FUNCTOR_HEAD + "object 0 0\ncodomain oc.category\nobject 1 1\n",
+         ["cat", "faithful", "f.functor"], "line 4: duplicate codomain"),
+        ("f.functor", FUNCTOR_HEAD + "object 0 0\nobject 1 1\nobject 0 1\n",
+         ["cat", "faithful", "f.functor"], "line 5: duplicate object 0"),
+        ("f.functor", FUNCTOR_HEAD + "object 0 0\nobject 1 1\narrow a a\narrow a b\n",
+         ["cat", "faithful", "f.functor"], "line 6: duplicate arrow a"),
+        ("u.morph", "object p 0\nobject q 1\nobject p 1\n",
+         ["cat", "pushout", "discrete2.pres", "interval.pres", "interval.pres", "u.morph",
+          "glue.morph"], "line 3: duplicate object p"),
+        ("u.morph", "object 0 0\nobject 1 1\ngen a a\ngen a a\n",
+         ["cat", "pushout", "interval.pres", "interval.pres", "interval.pres", "u.morph",
+          "u.morph"], "line 4: duplicate gen a"),
+        ("dup.dmetric", "# two names for one point\npoints 2 a a\n0 1\n1 0\n",
+         ["metric", "validate", "dup.dmetric"], "line 2: duplicate point id a"),
+    ],
+    ids=["compose", "domain", "codomain", "functor-object", "functor-arrow",
+         "morphism-object", "morphism-gen", "point"],
+)
+def test_repeated_line_exits_two_naming_line_and_key(workdir, name, text, verb, message):
+    (workdir / name).write_text(text)
+    argv = [str(workdir / a) if (workdir / a).exists() else a for a in verb]
+    assert invoke(argv) == (2, "", f"error: {message}\n")
+
 def test_quotient_with_unknown_point_exits_one(workdir, tmp_path):
     rel = tmp_path / "bad.rel"
     rel.write_text("0 missing\n")
@@ -497,6 +575,10 @@ FUZZ_VERBS = {
     "interval8.dmetric": ["metric", "ball", "interval8.dmetric", "--at", "1/4",
                           "--eps", "1/2", "--direction", "future"],
     "endpoints.rel": ["metric", "quotient", "interval8.dmetric", "endpoints.rel"],
+    "square.pres": ["cat", "realize", "square.pres"],
+    "edge.morph": ["cat", "pushout", "interval.pres", "square.pres", "square.pres",
+                   "edge.morph", "edge.morph"],
+    "torus.complex": ["monoid", "torus.complex", "--at", "v", "--max-len", "4"],
 }
 # small integers only: a mutation like "grid 6 99999" is slow, not wrong
 FUZZ_TOKENS = ("0", "1", "2", "-1", "x", "*", "a", "b", "=", ";", "1/2", "inf",

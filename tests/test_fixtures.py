@@ -38,6 +38,11 @@ def test_circle_fixture_monoid():
     assert out.splitlines()[0] == "counts 1 1 1 1"
 
 
+def test_torus_fixture_monoid_is_free_commutative():
+    out = invoke(["monoid", str(FIXTURES / "torus.complex"), "--at", "v", "--max-len", "4"])
+    assert out.splitlines()[0] == "counts 1 2 3 4 5"
+
+
 def test_category_fixtures():
     out = invoke(
         ["cat", "contractible", str(FIXTURES / "two.category"), "--direction", "past"]
@@ -62,6 +67,26 @@ def test_pushout_fixture_is_ordered_circle_presentation():
         ]
     )
     assert out == "object 1:0\nobject 1:1\ngen 1:a 1:0 1:1\ngen 2:a 1:0 1:1\n"
+
+
+def test_square_fixture_realizes_one_diagonal():
+    out = invoke(["cat", "realize", str(FIXTURES / "square.pres")])
+    assert out == (
+        "objects 4\ntruncated false\n"
+        "hom 00 00 1\nhom 00 01 1\nhom 00 10 1\nhom 00 11 1\nhom 01 01 1\n"
+        "hom 01 11 1\nhom 10 10 1\nhom 10 11 1\nhom 11 11 1\n"
+    )
+
+
+def test_two_squares_glued_along_the_diagonal():
+    square, edge = str(FIXTURES / "square.pres"), str(FIXTURES / "edge.morph")
+    out = invoke(["cat", "pushout", str(FIXTURES / "interval.pres"), square, square, edge, edge])
+    assert out == (
+        "object 1:00\nobject 1:01\nobject 1:10\nobject 1:11\nobject 2:01\nobject 2:10\n"
+        "gen 1:a 1:00 1:10\ngen 1:b 1:10 1:11\ngen 1:c 1:00 1:01\ngen 1:d 1:01 1:11\n"
+        "gen 2:a 1:00 2:10\ngen 2:b 2:10 1:11\ngen 2:c 1:00 2:01\ngen 2:d 2:01 1:11\n"
+        "rel 1:a;1:b = 1:c;1:d\nrel 1:a;1:b = 2:a;2:b\nrel 2:a;2:b = 2:c;2:d\n"
+    )
 
 
 def test_metric_fixture_quotient_is_circle():

@@ -46,6 +46,12 @@ def test_presentation_of_unit_grid():
     [(u, v)] = p.relations
     assert p.word_endpoints(u) == p.word_endpoints(v) == ("v0_0", "v1_1")
     assert len(u) == len(v) == 2
+    with pytest.raises(DomainError, match="empty word has no endpoints"):
+        p.word_endpoints(())
+    with pytest.raises(DomainError, match="unknown generator zz"):
+        p.word_endpoints(u + ("zz",))
+    with pytest.raises(DomainError, match="word not composable at generator"):
+        p.word_endpoints(u + u)
 
 
 def test_presentation_of_directed_circle_is_free():
@@ -141,6 +147,12 @@ def test_dipath_construction_checks_composability():
     assert p.end == "v2_0" and len(p) == 2
     q = fc.DiPath(FULL22, "v2_0", ("n2_0",))
     assert p.concat(q).end == "v2_1"
+    with pytest.raises(DomainError, match="unknown vertex zz"):
+        fc.DiPath(FULL22, "zz")
+    with pytest.raises(DomainError, match="unknown edge zz"):
+        fc.DiPath(FULL22, "v0_0", ("e0_0", "zz"))
+    with pytest.raises(DomainError, match="paths are not consecutive"):
+        q.concat(p)
 
 
 # hom classes
