@@ -378,6 +378,8 @@ def check_functor(fun):
     """Returns a list of violation strings (empty = valid functor)."""
     out = []
     c, d = fun.domain, fun.codomain
+    out += [f"object {x}: not an object of the domain" for x in fun.obj_map if x not in c.objects]
+    out += [f"arrow {a}: not an arrow of the domain" for a in fun.arr_map if a not in c.arrows]
     for x in c.objects:
         if fun.obj_map.get(x) not in d.objects:
             out.append(f"object {x}: image missing or not an object")
@@ -884,6 +886,10 @@ def check_presentation_morphism(morph):
     out.extend(f"target: {v}" for v in validate_presentation(tgt))
     if out:
         return out
+    out += [f"object {x}: not an object of the source" for x in morph.obj_map
+            if x not in src.objects]
+    out += [f"generator {g}: not a generator of the source" for g in morph.gen_map
+            if g not in src.generators]
     tobj = set(tgt.objects)
     for x in src.objects:
         if morph.obj_map.get(x) not in tobj:
@@ -903,7 +909,7 @@ def check_presentation_morphism(morph):
     if out:
         return out
     lp = _length_preserving(tgt)
-    cyclic = not lp and _SwapEngine(tgt.objects, tgt.generators, tgt.relations).heights is None
+    cyclic = not lp and tgt._engine.heights is None
     real = None  # the realized target, built for the first relation that needs it
     for i, (u, v) in enumerate(src.relations):
         wu, wv = morph.word(u), morph.word(v)
@@ -991,13 +997,13 @@ class Realization:
     cover words up to the length bound.
     """
 
-    def __init__(self, presentation, bound, truncated, homs, class_of):
+    def __init__(self, presentation, bound, truncated, homs, extend):
         self.presentation = presentation
         self.bound = bound
         self.truncated = truncated
         self.objects = presentation.objects
         self.homs = homs  # (x, y) -> tuple of canonical representative words
-        self._class_of = class_of  # (start, word) -> canonical word
+        self._extend = extend  # (start, word, suffixes) -> class of word + s, per s
 
     def hom_reps(self, x, y):
         return self.homs.get((x, y), ())
@@ -1009,27 +1015,26 @@ class Realization:
         """Canonical word of the class of ``word`` out of ``start``;
         DomainError for an unknown start, a word that does not compose from
         it, or one longer than the realization covers."""
-        return self._class_of(start, tuple(word))
+        return self._extend(start, tuple(word), [()])[0]
 
     def to_fincategory(self):
         """Explicit category with one arrow per class; complete mode only."""
         if self.truncated:
             raise DomainError("truncated realization does not form a category")
         arrows, name = {}, {}  # name: (start, rep) -> arrow name
+        leaving = {}  # x -> the reps of the classes out of x, in homs order
         for (x, y), reps in self.homs.items():
+            leaving.setdefault(x, []).extend(reps)
             for w in reps:
                 a = name[(x, w)] = _arrow_name(x, w)
                 arrows[a] = (x, y)
         identity = {x: _arrow_name(x, ()) for x in self.objects}
-        leaving = {}  # y -> (name, rep) of the classes out of y, in homs order
-        for (y, _z), reps in self.homs.items():
-            leaving.setdefault(y, []).extend((name[(y, w)], w) for w in reps)
         table = {}
         for (x, y), reps in self.homs.items():
             for w1 in reps:
                 a1 = name[(x, w1)]
-                for a2, w2 in leaving.get(y, ()):
-                    table[(a1, a2)] = name[(x, self.class_of(x, w1 + w2))]
+                for w2, w in zip(leaving[y], self._extend(x, w1, leaving[y])):
+                    table[(a1, name[(y, w2)])] = name[(x, w)]
         return FinCategory(self.objects, arrows, identity, table)
 
 
@@ -1043,17 +1048,17 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
     bound was given and some word of that length can still be extended.
 
     The class engine of :mod:`dihom.fundcat` builds the classes one word
-    length at a time, at most ``max_words`` per source object.  With
-    length-changing relations (acyclic only, bound at least the longest
-    generator word) it runs on :func:`_subdivided` generators, and the
-    chains' inner classes count towards the cap.
+    length at a time, in one sweep from every object, at most ``max_words``
+    per source object.  With length-changing relations (acyclic only, bound
+    at least the longest generator word) it runs on :func:`_subdivided`
+    generators, and the chains' inner classes count towards the cap.
     """
     if bound is not None and bound < 0:
         raise DomainError(f"length bound {bound} is negative")
     bad = validate_presentation(pres)
     if bad:
         raise DomainError("invalid presentation: " + "; ".join(bad[:5]))
-    engine = _SwapEngine(pres.objects, pres.generators, pres.relations)
+    engine = pres._engine
     heights = engine.heights
     if bound is None and heights is None:
         raise DomainError("cyclic presentation needs a length bound")
@@ -1065,37 +1070,39 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
         chains, *sub = _subdivided(pres, heights)
         engine = _SwapEngine(*sub)
         whole = lambda pieces: tuple(g for g, k in pieces if not k)
-    objects, out = pres.objects, engine.out
+    objects, index, pos = pres.objects, engine.index, engine.pos
+    layers = list(engine.layers(objects, bound, max_words))
     found = {}
-    layers_of = {}
-    truncated = False
-    for x in objects:
-        layers = layers_of[x] = list(engine.layers(x, bound, max_words))
-        for layer in layers:
-            for y, rep in zip(layer.ends, layer.reps):
+    for layer in layers:
+        blocks = layer.blocks or (0, len(layer.ends))
+        for x, lo, hi in zip(objects, blocks, blocks[1:]):
+            for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
                 if y < len(objects):  # not inside a chain
                     found.setdefault((x, objects[y]), []).append(whole(rep))
-        # the last layer is empty unless the bound cut the words off
-        truncated = truncated or any(out[v] for v in layers[-1].ends)
     homs = {xy: tuple(sorted(reps)) for xy, reps in sorted(found.items())}
+    # the last layer is empty unless the bound cut the words off
+    truncated = any(engine.out[v] for v in layers[-1].ends)
 
-    def class_of(start, word):
-        layers = layers_of.get(start)
-        if layers is None:
+    def extend(start, word, suffixes):
+        i = index.get(start)
+        if i is None or i >= len(objects):  # chain objects are no starts
             raise DomainError(f"unknown object {start}")
-        cls = depth = 0
+        at = walk(i, 0, word)
+        return [whole(layers[d].reps[c]) for c, d in (walk(*at, s) for s in suffixes)]
+
+    def walk(cls, depth, word):  # on from class cls of layer depth, by the right action
         for g in word:
             if depth + 1 == len(layers):
                 raise DomainError(f"word longer than the bound {bound}")
-            if g not in chains or engine.index[pres.gen_src(g)] != layers[depth].ends[cls]:
+            if g not in chains or index[pres.gen_src(g)] != layers[depth].ends[cls]:
                 raise DomainError(f"word not composable at generator {g}")
             for piece in chains[g]:
                 layer = layers[depth]
-                cls = layer.step[layer.offsets[cls] + engine.pos[piece]]
+                cls = layer.step[layer.offsets[cls] + pos[piece]]
                 depth += 1
-        return whole(layers[depth].reps[cls])
+        return cls, depth
 
-    return Realization(pres, bound, truncated, homs, class_of)
+    return Realization(pres, bound, truncated, homs, extend)
 
 
 def _subdivided(pres, heights):

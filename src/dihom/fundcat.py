@@ -137,6 +137,11 @@ class CatPresentation:
     generators: dict
     relations: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
+    @cached_property
+    def _engine(self):
+        """The class engine of a valid presentation, built on first use."""
+        return _SwapEngine(self.objects, self.generators, self.relations)
+
     def gen_src(self, g):
         return self.generators[g][0]
 
@@ -276,25 +281,26 @@ def _walk(engine, source, max_len):
 
 
 class _Layer:
-    """The classes of all words of one length out of the source.
+    """The classes of all words of one length out of the sources.
 
     Class ``c`` ends at object number ``ends[c]``, has ``sizes[c]`` member
-    words and lexicographically least member ``reps[c]``; classes are
-    numbered in rep order.  Once the next layer is built, the pair (c, j-th
-    out-generator of its end) is numbered ``offsets[c] + j`` and
-    ``step[pair]`` is the class of ``reps[c] + (generator,)`` there: the
-    right action.
+    words and lexicographically least member ``reps[c]``; source i's
+    classes are ``blocks[i]`` to ``blocks[i + 1]`` - 1 in rep order (None
+    for one source), as relations never join pairs of two sources.  Once
+    the next layer is built, pair (c, j-th out-generator of its end) is
+    ``offsets[c] + j`` and ``step[pair]`` is the class of ``reps[c] +
+    (generator,)`` there: the right action.
     """
 
-    __slots__ = ("ends", "sizes", "reps", "offsets", "step")
+    __slots__ = ("ends", "sizes", "reps", "blocks", "offsets", "step")
 
-    def __init__(self, ends, sizes, reps):
-        self.ends, self.sizes, self.reps = ends, sizes, reps
+    def __init__(self, ends, sizes, reps, blocks):
+        self.ends, self.sizes, self.reps, self.blocks = ends, sizes, reps, blocks
 
 
 class _SwapEngine:
-    """Layer-by-layer classes of the generator words out of one source object,
-    modulo length-preserving relations u = v of any length m >= 1.
+    """Layer-by-layer classes of the generator words out of a list of source
+    objects, modulo length-preserving relations u = v of any length m >= 1.
 
     Built from presentation data: objects, generators (id -> (src, tgt))
     and relations; a complex enters with one relation (d2m d1p) = (d1m d2p)
@@ -312,9 +318,9 @@ class _SwapEngine:
     unchanged, and the congruence is a right congruence, so this is exact.
     Pairs are numbered in (rank of p, sorted out-generator) order and each
     class keeps its lowest pair as root: roots are then the lexicographically
-    least members, layers come out sorted by representative, and class
-    sizes are exact sums of prefix sizes.  Only the last max(m) layers are
-    kept while building.
+    least members, each source's block of a layer comes out sorted by
+    representative, and class sizes are exact sums of prefix sizes.  Only
+    the last max(m) layers are kept while building.
     """
 
     def __init__(self, objects, generators, relations):
@@ -370,16 +376,18 @@ class _SwapEngine:
                     free.append(w)
         return heights if len(free) == len(targets) else None
 
-    def layers(self, source, max_len, max_classes):
+    def layers(self, sources, max_len, max_classes):
         """Yield the _Layer of each length 0, 1, ... up to ``max_len``, or
         until a layer is empty; only the last max(m) layers are kept here."""
         if max_len is not None and max_len < 0:
             raise DomainError(f"length bound {max_len} is negative")
         out, targets, depth = self.out, self.targets, self.depth
         relations = self.relations.items()
-        layer = _Layer([self.index[source]], [1], [()])
+        k = len(sources)
+        blocks = list(range(k + 1)) if k > 1 else None
+        layer = _Layer([self.index[x] for x in sources], [1] * k, [()] * k, blocks)
         live = [layer]  # the last ``depth`` layers, oldest first
-        built = 1
+        built, counts = 1, [1] * k  # classes built: the most from one source, and per source
         length = 0
         while True:
             yield layer
@@ -430,14 +438,21 @@ class _SwapEngine:
                         cls = step[pair] = step[up]
                         sizes[cls] += size
                     pair += 1
-            built += len(ends)
-            if built > max_classes:
-                raise EnumerationLimitError(
-                    f"{built} dipath classes built from {source}, "
-                    f"more than the cap of {max_classes}"
-                )
+            if blocks is None:
+                built += len(ends)
+            else:  # a block's lowest pair is a root: it starts the next block
+                offsets.append(n)  # sentinels for empty blocks at the end
+                step.append(len(ends))
+                blocks = [step[offsets[c]] for c in blocks]
+                counts = [b + hi - lo for b, lo, hi in zip(counts, blocks, blocks[1:])]
+                built = max(counts)
+            if built > max_classes:  # name the first source past the cap
+                counts = counts if blocks else [built]
+                x, built = next((x, b) for x, b in zip(sources, counts) if b > max_classes)
+                raise EnumerationLimitError(f"{built} dipath classes built from {x}, "
+                                            f"more than the cap of {max_classes}")
             layer.step = step
-            layer = _Layer(ends, sizes, reps)
+            layer = _Layer(ends, sizes, reps, blocks)
             live.append(layer)
             if len(live) > depth:
                 del live[0]
@@ -454,7 +469,7 @@ def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_
     engine = _require_walkable(complex_, (source, target), max_len)
     t = engine.index[target]
     found = []
-    for layer in engine.layers(source, max_len, max_classes):
+    for layer in engine.layers([source], max_len, max_classes):
         found += [
             HomClass(rep, size)
             for v, size, rep in zip(layer.ends, layer.sizes, layer.reps)
@@ -485,7 +500,7 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
     # prefix[k]: loops shorter than k; entries: the table pairs (i, j) with
     # len(ri) + len(rj) <= max_len among the loops of the layers built so far
     layers, prefix, entries = [], [0], 0
-    for length, layer in enumerate(engine.layers(point, max_len, max_classes)):
+    for length, layer in enumerate(engine.layers([point], max_len, max_classes)):
         layers.append(layer)
         here = layer.ends.count(p)
         prefix.append(prefix[-1] + here)
@@ -598,7 +613,7 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     exact = acyclic and max_len is None
     for x in k.vertices:
         counts = [0] * len(k.vertices)
-        for layer in engine.layers(x, max_len, max_classes):
+        for layer in engine.layers([x], max_len, max_classes):
             for v in layer.ends:
                 counts[v] += 1
         for y, n in zip(k.vertices, counts):

@@ -22,7 +22,9 @@ from dihom.catho import (
     NatTransf,
     Realization,
     _guard,
+    _length_preserving,
     _rewrites,
+    _subdivided,
     compose_functors,
     full_subcategory,
     identity_functor,
@@ -39,6 +41,7 @@ from dihom.fundcat import (
     _SwapEngine,
     _UnionFind,
     _walk,
+    validate_presentation,
 )
 
 INF = math.inf
@@ -715,7 +718,67 @@ def realize_words_oracle(pres, bound, max_words=MAX_WORDS):
             raise DomainError(f"no word {';'.join(word)} out of {start} here")
         return canonical[(start, word)]
 
-    return Realization(pres, bound, truncated, homs, class_of)
+    return Realization(pres, bound, truncated, homs, _extend_by(class_of))
+
+
+def _extend_by(class_of):
+    """The ``extend`` callable of a Realization, from a ``class_of(start,
+    word)`` that reads each whole word from the start."""
+    return lambda start, word, suffixes: [class_of(start, word + s) for s in suffixes]
+
+
+def realize_per_source_oracle(pres, bound=None, max_words=MAX_WORDS):
+    """``realize_presentation`` as it was before one sweep served every
+    source object: one engine sweep per object, each kept in ``layers_of``,
+    and ``class_of`` reads the start's own layers."""
+    if bound is not None and bound < 0:
+        raise DomainError(f"length bound {bound} is negative")
+    bad = validate_presentation(pres)
+    if bad:
+        raise DomainError("invalid presentation: " + "; ".join(bad[:5]))
+    engine = _SwapEngine(pres.objects, pres.generators, pres.relations)
+    heights = engine.heights
+    if bound is None and heights is None:
+        raise DomainError("cyclic presentation needs a length bound")
+    chains = {g: (g,) for g in pres.generators}
+    whole = tuple  # the identity on the representatives, which are tuples
+    if not _length_preserving(pres):
+        if heights is None or bound is not None and bound < max(heights):
+            raise DomainError("length-changing relation in truncated mode")
+        chains, *sub = _subdivided(pres, heights)
+        engine = _SwapEngine(*sub)
+        whole = lambda pieces: tuple(g for g, k in pieces if not k)
+    objects, out = pres.objects, engine.out
+    found = {}
+    layers_of = {}
+    truncated = False
+    for x in objects:
+        layers = layers_of[x] = list(engine.layers([x], bound, max_words))
+        for layer in layers:
+            for y, rep in zip(layer.ends, layer.reps):
+                if y < len(objects):  # not inside a chain
+                    found.setdefault((x, objects[y]), []).append(whole(rep))
+        # the last layer is empty unless the bound cut the words off
+        truncated = truncated or any(out[v] for v in layers[-1].ends)
+    homs = {xy: tuple(sorted(reps)) for xy, reps in sorted(found.items())}
+
+    def class_of(start, word):
+        layers = layers_of.get(start)
+        if layers is None:
+            raise DomainError(f"unknown object {start}")
+        cls = depth = 0
+        for g in word:
+            if depth + 1 == len(layers):
+                raise DomainError(f"word longer than the bound {bound}")
+            if g not in chains or engine.index[pres.gen_src(g)] != layers[depth].ends[cls]:
+                raise DomainError(f"word not composable at generator {g}")
+            for piece in chains[g]:
+                layer = layers[depth]
+                cls = layer.step[layer.offsets[cls] + engine.pos[piece]]
+                depth += 1
+        return whole(layers[depth].reps[cls])
+
+    return Realization(pres, bound, truncated, homs, _extend_by(class_of))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -972,6 +974,121 @@ def test_realize_matches_the_word_oracle_with_length_changing_relations():
             ct.realize_presentation(pres, longest - 1)
         with pytest.raises(DomainError, match="^length bound -1 is negative$"):
             ct.realize_presentation(pres, -1)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of the DomainError
+    or EnumerationLimitError it raises."""
+    try:
+        return call()
+    except (DomainError, EnumerationLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _realizing_engine(pres):
+    """The engine realization runs on: ``pres``'s own, or that of its
+    subdivision when a relation changes length."""
+    engine = fc._SwapEngine(pres.objects, pres.generators, pres.relations)
+    if ct._length_preserving(pres):
+        return engine
+    return fc._SwapEngine(*ct._subdivided(pres, engine.heights)[1:])
+
+
+def _own_sweep_sizes(pres, bound):
+    """Per object, the number of classes of each length that a sweep from
+    that object alone builds."""
+    engine = _realizing_engine(pres)
+    return [[len(layer.ends) for layer in engine.layers([x], bound, math.inf)]
+            for x in pres.objects]
+
+
+def _cap_error(pres, bound, cap):
+    """The error of one sweep from every object at cap ``cap``: at the first
+    length where some object's classes built so far pass the cap, the
+    lowest-numbered such object and its count; None if there is none."""
+    sizes = _own_sweep_sizes(pres, bound)
+    for length in range(1, max(map(len, sizes), default=0)):
+        for x, built in zip(pres.objects, (sum(s[:length + 1]) for s in sizes)):
+            if built > cap:
+                return (EnumerationLimitError,
+                        f"{built} dipath classes built from {x}, more than the cap of {cap}")
+    return None
+
+
+def _differential_cases(rng):
+    """Seeded (kind, presentation, bound) triples: acyclic and cyclic
+    presentations with length-preserving relations, length-changing ones,
+    one-object ones, some with an object without generators, and the empty
+    presentation."""
+    yield "empty", fc.CatPresentation((), {}, ()), None
+    yield "empty", fc.CatPresentation((), {}, ()), 3
+    # at cap 5, a path of 5 out of a trips it at length 5 and two loops at b
+    # at length 2: one sweep names b, where one sweep per object named a
+    path = {f"p{i}": (f"a{i or ''}", f"a{i + 1}") for i in range(5)}
+    objects = ("a", *(f"a{i}" for i in range(1, 6)), "b")
+    yield "renamed", fc.CatPresentation(objects, {**path, "l": ("b", "b"), "m": ("b", "b")},
+                                        ()), 5
+    for trial in range(240):
+        kind = ("acyclic", "cyclic", "one object", "length-changing")[trial % 4]
+        if kind == "length-changing":
+            pres = None
+            while pres is None:
+                pres = _length_changing_presentation(rng)
+            bound = rng.choice([None, 9])
+        else:
+            pres = _random_presentation(rng, acyclic=kind == "acyclic")
+            bound = None if kind == "acyclic" and rng.random() < 0.5 else rng.randint(0, 4)
+        if kind == "one object":  # the first object with its loops
+            x = pres.objects[0]
+            loops = [g for g, (s, t) in sorted(pres.generators.items()) if s == t == x]
+            loops = loops or ["l"]
+            pres = fc.CatPresentation((x,), {g: (x, x) for g in loops},
+                                      (((loops[0], loops[-1]), (loops[-1], loops[0])),))
+        elif rng.random() < 0.4:
+            objects = list(pres.objects)
+            objects.insert(rng.randint(0, len(objects)), "bare")
+            pres = fc.CatPresentation(tuple(objects), pres.generators, pres.relations)
+            kind += " with a bare object"
+        yield kind, pres, bound
+
+
+def test_one_sweep_realizes_as_one_sweep_per_object_did():
+    rng = random.Random(20261020)
+    kinds, raised, renamed = Counter(), 0, 0
+    for kind, pres, bound in _differential_cases(rng):
+        kinds[kind.split(" with")[0]] += 1
+        kinds["bare"] += "bare" in pres.objects
+        real = ct.realize_presentation(pres, bound)
+        old = oracles.realize_per_source_oracle(pres, bound)
+        assert (real.homs, real.truncated) == (old.homs, old.truncated)
+        tails = [("nope",)] + [(g,) for g in sorted(pres.generators)]
+        for (x, _y), reps in real.homs.items():
+            for w in reps:
+                for k in range(len(w) + 1):
+                    assert real.class_of(x, w[:k]) == old.class_of(x, w[:k])
+                # one generator more: composable, past the bound, or neither
+                for tail in tails:
+                    assert _outcome(lambda: real.class_of(x, w + tail)) == _outcome(
+                        lambda: old.class_of(x, w + tail))
+        # (g, 1) is the first inner object of g's chain, if g climbs by more than 1
+        inner = [(g, 1) for g in sorted(pres.generators)]
+        kinds["chain"] += any(x in _realizing_engine(pres).index for x in inner)
+        for start in ("nowhere", *inner):
+            assert _outcome(lambda: real.class_of(start, ())) == _outcome(
+                lambda: old.class_of(start, ())) == (DomainError, f"unknown object {start}")
+        # caps 0, 1, 5 (see the fixed case) and around where the largest one-object sweep trips
+        trip = max(map(sum, _own_sweep_sizes(pres, bound)), default=1)
+        for cap in sorted({0, 1, 5, trip - 1, trip, trip + 1}):
+            got = _outcome(lambda: ct.realize_presentation(pres, bound, cap).homs)
+            was = _outcome(lambda: oracles.realize_per_source_oracle(pres, bound, cap).homs)
+            assert (got == real.homs) == (was == real.homs)
+            if got != real.homs:
+                raised += 1
+                renamed += got != was
+                assert got == _cap_error(pres, bound, cap)
+    assert kinds.pop("empty") == 2 and kinds.pop("renamed") == 1
+    assert min(kinds.values()) > 20, kinds
+    assert raised > 500 and renamed >= 1
 
 
 def three_routes():

@@ -450,6 +450,17 @@ def test_morphism_image_with_unknown_generator_exits_one(workdir, tmp_path):
     )
 
 
+def test_morphism_lines_for_names_the_source_lacks_exit_one(workdir):
+    (workdir / "u.morph").write_text("object p 0\nobject q 1\nobject zz 0\ngen nope a\n")
+    files = ["discrete2.pres", "interval.pres", "interval.pres", "u.morph", "glue.morph"]
+    code, out, err = invoke(["cat", "pushout", *(str(workdir / f) for f in files)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: ill-formed presentation morphism: object zz: not an object of the source; "
+        "generator nope: not a generator of the source\n"
+    )
+
+
 Z3_CATEGORY = (
     "object *\narrow g1 * *\narrow g2 * *\ncompose g1 g1 = g2\n"
     "compose g1 g2 = id(*)\ncompose g2 g1 = id(*)\ncompose g2 g2 = g1\n"
@@ -473,6 +484,20 @@ def test_faithful_on_a_non_functor_exits_one(tmp_path, arrows, first):
     assert err == (
         f"error: {fun}: {first}; composition (g1;g2) not preserved; "
         "composition (g2;g1) not preserved\n"
+    )
+
+
+def test_functor_lines_for_names_the_domain_lacks_exit_one(workdir):
+    fun = workdir / "f.functor"
+    fun.write_text(
+        "domain two.category\ncodomain oc.category\n"
+        "object 0 0\nobject 1 1\narrow a a\nobject zz 0\narrow nope b\n"
+    )
+    code, out, err = invoke(["cat", "faithful", str(fun)])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {fun}: object zz: not an object of the domain; "
+        "arrow nope: not an arrow of the domain\n"
     )
 
 
