@@ -30,7 +30,6 @@ height it climbs, which needs an acyclic presentation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 
 from ._kernels import _backtrack, _UnionFind
@@ -38,7 +37,9 @@ from .errors import (
     DomainError,
     EnumerationLimitError,
     InputSyntaxError,
+    Record,
     SizeGuardError,
+    _set,
     directives,
 )
 from .fundcat import (
@@ -823,14 +824,16 @@ def cancellable_arrows(cat):
 # presentations: morphisms, pushouts, realization
 
 
-@dataclass(frozen=True)
-class PresentationMorphism:
+class PresentationMorphism(Record):
     """Object map plus generator-to-word map between presentations."""
 
-    source: CatPresentation
-    target: CatPresentation
-    obj_map: dict
-    gen_map: dict
+    __slots__ = _fields = ("source", "target", "obj_map", "gen_map")
+
+    def __init__(self, source, target, obj_map, gen_map):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "obj_map", obj_map)
+        _set(self, "gen_map", gen_map)
 
     def obj(self, x):
         return self.obj_map[x]
@@ -940,11 +943,13 @@ def require_morphism(morph):
     return morph
 
 
-@dataclass(frozen=True)
-class Pushout:
-    presentation: CatPresentation
-    left: PresentationMorphism
-    right: PresentationMorphism
+class Pushout(Record):
+    __slots__ = _fields = ("presentation", "left", "right")
+
+    def __init__(self, presentation, left, right):
+        _set(self, "presentation", presentation)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 def pushout(p0, p1, p2, u1, u2):

@@ -16,11 +16,10 @@ integers: every finite entry is brought to one common denominator
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import _backtrack, _UnionFind
-from .errors import DomainError, InputSyntaxError, SizeGuardError, directives
+from .errors import DomainError, InputSyntaxError, Record, SizeGuardError, _set, directives
 
 INF = math.inf
 MAX_PRODUCT_POINTS = 1000  # a matrix of 10**6 entries, as scenes' MAX_LATTICE_POINTS
@@ -45,10 +44,13 @@ def format_dist(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class DMetricSpace:
-    points: tuple[str, ...]
-    dist: tuple[tuple[object, ...], ...]  # int or Fraction entries, INF allowed
+class DMetricSpace(Record):
+    __slots__ = _fields = ("points", "dist")  # dist: rows of int or Fraction, INF allowed
+
+    def __init__(self, points, dist):
+        _set(self, "points", points)
+        _set(self, "dist", dist)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):

@@ -23,14 +23,15 @@ Unbounded computation is only allowed on acyclic complexes and is refused
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._kernels import _UnionFind
 from .errors import (
     DomainError,
     EnumerationLimitError,
+    Record,
     UnboundedEnumerationError,
+    _set,
 )
 from .precubical import require_valid
 
@@ -38,13 +39,17 @@ DEFAULT_MAX_PATHS = 1_000_000
 DEFAULT_MAX_CLASSES = 1_000_000
 
 
-@dataclass(frozen=True)
-class DiPath:
+class DiPath(Record):
     """A composable edge sequence; ``edges`` empty means the degenerate path."""
 
-    complex: object = field(compare=False, repr=False)
-    start: str
-    edges: tuple[str, ...] = ()
+    __slots__ = _fields = ("complex", "start", "edges")
+    _hidden = ("complex",)
+
+    def __init__(self, complex, start, edges=()):
+        _set(self, "complex", complex)
+        _set(self, "start", start)
+        _set(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
         k = self.complex
@@ -84,26 +89,31 @@ class DiPath:
         return path
 
 
-@dataclass(frozen=True)
-class HomClass:
-    representative: tuple[str, ...]
-    size: int
+class HomClass(Record):
+    __slots__ = _fields = ("representative", "size")
+
+    def __init__(self, representative, size):
+        _set(self, "representative", representative)
+        _set(self, "size", size)
 
 
-@dataclass(frozen=True)
-class HomClassSet:
-    source: str
-    target: str
-    bound: int | None
-    classes: tuple[HomClass, ...]
+class HomClassSet(Record):
+    """The HomClasses of dipaths source -> target of length <= bound (None: any)."""
+
+    __slots__ = _fields = ("source", "target", "bound", "classes")
+
+    def __init__(self, source, target, bound, classes):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "bound", bound)
+        _set(self, "classes", classes)
 
     @property
     def count(self):
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class MonoidClassTable:
+class MonoidClassTable(Record):
     """Loop classes at a point, graded by length, with their concatenation.
 
     ``counts[l]`` is the number of classes of length l; ``reps`` lists the
@@ -112,30 +122,39 @@ class MonoidClassTable:
     bound).
     """
 
-    point: str
-    bound: int
-    counts: tuple[int, ...]
-    reps: tuple[tuple[str, ...], ...]
-    table: dict
+    __slots__ = _fields = ("point", "bound", "counts", "reps", "table")
+
+    def __init__(self, point, bound, counts, reps, table):
+        _set(self, "point", point)
+        _set(self, "bound", bound)
+        _set(self, "counts", counts)
+        _set(self, "reps", reps)
+        _set(self, "table", table)
 
 
-@dataclass(frozen=True)
-class OneSimpleResult:
-    one_simple: bool
-    witness: tuple[str, str] | None
-    exact: bool
+class OneSimpleResult(Record):
+    """``witness``: an (x, y) with two or more classes, or None."""
+
+    __slots__ = _fields = ("one_simple", "witness", "exact")
+
+    def __init__(self, one_simple, witness, exact):
+        _set(self, "one_simple", one_simple)
+        _set(self, "witness", witness)
+        _set(self, "exact", exact)
 
     def __bool__(self):
         return self.one_simple
 
 
-@dataclass(frozen=True)
-class CatPresentation:
+class CatPresentation(Record):
     """Objects, generating arrows, and parallel word-pair relations."""
 
-    objects: tuple[str, ...]
-    generators: dict
-    relations: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    _fields = ("objects", "generators", "relations")  # no __slots__: _engine is cached
+
+    def __init__(self, objects, generators, relations):
+        _set(self, "objects", objects)
+        _set(self, "generators", generators)
+        _set(self, "relations", relations)
 
     @cached_property
     def _engine(self):

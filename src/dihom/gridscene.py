@@ -17,29 +17,31 @@ converts to this product order via :func:`cone_to_product_coords`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InputSyntaxError, SizeGuardError, directives
+from .errors import InputSyntaxError, Record, SizeGuardError, _set, directives
 from .precubical import PreCubicalSet
 
 MAX_LATTICE_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class Box:
-    x0: int
-    y0: int
-    x1: int
-    y1: int
+class Box(Record):
+    __slots__ = _fields = ("x0", "y0", "x1", "y1")
+
+    def __init__(self, x0, y0, x1, y1):
+        _set(self, "x0", x0)
+        _set(self, "y0", y0)
+        _set(self, "x1", x1)
+        _set(self, "y1", y1)
 
 
-@dataclass(frozen=True)
-class GridScene:
-    width: int
-    height: int
-    boxes: tuple[Box, ...]
-    source: tuple[int, int]
-    target: tuple[int, int]
+class GridScene(Record):
+    __slots__ = _fields = ("width", "height", "boxes", "source", "target")
+
+    def __init__(self, width, height, boxes, source, target):
+        _set(self, "width", width)
+        _set(self, "height", height)
+        _set(self, "boxes", boxes)
+        _set(self, "source", source)
+        _set(self, "target", target)
 
 
 def cone_to_product_coords(point):

@@ -37,31 +37,34 @@ called on the first read, which the class queries never make.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import DomainError, InputSyntaxError, InvalidComplexError, directives
+from .errors import DomainError, InputSyntaxError, InvalidComplexError, Record, _set, directives
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """Handle for one cell: dimension in {0,1,2} plus its id, optional label."""
 
-    dim: int
-    id: str
-    label: str | None = None
+    __slots__ = _fields = ("dim", "id", "label")
+
+    def __init__(self, dim, id, label=None):
+        _set(self, "dim", dim)
+        _set(self, "id", id)
+        _set(self, "label", label)
 
     @property
     def key(self):
         return (self.dim, self.id)
 
 
-@dataclass(frozen=True)
-class Violation:
-    dim: int
-    cell: str
-    message: str
+class Violation(Record):
+    __slots__ = _fields = ("dim", "cell", "message")
+
+    def __init__(self, dim, cell, message):
+        _set(self, "dim", dim)
+        _set(self, "cell", cell)
+        _set(self, "message", message)
 
     def __str__(self):
         return f"dim {self.dim} cell {self.cell}: {self.message}"

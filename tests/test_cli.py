@@ -748,3 +748,51 @@ def test_each_verb_loads_only_its_modules(workdir, argv, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(proc.stderr.split()) == sorted(loaded.split())
+
+
+# one fixture command per verb (the two-hash-seed list of CI), run from the
+# repository root; export-dot writes into the test's directory
+VERB_COMMANDS = [
+    "classes fixtures/x.scene",
+    "hom fixtures/o1.complex --from 0 --to 1 --reps",
+    "pi0 fixtures/hole.scene",
+    "preorder fixtures/hole.scene",
+    "one-simple fixtures/y.scene",
+    "monoid fixtures/torus.complex --at v --max-len 4",
+    "cat contractible fixtures/two.category --direction past",
+    "cat equiv fixtures/two.category fixtures/oc.category",
+    "cat faithful fixtures/inc.functor",
+    "cat pushout fixtures/discrete2.pres fixtures/interval.pres fixtures/interval.pres"
+    " fixtures/glue.morph fixtures/glue.morph",
+    "cat pushout fixtures/interval.pres fixtures/square.pres fixtures/square.pres"
+    " fixtures/edge.morph fixtures/edge.morph",
+    "cat realize fixtures/interval.pres",
+    "cat realize fixtures/square.pres",
+    "metric validate fixtures/interval8.dmetric",
+    "metric product fixtures/interval8.dmetric fixtures/interval8.dmetric",
+    "metric sum fixtures/interval8.dmetric fixtures/interval8.dmetric",
+    "metric quotient fixtures/interval8.dmetric fixtures/endpoints.rel",
+    "metric ball fixtures/interval8.dmetric --at 1/4 --eps 1/2 --direction future",
+    "export-dot fixtures/o1.complex -o {out}",
+    "export-dot fixtures/two.category -o {out}",
+]
+SLOW_IMPORTS = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from dihom.cli import main; "
+    "code = main(sys.argv[2:]); "
+    "sys.stderr.write(' '.join({'dataclasses', 'inspect'} & set(sys.modules))); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "cmd", VERB_COMMANDS, ids=[c.split(" fixtures")[0] for c in VERB_COMMANDS]
+)
+def test_no_verb_imports_dataclasses_or_inspect(tmp_path, cmd):
+    src = str(Path(dihom.__file__).resolve().parents[1])
+    argv = cmd.format(out=tmp_path / "out.dot").split()
+    proc = subprocess.run(
+        [sys.executable, "-c", SLOW_IMPORTS, src, *argv],
+        cwd=Path(src).parent, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
