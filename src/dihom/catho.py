@@ -44,7 +44,9 @@ from .errors import (
 )
 from .fundcat import (
     CatPresentation,
+    _composites,
     _reach,
+    _shared_prefixes,
     _SwapEngine,
     validate_presentation,
 )
@@ -874,7 +876,8 @@ def _word_swap_class(pres, word, max_words=MAX_WORDS):
             if w2 not in seen:
                 seen.add(w2)
                 if len(seen) > max_words:
-                    raise EnumerationLimitError("swap closure too large")
+                    raise EnumerationLimitError(f"more than {max_words} words in the "
+                                                f"swap closure of {';'.join(word)}")
                 queue.append(w2)
     return seen
 
@@ -999,16 +1002,18 @@ class Realization:
 
     Complete when the generator graph is acyclic and no bound cuts the
     enumeration short; otherwise ``truncated`` is set and hom-sets only
-    cover words up to the length bound.
+    cover words up to the length bound.  Classes and composites are read
+    off the class engine's layers by :func:`dihom.fundcat._composites`.
     """
 
-    def __init__(self, presentation, bound, truncated, homs, extend):
+    def __init__(self, presentation, bound, truncated, homs, layers, engine, chains, whole):
         self.presentation = presentation
         self.bound = bound
         self.truncated = truncated
         self.objects = presentation.objects
         self.homs = homs  # (x, y) -> tuple of canonical representative words
-        self._extend = extend  # (start, word, suffixes) -> class of word + s, per s
+        self._layers, self._engine = layers, engine
+        self._chains, self._whole = chains, whole  # generator -> its pieces, and back
 
     def hom_reps(self, x, y):
         return self.homs.get((x, y), ())
@@ -1020,31 +1025,56 @@ class Realization:
         """Canonical word of the class of ``word`` out of ``start``;
         DomainError for an unknown start, a word that does not compose from
         it, or one longer than the realization covers."""
-        return self._extend(start, tuple(word), [()])[0]
+        i = self._engine.index.get(start)
+        if i is None or i >= len(self.objects):  # chain objects are no starts
+            raise DomainError(f"unknown object {start}")
+        gens, layers = self.presentation.generators, self._layers
+        pieces, at = [], start
+        for g in word:
+            if len(pieces) + 1 == len(layers):
+                raise DomainError(f"word longer than the bound {self.bound}")
+            if g not in gens or gens[g][0] != at:
+                raise DomainError(f"word not composable at generator {g}")
+            pieces += self._chains[g]
+            at = gens[g][1]
+        [c] = _composites(layers, self._engine.pos, i, 0, [(pieces, 0)])
+        return self._whole(layers[len(pieces)].reps[c])
 
     def to_fincategory(self):
-        """Explicit category with one arrow per class; complete mode only."""
+        """Explicit category with one arrow per class; complete mode only.
+        One walk from each object's empty word along its representatives, in
+        sorted order, finds their classes; the composites of each w1 are
+        walked on from its class the same way."""
         if self.truncated:
             raise DomainError("truncated realization does not form a category")
-        arrows, name = {}, {}  # name: (start, rep) -> arrow name
-        leaving = {}  # x -> the reps of the classes out of x, in homs order
+        layers, index, pos = self._layers, self._engine.index, self._engine.pos
+        arrows, leaving = {}, {}  # x -> (pieces, arrow, target) per class out of x, homs order
         for (x, y), reps in self.homs.items():
-            leaving.setdefault(x, []).extend(reps)
             for w in reps:
-                a = name[(x, w)] = _arrow_name(x, w)
+                a = ";".join(w) if w else f"id({x})"
                 arrows[a] = (x, y)
-        identity = {x: _arrow_name(x, ()) for x in self.objects}
+                pieces = tuple(p for g in w for p in self._chains[g])
+                leaving.setdefault(x, []).append((pieces, a, y))
+        identity = {x: f"id({x})" for x in self.objects}
+        # x -> (the walk along its pieces, sorted; per class in homs order:
+        # its place in that walk, length, class, arrow and target)
+        walks, names = {}, [[None] * len(layer.ends) for layer in layers]
+        for x, out in leaving.items():
+            order = sorted(range(len(out)), key=lambda k: out[k][0])
+            suffixes = _shared_prefixes([out[k][0] for k in order])
+            at = _composites(layers, pos, index[x], 0, suffixes)
+            place = sorted(range(len(out)), key=order.__getitem__)
+            walks[x] = suffixes, [(r, len(p), at[r], a, y) for r, (p, a, y) in zip(place, out)]
+            for _, d, c, a, _ in walks[x][1]:
+                names[d][c] = a
         table = {}
-        for (x, y), reps in self.homs.items():
-            for w1 in reps:
-                a1 = name[(x, w1)]
-                for w2, w in zip(leaving[y], self._extend(x, w1, leaving[y])):
-                    table[(a1, name[(y, w2)])] = name[(x, w)]
+        for _, entries in walks.values():
+            for _, d1, c1, a1, y in entries:
+                suffixes, after = walks[y]
+                ends = _composites(layers, pos, c1, d1, suffixes)
+                for r, d2, _, a2, _ in after:
+                    table[(a1, a2)] = names[d1 + d2][ends[r]]
         return FinCategory(self.objects, arrows, identity, table)
-
-
-def _arrow_name(start, word):
-    return f"id({start})" if not word else ";".join(word)
 
 
 def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
@@ -1075,7 +1105,7 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
         chains, *sub = _subdivided(pres, heights)
         engine = _SwapEngine(*sub)
         whole = lambda pieces: tuple(g for g, k in pieces if not k)
-    objects, index, pos = pres.objects, engine.index, engine.pos
+    objects = pres.objects
     layers = list(engine.layers(objects, bound, max_words))
     found = {}
     for layer in layers:
@@ -1087,27 +1117,7 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
     homs = {xy: tuple(sorted(reps)) for xy, reps in sorted(found.items())}
     # the last layer is empty unless the bound cut the words off
     truncated = any(engine.out[v] for v in layers[-1].ends)
-
-    def extend(start, word, suffixes):
-        i = index.get(start)
-        if i is None or i >= len(objects):  # chain objects are no starts
-            raise DomainError(f"unknown object {start}")
-        at = walk(i, 0, word)
-        return [whole(layers[d].reps[c]) for c, d in (walk(*at, s) for s in suffixes)]
-
-    def walk(cls, depth, word):  # on from class cls of layer depth, by the right action
-        for g in word:
-            if depth + 1 == len(layers):
-                raise DomainError(f"word longer than the bound {bound}")
-            if g not in chains or index[pres.gen_src(g)] != layers[depth].ends[cls]:
-                raise DomainError(f"word not composable at generator {g}")
-            for piece in chains[g]:
-                layer = layers[depth]
-                cls = layer.step[layer.offsets[cls] + pos[piece]]
-                depth += 1
-        return cls, depth
-
-    return Realization(pres, bound, truncated, homs, extend)
+    return Realization(pres, bound, truncated, homs, layers, engine, chains, whole)
 
 
 def _subdivided(pres, heights):

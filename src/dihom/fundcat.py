@@ -15,7 +15,9 @@ reduction).  The engine that does so, ``_SwapEngine``, takes any
 presentation whose relations preserve length, so it also realizes glued
 presentations (:func:`dihom.catho.realize_presentation`); its cost grows
 with the number of classes (and their representatives' lengths), not with
-the number of words.
+the number of words.  Composites are read off the engine's right action by
+one walk, ``_composites``: the monoid's concatenation table and a
+realization's composition table and ``class_of`` all go through it.
 
 Unbounded computation is only allowed on acyclic complexes and is refused
 (not silently truncated) otherwise; the class count is capped.
@@ -308,7 +310,8 @@ class _Layer:
     for one source), as relations never join pairs of two sources.  Once
     the next layer is built, pair (c, j-th out-generator of its end) is
     ``offsets[c] + j`` and ``step[pair]`` is the class of ``reps[c] +
-    (generator,)`` there: the right action.
+    (generator,)`` there: the right action.  Outside the engine only
+    ``_composites`` reads ``step``.
     """
 
     __slots__ = ("ends", "sizes", "reps", "blocks", "offsets", "step")
@@ -478,6 +481,38 @@ class _SwapEngine:
             length += 1
 
 
+def _composites(layers, pos, cls, depth, suffixes):
+    """The class of w + s per (s, shared) of ``suffixes`` (see
+    ``_shared_prefixes``), w being a word of class ``cls`` in
+    ``layers[depth]`` and ``pos`` the generator positions: the one walk
+    along the right action.  It steps once per generator that the suffix
+    before does not share, so a common prefix of sorted suffixes is walked
+    once."""
+    layers = layers[depth:]
+    path, found = [cls], []  # path[m]: the class of w + s[:m]
+    for s, shared in suffixes:
+        del path[shared + 1:]
+        for m in range(shared, len(s)):
+            layer = layers[m]
+            path.append(layer.step[layer.offsets[path[m]] + pos[s[m]]])
+        found.append(path[-1])
+    return found
+
+
+def _shared_prefixes(words):
+    """The suffix list ``_composites`` takes: per word, the word and the
+    length of the prefix it shares with the word before (0 for the first).
+    Sorted words share the most."""
+    pairs, prev = [], ()
+    for w in words:
+        m = 0
+        while m < len(w) and m < len(prev) and w[m] == prev[m]:
+            m += 1
+        pairs.append((w, m))
+        prev = w
+    return pairs
+
+
 def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     """Partition dipaths source -> target by the swap congruence.
 
@@ -543,39 +578,25 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
     rank = {(length, c): i for i, (_, length, c) in enumerate(loops)}
     counts = [b - a for a, b in zip(prefix, prefix[1:])]
     counts += [0] * (max_len + 1 - len(counts))
-    # walks[b]: (j, common prefix length with the previous listed rep) for
-    # the reps of length <= b, in rep order; in sorted order the common
-    # prefix of two reps is the least one between neighbours
-    lcp = [0] * len(reps)
-    for j in range(1, len(reps)):
-        a, b = reps[j - 1], reps[j]
-        m = 0
-        while m < len(a) and m < len(b) and a[m] == b[m]:
-            m += 1
-        lcp[j] = m
-    walks = []
+    # walks[b]: the numbers and lengths of the reps of length <= b, and the
+    # walk along them; in sorted order two reps share the least prefix that
+    # neighbours in between share
+    shared, walks = _shared_prefixes(reps), []
     for bound in range(max_len + 1):
-        listed, shared = [], 0
-        for j, rj in enumerate(reps):
-            shared = min(shared, lcp[j])
-            if len(rj) <= bound:
-                listed.append((j, shared))
-                shared = len(rj)
-        walks.append(listed)
-    pos = engine.pos
+        js, listed, m = [], [], 0
+        for j, (w, s) in enumerate(shared):
+            if s < m:
+                m = s
+            if len(w) <= bound:
+                js.append((j, len(w)))
+                listed.append((w, m))
+                m = len(w)
+        walks.append((js, listed))
     table = {}
     for i, (_, li, ci) in enumerate(loops):
-        # walk each short enough rj from ri's class through the right
-        # action, sharing the walk along common prefixes:
-        # path[m] is the class of ri + rj[:m] at length li + m
-        path = [ci]
-        for j, shared in walks[max_len - li]:
-            rj = reps[j]
-            del path[shared + 1:]
-            for m in range(shared, len(rj)):
-                layer = layers[li + m]
-                path.append(layer.step[layer.offsets[path[m]] + pos[rj[m]]])
-            table[(i, j)] = rank[(li + len(rj), path[-1])]
+        js, suffixes = walks[max_len - li]
+        for (j, lj), c in zip(js, _composites(layers, engine.pos, ci, li, suffixes)):
+            table[(i, j)] = rank[(li + lj, c)]
     return MonoidClassTable(point, max_len, tuple(counts), reps, table)
 
 

@@ -20,7 +20,6 @@ from dihom.catho import (
     FinCategory,
     FunctorMap,
     NatTransf,
-    Realization,
     _guard,
     _length_preserving,
     _rewrites,
@@ -180,6 +179,30 @@ def enumerate_dipaths_oracle(complex_, source, target, max_len=None,
             stack.pop()
         else:
             return found
+
+
+def monoid_table_oracle(complex_, point, max_len):
+    """(reps, table) of ``fundamental_monoid_classes``, its table built from
+    scratch: each ri + rj walked from the point's empty word, generator by
+    generator through the right action, without sharing any prefix.  The
+    loop classes are the engine's (``swap_partition`` checks those)."""
+    engine = _require_walkable(complex_, (point,), max_len)
+    p = engine.index[point]
+    layers = list(engine.layers([point], max_len, math.inf))
+    loops = sorted((rep, length, c) for length, layer in enumerate(layers)
+                   for c, (v, rep) in enumerate(zip(layer.ends, layer.reps)) if v == p)
+    rank = {(length, c): i for i, (_, length, c) in enumerate(loops)}
+    reps = tuple(rep for rep, _, _ in loops)
+    fits = [[(j, rj) for j, rj in enumerate(reps) if len(rj) <= b] for b in range(max_len + 1)]
+    table = {}
+    for i, ri in enumerate(reps):
+        for j, rj in fits[max_len - len(ri)]:
+            cls = 0
+            for depth, g in enumerate(ri + rj):
+                layer = layers[depth]
+                cls = layer.step[layer.offsets[cls] + engine.pos[g]]
+            table[(i, j)] = rank[(len(ri) + len(rj), cls)]
+    return reps, table
 
 
 def swap_partition(complex_, words):
@@ -718,13 +741,15 @@ def realize_words_oracle(pres, bound, max_words=MAX_WORDS):
             raise DomainError(f"no word {';'.join(word)} out of {start} here")
         return canonical[(start, word)]
 
-    return Realization(pres, bound, truncated, homs, _extend_by(class_of))
+    return WordClasses(homs, truncated, class_of)
 
 
-def _extend_by(class_of):
-    """The ``extend`` callable of a Realization, from a ``class_of(start,
-    word)`` that reads each whole word from the start."""
-    return lambda start, word, suffixes: [class_of(start, word + s) for s in suffixes]
+class WordClasses:
+    """What the realization oracles give: ``homs`` and ``truncated`` as a
+    Realization has them, and their own ``class_of(start, word)``."""
+
+    def __init__(self, homs, truncated, class_of):
+        self.homs, self.truncated, self.class_of = homs, truncated, class_of
 
 
 def realize_per_source_oracle(pres, bound=None, max_words=MAX_WORDS):
@@ -778,7 +803,55 @@ def realize_per_source_oracle(pres, bound=None, max_words=MAX_WORDS):
                 depth += 1
         return whole(layers[depth].reps[cls])
 
-    return Realization(pres, bound, truncated, homs, _extend_by(class_of))
+    return WordClasses(homs, truncated, class_of)
+
+
+def extend_per_suffix_oracle(real, start, word, suffixes):
+    """``Realization``'s composite walk as it was before the shared walk:
+    walk ``word`` from ``start``'s empty word, then each suffix on from
+    there, generator by generator, through ``real``'s layers; returns the
+    canonical word of word + s per suffix s, with the same errors."""
+    layers, index, pos = real._layers, real._engine.index, real._engine.pos
+    pres, chains = real.presentation, real._chains
+
+    def walk(cls, depth, word):  # on from class cls of layer depth, by the right action
+        for g in word:
+            if depth + 1 == len(layers):
+                raise DomainError(f"word longer than the bound {real.bound}")
+            if g not in chains or index[pres.gen_src(g)] != layers[depth].ends[cls]:
+                raise DomainError(f"word not composable at generator {g}")
+            for piece in chains[g]:
+                layer = layers[depth]
+                cls = layer.step[layer.offsets[cls] + pos[piece]]
+                depth += 1
+        return cls, depth
+
+    i = index.get(start)
+    if i is None or i >= len(real.objects):  # chain objects are no starts
+        raise DomainError(f"unknown object {start}")
+    at = walk(i, 0, tuple(word))
+    return [real._whole(layers[d].reps[c]) for c, d in (walk(*at, s) for s in suffixes)]
+
+
+def to_fincategory_per_suffix_oracle(real):
+    """``Realization.to_fincategory`` as it was before the shared walk: each
+    composite's suffix walked on from the first word's class on its own.
+    Returns (arrows, identity, table) in the order built."""
+    arrows, name = {}, {}  # name: (start, rep) -> arrow name
+    leaving = {}  # x -> the reps of the classes out of x, in homs order
+    for (x, y), reps in real.homs.items():
+        leaving.setdefault(x, []).extend(reps)
+        for w in reps:
+            a = name[(x, w)] = f"id({x})" if not w else ";".join(w)
+            arrows[a] = (x, y)
+    identity = {x: f"id({x})" for x in real.objects}
+    table = {}
+    for (x, y), reps in real.homs.items():
+        for w1 in reps:
+            a1 = name[(x, w1)]
+            for w2, w in zip(leaving[y], extend_per_suffix_oracle(real, x, w1, leaving[y])):
+                table[(a1, name[(y, w2)])] = name[(x, w)]
+    return arrows, identity, table
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -1385,6 +1386,81 @@ def test_to_fincategory_matches_the_scan_over_every_hom_entry():
         assert list(cat.identity.items()) == list(identity.items())
         assert cat.arrows == ct.FinCategory(real.objects, arrows, identity, table).arrows
         assert cat.objects == tuple(sorted(real.objects))
+
+
+def _walk_cases():
+    """The realizations of the to_fincategory scan test's 200 seeded
+    presentations (bounded cyclic ones among them), 60 length-changing ones
+    (subdivided, half with a bound at least the longest word) and 40 cyclic
+    ones whose bound cuts the words off, and 10 seeded scenes."""
+    rng = random.Random(20261018)
+    for trial in range(200):
+        acyclic = trial % 2 == 0
+        pres = _random_presentation(rng, acyclic)
+        bound = None if acyclic and rng.random() < 0.5 else rng.randint(0, 4)
+        yield ct.realize_presentation(pres, bound)
+    rng = random.Random(20261021)
+    for trial in range(60):
+        pres = None
+        while pres is None:
+            pres = _length_changing_presentation(rng)
+        yield ct.realize_presentation(pres, None if trial % 2 else 9)
+    for _ in range(40):
+        yield ct.realize_presentation(_random_presentation(rng, False), rng.randint(1, 4))
+    for _ in range(10):  # scenes: many representatives with long common prefixes
+        w, h = rng.randint(2, 4), rng.randint(2, 4)
+        boxes = [(x, y, x + 1, y + 1) for x in range(w) for y in range(h) if rng.random() < 0.3]
+        k = gs.to_precubical(gs.make_scene(w, h, boxes, (0, 0), (w, h)))
+        yield ct.realize_presentation(fc.presentation_of(k))
+
+
+def test_shared_walk_matches_the_walk_per_suffix():
+    kinds = Counter()
+    for real in _walk_cases():
+        kinds["subdivided"] += any(len(c) > 1 for c in real._chains.values())
+        kinds["truncated"] += real.truncated
+        tails = [("nope",)] + [(g,) for g in sorted(real.presentation.generators)]
+        for (x, _y), reps in real.homs.items():
+            for w in reps:
+                for k in range(len(w) + 1):
+                    want = oracles.extend_per_suffix_oracle(real, x, w[:k], [()])
+                    assert [real.class_of(x, w[:k])] == want
+                for tail in tails:
+                    assert _outcome(lambda: real.class_of(x, w + tail)) == _outcome(
+                        lambda: oracles.extend_per_suffix_oracle(real, x, w + tail, [()])[0])
+        if real.truncated:
+            continue
+        kinds["complete"] += 1
+        kinds["shared"] += any(len(w) > 1 for reps in real.homs.values() for w in reps)
+        kinds["large"] += sum(map(len, real.homs.values())) > 100
+        cat = real.to_fincategory()
+        arrows, identity, table = oracles.to_fincategory_per_suffix_oracle(real)
+        assert list(cat.table.items()) == list(table.items())
+        assert cat.arrows == arrows
+        assert list(cat.identity.items()) == list(identity.items())
+    assert kinds["subdivided"] > 40 and kinds["truncated"] > 50
+    assert kinds["complete"] > 100 and kinds["shared"] > 40 and kinds["large"] >= 5, kinds
+
+
+def test_one_hole_8x8_category_is_pinned():
+    k = gs.to_precubical(gs.make_scene(8, 8, [(3, 3, 4, 4)], (0, 0), (8, 8)))
+    real = ct.realize_presentation(fc.presentation_of(k))
+    cat = real.to_fincategory()
+    assert len(cat.table) == 33325
+    _, _, table = oracles.to_fincategory_per_suffix_oracle(real)
+    assert list(cat.table.items()) == list(table.items())
+    digest = hashlib.sha256(ct.format_category(cat).encode()).hexdigest()
+    assert digest.startswith("749c03f6c48a")
+
+
+def test_swap_closure_cap_names_its_count_and_word():
+    square = ct.parse_presentation(
+        "object 00\nobject 01\nobject 10\nobject 11\n"
+        "gen a 00 10\ngen b 10 11\ngen c 00 01\ngen d 01 11\nrel a;b = c;d\n")
+    assert ct._word_swap_class(square, ("a", "b"), max_words=2) == {("a", "b"), ("c", "d")}
+    with pytest.raises(EnumerationLimitError,
+                       match="^more than 1 words in the swap closure of a;b$"):
+        ct._word_swap_class(square, ("a", "b"), max_words=1)
 
 
 # poset categories

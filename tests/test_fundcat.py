@@ -17,6 +17,7 @@ from oracles import (
     enumerate_dipaths_oracle,
     has_no_cycle_oracle,
     is_length_addition,
+    monoid_table_oracle,
     scene_path_classes,
     swap_partition,
 )
@@ -533,6 +534,32 @@ def test_engine_monoid_table_matches_oracle_partition():
             if len(ri) + len(rj) <= length
         }
         assert (table.counts, table.reps, table.table) == (tuple(counts), reps, expected)
+
+
+def test_monoid_table_matches_walks_without_sharing_at_lengths_4_to_8():
+    rng = random.Random(20261022)
+    torus = pc.PreCubicalSet(["*"], {"a": ("*", "*"), "b": ("*", "*")},
+                             {"w": ("a", "a", "b", "b")})
+    cases = [(pc.model("wedge_circles(2)"), "*", length) for length in range(4, 9)]
+    cases += [(pc.model("wedge_circles(3)"), "*", length) for length in range(4, 9)]
+    cases += [(torus, "*", length) for length in range(4, 9)]
+    named = len(cases)
+    for _ in range(60):
+        k = random_complex(rng, acyclic=rng.random() < 0.2)
+        cases.append((k, rng.choice(list(k.vertices)), rng.randint(4, 8)))
+    entries = skipped = random_loops = 0
+    for n, (k, x, length) in enumerate(cases):
+        try:  # the random complexes at a cap: some have many loops at x
+            table = fc.fundamental_monoid_classes(k, x, length, 10**5 if n < named else 5000)
+        except EnumerationLimitError:
+            skipped += 1
+            continue
+        reps, want = monoid_table_oracle(k, x, length)
+        assert table.reps == reps
+        assert list(table.table.items()) == list(want.items())
+        entries += len(want)
+        random_loops += n >= named and len(reps) > 3
+    assert entries > 100000 and skipped < 20 and random_loops > 10
 
 
 def test_engine_one_simple_matches_pairwise_oracle():
