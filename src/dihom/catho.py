@@ -39,7 +39,6 @@ from .errors import (
     InputSyntaxError,
     Record,
     SizeGuardError,
-    _set,
     directives,
 )
 from .fundcat import (
@@ -831,12 +830,6 @@ class PresentationMorphism(Record):
 
     __slots__ = _fields = ("source", "target", "obj_map", "gen_map")
 
-    def __init__(self, source, target, obj_map, gen_map):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "obj_map", obj_map)
-        _set(self, "gen_map", gen_map)
-
     def obj(self, x):
         return self.obj_map[x]
 
@@ -948,11 +941,6 @@ def require_morphism(morph):
 
 class Pushout(Record):
     __slots__ = _fields = ("presentation", "left", "right")
-
-    def __init__(self, presentation, left, right):
-        _set(self, "presentation", presentation)
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 def pushout(p0, p1, p2, u1, u2):

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from ._kernels import _backtrack, _UnionFind
-from .errors import DomainError, InputSyntaxError, Record, SizeGuardError, _set, directives
+from .errors import DomainError, InputSyntaxError, Record, SizeGuardError, directives
 
 INF = math.inf
 MAX_PRODUCT_POINTS = 1000  # a matrix of 10**6 entries, as scenes' MAX_LATTICE_POINTS
@@ -46,11 +46,6 @@ def format_dist(value):
 
 class DMetricSpace(Record):
     __slots__ = _fields = ("points", "dist")  # dist: rows of int or Fraction, INF allowed
-
-    def __init__(self, points, dist):
-        _set(self, "points", points)
-        _set(self, "dist", dist)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):

@@ -68,17 +68,39 @@ _set = object.__setattr__  # skips Record.__setattr__; a global is faster than o
 class Record:
     """Base of the immutable result records: a frozen dataclass's semantics
     without the cost of importing and generating one.  A record lists its
-    fields in ``__init__`` order in ``_fields`` (and ``__slots__``) and sets
-    them with ``_set``.  ==, hash and repr use the fields not in ``_hidden``;
-    assignment and deletion raise AttributeError."""
+    fields in ``__init__`` order in ``_fields`` (and ``__slots__``), and the
+    defaults of trailing fields in ``_defaults``.  Its ``__init__`` is
+    written from them on the first construction: one ``_set`` per field,
+    then ``self.__post_init__()`` if the class has that check.  ==, hash
+    and repr use the fields not in ``_hidden``; assignment and deletion
+    raise AttributeError."""
 
     __slots__ = ()
     _fields = ()
+    _defaults = {}  # field -> default, for trailing fields only
     _hidden = ()  # fields left out of ==, hash and repr
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls._fields
         cls._compared = tuple(f for f in cls._fields if f not in cls._hidden)
+
+    def __init__(self, *args, **kwargs):
+        """Write this class's ``__init__``, install it and build with it.
+        Written here, not at class creation, so a launch pays for the
+        records it builds only."""
+        cls = self.__class__
+        fields = cls._fields
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in cls._defaults else f for f in fields)
+        body = [f"    _set(self, {f!r}, {f})\n" for f in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()\n")
+        namespace = {"_set": _set, "_defaults": cls._defaults}
+        source = f"def __init__(self, {params}):\n" + "".join(body)
+        exec(compile(source, f"<{cls.__module__}.{cls.__qualname__} record>", "exec"), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        init(self, *args, **kwargs)
 
     def _values(self):
         return tuple(getattr(self, f) for f in self._compared)

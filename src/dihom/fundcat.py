@@ -45,13 +45,8 @@ class DiPath(Record):
     """A composable edge sequence; ``edges`` empty means the degenerate path."""
 
     __slots__ = _fields = ("complex", "start", "edges")
+    _defaults = {"edges": ()}
     _hidden = ("complex",)
-
-    def __init__(self, complex, start, edges=()):
-        _set(self, "complex", complex)
-        _set(self, "start", start)
-        _set(self, "edges", edges)
-        self.__post_init__()
 
     def __post_init__(self):
         k = self.complex
@@ -85,30 +80,20 @@ class DiPath(Record):
         """A dipath whose edges are known to compose from ``start``, built
         without the per-edge check of ``__post_init__``."""
         path = object.__new__(cls)
-        object.__setattr__(path, "complex", complex_)
-        object.__setattr__(path, "start", start)
-        object.__setattr__(path, "edges", edges)
+        _set(path, "complex", complex_)
+        _set(path, "start", start)
+        _set(path, "edges", edges)
         return path
 
 
 class HomClass(Record):
     __slots__ = _fields = ("representative", "size")
 
-    def __init__(self, representative, size):
-        _set(self, "representative", representative)
-        _set(self, "size", size)
-
 
 class HomClassSet(Record):
     """The HomClasses of dipaths source -> target of length <= bound (None: any)."""
 
     __slots__ = _fields = ("source", "target", "bound", "classes")
-
-    def __init__(self, source, target, bound, classes):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "bound", bound)
-        _set(self, "classes", classes)
 
     @property
     def count(self):
@@ -126,23 +111,11 @@ class MonoidClassTable(Record):
 
     __slots__ = _fields = ("point", "bound", "counts", "reps", "table")
 
-    def __init__(self, point, bound, counts, reps, table):
-        _set(self, "point", point)
-        _set(self, "bound", bound)
-        _set(self, "counts", counts)
-        _set(self, "reps", reps)
-        _set(self, "table", table)
-
 
 class OneSimpleResult(Record):
     """``witness``: an (x, y) with two or more classes, or None."""
 
     __slots__ = _fields = ("one_simple", "witness", "exact")
-
-    def __init__(self, one_simple, witness, exact):
-        _set(self, "one_simple", one_simple)
-        _set(self, "witness", witness)
-        _set(self, "exact", exact)
 
     def __bool__(self):
         return self.one_simple
@@ -152,11 +125,6 @@ class CatPresentation(Record):
     """Objects, generating arrows, and parallel word-pair relations."""
 
     _fields = ("objects", "generators", "relations")  # no __slots__: _engine is cached
-
-    def __init__(self, objects, generators, relations):
-        _set(self, "objects", objects)
-        _set(self, "generators", generators)
-        _set(self, "relations", relations)
 
     @cached_property
     def _engine(self):
@@ -542,7 +510,7 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
     counted as each layer is built, and EnumerationLimitError is raised as
     soon as they exceed the cap.
     """
-    if max_len is None or max_len < 0:
+    if max_len is None:
         raise DomainError("monoid class counting needs a length bound >= 0")
     if max_len + 1 > max_classes:
         raise EnumerationLimitError(

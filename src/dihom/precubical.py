@@ -40,18 +40,14 @@ import re
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import DomainError, InputSyntaxError, InvalidComplexError, Record, _set, directives
+from .errors import DomainError, InputSyntaxError, InvalidComplexError, Record, directives
 
 
 class Cell(Record):
     """Handle for one cell: dimension in {0,1,2} plus its id, optional label."""
 
     __slots__ = _fields = ("dim", "id", "label")
-
-    def __init__(self, dim, id, label=None):
-        _set(self, "dim", dim)
-        _set(self, "id", id)
-        _set(self, "label", label)
+    _defaults = {"label": None}
 
     @property
     def key(self):
@@ -60,11 +56,6 @@ class Cell(Record):
 
 class Violation(Record):
     __slots__ = _fields = ("dim", "cell", "message")
-
-    def __init__(self, dim, cell, message):
-        _set(self, "dim", dim)
-        _set(self, "cell", cell)
-        _set(self, "message", message)
 
     def __str__(self):
         return f"dim {self.dim} cell {self.cell}: {self.message}"
@@ -80,9 +71,8 @@ class PreCubicalSet:
     dimension; face-structure problems are reported by :func:`validate`
     so broken complexes can be represented and diagnosed.
 
-    Derived data (the :func:`validate` verdict, the class engine of
-    :mod:`dihom.fundcat`, the out-edge lists) is computed on first use and
-    kept on the instance.
+    Derived data (the :func:`validate` verdict and the class engine of
+    :mod:`dihom.fundcat`) is computed on first use and kept on the instance.
     """
 
     def __init__(self, vertices, edges, squares, labels=None):

@@ -687,6 +687,7 @@ def test_monoid_table_past_the_class_cap_exits_one(workdir):
     ["classes", "x.scene", "--max-len", "-1"],
     ["cat", "realize", "interval.pres", "--bound", "-1"],
     ["export-dot", "x.scene", "--max-len", "-1", "-o", "out.dot"],
+    ["monoid", "circle.complex", "--at", "*", "--max-len", "-1"],
 ])
 def test_negative_length_bound_exits_one(workdir, argv):
     code, out, err = invoke([str(workdir / a) if "." in a else a for a in argv])

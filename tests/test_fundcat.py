@@ -136,6 +136,14 @@ def test_negative_length_bound_is_refused(call):
         call(pc.model("directed_circle"))
 
 
+def test_monoid_refuses_a_missing_and_a_negative_bound_apart():
+    k = pc.model("directed_circle")
+    with pytest.raises(DomainError, match="^monoid class counting needs a length bound >= 0$"):
+        fc.fundamental_monoid_classes(k, "*", None)
+    with pytest.raises(DomainError, match="^length bound -1 is negative$"):
+        fc.fundamental_monoid_classes(k, "*", -1)
+
+
 def test_enumeration_cap_is_enforced():
     with pytest.raises(EnumerationLimitError):
         fc.enumerate_dipaths(FULL22, "v0_0", "v2_2", max_paths=3)
