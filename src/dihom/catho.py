@@ -1095,14 +1095,18 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
         whole = lambda pieces: tuple(g for g, k in pieces if not k)
     objects = pres.objects
     layers = list(engine.layers(objects, bound, max_words))
+    # hom-sets gather under x * n + y, x and y ranks in name order: integers sort fast
+    n, names = len(objects), sorted(objects)
+    rank = dict(zip(names, range(n)))
+    ranks = [rank[x] for x in objects]
     found = {}
     for layer in layers:
         blocks = layer.blocks or (0, len(layer.ends))
-        for x, lo, hi in zip(objects, blocks, blocks[1:]):
+        for x, lo, hi in zip(ranks, blocks, blocks[1:]):
             for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
-                if y < len(objects):  # not inside a chain
-                    found.setdefault((x, objects[y]), []).append(whole(rep))
-    homs = {xy: tuple(sorted(reps)) for xy, reps in sorted(found.items())}
+                if y < n:  # not inside a chain
+                    found.setdefault(x * n + ranks[y], []).append(whole(rep))
+    homs = {(names[k // n], names[k % n]): tuple(sorted(found[k])) for k in sorted(found)}
     # the last layer is empty unless the bound cut the words off
     truncated = any(engine.out[v] for v in layers[-1].ends)
     return Realization(pres, bound, truncated, homs, layers, engine, chains, whole)

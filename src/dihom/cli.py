@@ -9,6 +9,16 @@ violations), 2 syntax/usage error.  Every failure prints a single line
 ``error: <reason>`` to stderr.  Identical invocations produce byte-identical
 output.
 
+One table, ``_VERBS``, declares every verb with its positionals and
+options.  ``_parse`` reads a plain command line straight off it: a known
+verb, each flag spelled out and given once, values of their kind and not
+starting with ``-``, every required flag and the right number of
+positionals.  Every other line (help, usage errors, and what argparse
+accepts beyond that: abbreviations, ``--flag=value``, ``--``, negative
+numbers, repeated flags) goes to the argparse parser that ``build_parser``
+makes from the same table, so help, usage messages and exit 2 are
+argparse's own.  A plain command line never imports argparse.
+
 Each verb imports only the library modules it runs, at the top of its
 command function: ``pi0`` on a complex loads ``fundcat`` and ``precubical``
 but not ``catho``, ``dmetric``, ``gridscene`` or ``dot``, and the ``metric``
@@ -21,17 +31,12 @@ sees every call.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DihomError, DomainError, InputSyntaxError, directives
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 class _UsageError(Exception):
@@ -75,90 +80,120 @@ def _checked_category(path):
     return cat
 
 
+# verb path -> (help, positionals, options), in the order help lists them.
+# A positional is its dest, then ":metavar" if it has one, then "+" if it
+# takes one or more values.  An option is (flag, dest, kind, required): kind
+# is int, str, a tuple of choices, or bool for a switch.  A switch defaults
+# to False, every other option to None.
+_VERBS = {
+    ("classes",): ("dipath classes from a scene's source to target", ("scene",),
+                   (("--max-len", "max_len", int, False),)),
+    ("hom",): ("dipath classes between two vertices", ("input:scene-or-complex",),
+               (("--from", "src", str, True), ("--to", "dst", str, True),
+                ("--max-len", "max_len", int, False), ("--reps", "reps", bool, False))),
+    ("pi0",): ("path components of a complex", ("input",), ()),
+    ("preorder",): ("path preorder pairs of a complex", ("input",), ()),
+    ("one-simple",): ("at most one class per vertex pair?", ("input:scene-or-complex",), ()),
+    ("monoid",): ("loop class counts at a vertex", ("input",),
+                  (("--at", "at", str, True), ("--max-len", "max_len", int, True))),
+    ("cat", "contractible"): ("initial/terminal object check", ("category",),
+                              (("--direction", "direction", ("past", "future"), True),)),
+    ("cat", "equiv"): ("directed homotopy equivalence of categories", ("left", "right"), ()),
+    ("cat", "pushout"): ("pushout of presentations", ("p0", "p1", "p2", "u1", "u2"), ()),
+    ("cat", "realize"): ("hom-sets of a presented category", ("presentation",),
+                         (("--bound", "bound", int, False),)),
+    ("cat", "faithful"): ("functor faithfulness check", ("functor",), ()),
+    ("metric", "validate"): ("axioms check", ("space",), ()),
+    ("metric", "product"): ("l-infinity product", ("spaces+",), ()),
+    ("metric", "sum"): ("disjoint sum", ("spaces+",), ()),
+    ("metric", "quotient"): ("identify points along a relation", ("space", "relation"), ()),
+    ("metric", "ball"): ("strict past/future ball", ("space",),
+                         (("--at", "at", str, True), ("--eps", "eps", str, True),
+                          ("--direction", "direction", ("past", "future"), True))),
+    ("export-dot",): ("DOT graph of a complex or category", ("input:complex-or-category",),
+                      (("-o", "output", str, True), ("--from", "src", str, False),
+                       ("--to", "dst", str, False), ("--max-len", "max_len", int, False),
+                       ("--highlight", "highlight", int, False))),
+}
+# group verb -> (dest of its verb, help)
+_GROUPS = {"cat": ("catverb", "finite-category analyses"),
+           "metric": ("metricverb", "directed metric operations")}
+
+
+def _parse(argv):
+    """The namespace argparse gives a plain command line (see the module
+    docstring), else None: argparse then parses the line or names its error."""
+    path = tuple(argv[:1]) if tuple(argv[:1]) in _VERBS else tuple(argv[:2])
+    if path not in _VERBS:
+        return None
+    _help, positionals, options = _VERBS[path]
+    args = {"verb": path[0]}
+    if len(path) == 2:
+        args[_GROUPS[path[0]][0]] = path[1]
+    flags = {flag: (dest, kind) for flag, dest, kind, _ in options}
+    args.update((dest, False if kind is bool else None) for dest, kind in flags.values())
+    given, values = set(), []
+    tokens = iter(argv[len(path):])
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append(token)
+            continue
+        if token not in flags or token in given:
+            return None
+        given.add(token)
+        dest, kind = flags[token]
+        if kind is bool:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        args[dest] = value
+    if any(required and flag not in given for flag, _, _, required in options):
+        return None
+    dests = [spec.rstrip("+").partition(":")[0] for spec in positionals]
+    if positionals[-1].endswith("+") and len(values) >= len(dests):
+        values[len(dests) - 1:] = [values[len(dests) - 1:]]
+    if len(values) != len(dests):
+        return None
+    args.update(zip(dests, values))
+    return SimpleNamespace(**args)
+
+
 def build_parser():
-    parser = _Parser(prog="dihom", description="directed-homotopy invariants toolkit")
-    sub = parser.add_subparsers(dest="verb", required=True)
+    """The argparse parser of ``_VERBS``: it parses what ``_parse`` leaves,
+    writes help, and names usage errors, which it raises as ``_UsageError``."""
+    import argparse
 
-    p = sub.add_parser("classes", help="dipath classes from a scene's source to target")
-    p.add_argument("scene")
-    p.add_argument("--max-len", type=int, default=None)
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
 
-    p = sub.add_parser("hom", help="dipath classes between two vertices")
-    p.add_argument("input", metavar="scene-or-complex")
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--reps", action="store_true")
-
-    p = sub.add_parser("pi0", help="path components of a complex")
-    p.add_argument("input")
-
-    p = sub.add_parser("preorder", help="path preorder pairs of a complex")
-    p.add_argument("input")
-
-    p = sub.add_parser("one-simple", help="at most one class per vertex pair?")
-    p.add_argument("input", metavar="scene-or-complex")
-
-    p = sub.add_parser("monoid", help="loop class counts at a vertex")
-    p.add_argument("input")
-    p.add_argument("--at", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-
-    pc = sub.add_parser("cat", help="finite-category analyses")
-    csub = pc.add_subparsers(dest="catverb", required=True)
-
-    p = csub.add_parser("contractible", help="initial/terminal object check")
-    p.add_argument("category")
-    p.add_argument("--direction", choices=["past", "future"], required=True)
-
-    p = csub.add_parser("equiv", help="directed homotopy equivalence of categories")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = csub.add_parser("pushout", help="pushout of presentations")
-    p.add_argument("p0")
-    p.add_argument("p1")
-    p.add_argument("p2")
-    p.add_argument("u1")
-    p.add_argument("u2")
-
-    p = csub.add_parser("realize", help="hom-sets of a presented category")
-    p.add_argument("presentation")
-    p.add_argument("--bound", type=int, default=None)
-
-    p = csub.add_parser("faithful", help="functor faithfulness check")
-    p.add_argument("functor")
-
-    pm = sub.add_parser("metric", help="directed metric operations")
-    msub = pm.add_subparsers(dest="metricverb", required=True)
-
-    p = msub.add_parser("validate", help="axioms check")
-    p.add_argument("space")
-
-    p = msub.add_parser("product", help="l-infinity product")
-    p.add_argument("spaces", nargs="+")
-
-    p = msub.add_parser("sum", help="disjoint sum")
-    p.add_argument("spaces", nargs="+")
-
-    p = msub.add_parser("quotient", help="identify points along a relation")
-    p.add_argument("space")
-    p.add_argument("relation")
-
-    p = msub.add_parser("ball", help="strict past/future ball")
-    p.add_argument("space")
-    p.add_argument("--at", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--direction", choices=["past", "future"], required=True)
-
-    p = sub.add_parser("export-dot", help="DOT graph of a complex or category")
-    p.add_argument("input", metavar="complex-or-category")
-    p.add_argument("-o", dest="output", required=True)
-    p.add_argument("--from", dest="src", default=None)
-    p.add_argument("--to", dest="dst", default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--highlight", type=int, default=None)
-
+    parser = Parser(prog="dihom", description="directed-homotopy invariants toolkit")
+    subs = {(): parser.add_subparsers(dest="verb", required=True)}
+    for path, (help_, positionals, options) in _VERBS.items():
+        if path[:-1] not in subs:
+            dest, group_help = _GROUPS[path[0]]
+            group = subs[()].add_parser(path[0], help=group_help)
+            subs[path[:-1]] = group.add_subparsers(dest=dest, required=True)
+        p = subs[path[:-1]].add_parser(path[-1], help=help_)
+        for spec in positionals:
+            dest, _, metavar = spec.rstrip("+").partition(":")
+            p.add_argument(dest, metavar=metavar or None, nargs="+" if spec[-1] == "+" else None)
+        for flag, dest, kind, required in options:
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true")
+            elif kind in (int, str):
+                p.add_argument(flag, dest=dest, type=kind, required=required)
+            else:
+                p.add_argument(flag, dest=dest, choices=kind, required=required)
     return parser
 
 
@@ -317,6 +352,15 @@ def _cmd_export_dot(args, out):
         raise DomainError(f"length bound {args.max_len} is negative")
     text = _read(args.input)
     kind = _sniff(text)
+    given = [flag for flag, value in (("--from", args.src), ("--to", args.dst),
+                                      ("--max-len", args.max_len), ("--highlight", args.highlight))
+             if value is not None]
+    if kind == "object" and given:
+        raise _UsageError(f"{given[0]} applies to a scene or complex, not to a category")
+    if given and args.highlight is None:
+        raise _UsageError(f"{given[0]} needs --highlight")
+    if kind == "grid" and (args.src is None) != (args.dst is None):
+        raise _UsageError("--highlight on a scene takes both --from and --to, or neither")
     if kind == "object":
         from . import catho
         cat = catho.parse_category(text)
@@ -362,13 +406,9 @@ def run(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _shared_parser().parse_args(argv)
-    except _UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    try:
+        args = _parse(argv) or _shared_parser().parse_args(argv)
         _COMMANDS[args.verb](args, out)
-    except InputSyntaxError as exc:
+    except (_UsageError, InputSyntaxError) as exc:
         err.write(f"error: {exc}\n")
         return 2
     except DihomError as exc:

@@ -1052,3 +1052,101 @@ def discretized_circle_oracle(n):
     """(points, dist) of the directed circle, distances from the point ids."""
     points = [str(Fraction(i, n)) for i in range(n)]
     return points, [[(Fraction(q) - Fraction(p)) % 1 for q in points] for p in points]
+
+
+def build_parser_oracle():
+    """The CLI's argparse parser as it was written by hand, verb by verb,
+    before ``cli.build_parser`` read it off ``cli._VERBS``; ``error`` raises
+    the CLI's usage error, as ``cli.build_parser``'s does."""
+    import argparse
+
+    from dihom.cli import _UsageError
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    parser = Parser(prog="dihom", description="directed-homotopy invariants toolkit")
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    p = sub.add_parser("classes", help="dipath classes from a scene's source to target")
+    p.add_argument("scene")
+    p.add_argument("--max-len", type=int, default=None)
+
+    p = sub.add_parser("hom", help="dipath classes between two vertices")
+    p.add_argument("input", metavar="scene-or-complex")
+    p.add_argument("--from", dest="src", required=True)
+    p.add_argument("--to", dest="dst", required=True)
+    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--reps", action="store_true")
+
+    p = sub.add_parser("pi0", help="path components of a complex")
+    p.add_argument("input")
+
+    p = sub.add_parser("preorder", help="path preorder pairs of a complex")
+    p.add_argument("input")
+
+    p = sub.add_parser("one-simple", help="at most one class per vertex pair?")
+    p.add_argument("input", metavar="scene-or-complex")
+
+    p = sub.add_parser("monoid", help="loop class counts at a vertex")
+    p.add_argument("input")
+    p.add_argument("--at", required=True)
+    p.add_argument("--max-len", type=int, required=True)
+
+    pc = sub.add_parser("cat", help="finite-category analyses")
+    csub = pc.add_subparsers(dest="catverb", required=True)
+
+    p = csub.add_parser("contractible", help="initial/terminal object check")
+    p.add_argument("category")
+    p.add_argument("--direction", choices=["past", "future"], required=True)
+
+    p = csub.add_parser("equiv", help="directed homotopy equivalence of categories")
+    p.add_argument("left")
+    p.add_argument("right")
+
+    p = csub.add_parser("pushout", help="pushout of presentations")
+    p.add_argument("p0")
+    p.add_argument("p1")
+    p.add_argument("p2")
+    p.add_argument("u1")
+    p.add_argument("u2")
+
+    p = csub.add_parser("realize", help="hom-sets of a presented category")
+    p.add_argument("presentation")
+    p.add_argument("--bound", type=int, default=None)
+
+    p = csub.add_parser("faithful", help="functor faithfulness check")
+    p.add_argument("functor")
+
+    pm = sub.add_parser("metric", help="directed metric operations")
+    msub = pm.add_subparsers(dest="metricverb", required=True)
+
+    p = msub.add_parser("validate", help="axioms check")
+    p.add_argument("space")
+
+    p = msub.add_parser("product", help="l-infinity product")
+    p.add_argument("spaces", nargs="+")
+
+    p = msub.add_parser("sum", help="disjoint sum")
+    p.add_argument("spaces", nargs="+")
+
+    p = msub.add_parser("quotient", help="identify points along a relation")
+    p.add_argument("space")
+    p.add_argument("relation")
+
+    p = msub.add_parser("ball", help="strict past/future ball")
+    p.add_argument("space")
+    p.add_argument("--at", required=True)
+    p.add_argument("--eps", required=True)
+    p.add_argument("--direction", choices=["past", "future"], required=True)
+
+    p = sub.add_parser("export-dot", help="DOT graph of a complex or category")
+    p.add_argument("input", metavar="complex-or-category")
+    p.add_argument("-o", dest="output", required=True)
+    p.add_argument("--from", dest="src", default=None)
+    p.add_argument("--to", dest="dst", default=None)
+    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--highlight", type=int, default=None)
+
+    return parser

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import dihom
 from dihom import catho as ct
+from dihom import cli
 from dihom import dmetric as dm
 from dihom import gridscene as gs
 from dihom import precubical as pc
@@ -276,6 +278,35 @@ def test_export_dot_complex_highlight_between_given_vertices(workdir, tmp_path):
     refused = (1, "", "error: --highlight needs --from and --to on a complex\n")
     for ends in ([], ["--from", "0"], ["--to", "1"]):
         assert invoke(base + ends) == refused
+
+
+@pytest.mark.parametrize("name,options,message", [
+    ("two.category", ["--highlight", "5", "--from", "q", "--to", "r", "--max-len", "2"],
+     "--from applies to a scene or complex, not to a category"),
+    ("two.category", ["--highlight", "0"],
+     "--highlight applies to a scene or complex, not to a category"),
+    ("o1.complex", ["--from", "0"], "--from needs --highlight"),
+    ("hole.scene", ["--max-len", "3"], "--max-len needs --highlight"),
+    ("hole.scene", ["--highlight", "0", "--from", "v1_1"],
+     "--highlight on a scene takes both --from and --to, or neither"),
+    ("hole.scene", ["--highlight", "0", "--to", "v3_3"],
+     "--highlight on a scene takes both --from and --to, or neither"),
+], ids=["category", "category-highlight", "complex-from", "scene-max-len", "scene-from", "scene-to"])
+def test_export_dot_refuses_options_it_would_ignore(workdir, tmp_path, name, options, message):
+    target = tmp_path / "out.dot"
+    argv = ["export-dot", str(workdir / name), "-o", str(target), *options]
+    assert invoke(argv) == (2, "", f"error: {message}\n")
+    assert not target.exists()
+
+
+def test_export_dot_highlights_between_given_vertices_of_a_scene(workdir, tmp_path):
+    target = tmp_path / "out.dot"
+    base = ["export-dot", str(workdir / "hole.scene"), "-o", str(target), "--highlight", "0"]
+    assert invoke(base + ["--from", "v0_0", "--to", "v3_3"]) == (0, "", "")
+    corners = target.read_text()
+    assert invoke(base) == (0, "", "") and target.read_text() == corners
+    assert invoke(base + ["--from", "v1_1", "--to", "v3_3"]) == (0, "", "")
+    assert target.read_text() != corners
 
 
 def test_export_dot_category(workdir, tmp_path):
@@ -777,10 +808,31 @@ VERB_COMMANDS = [
     "export-dot fixtures/o1.complex -o {out}",
     "export-dot fixtures/two.category -o {out}",
 ]
+
+
+def _documented_commands():
+    """CI's two-hash-seed list and the README's ``$ dihom`` examples."""
+    root = Path(dihom.__file__).resolve().parents[2]
+    ci = (root / ".github" / "workflows" / "ci.yml").read_text()
+    ci_list = ci.split("done <<'EOF'\n", 1)[1].split("EOF", 1)[0]
+    readme = (root / "README.md").read_text().replace("\\\n", " ")
+    examples = re.findall(r"^\$ dihom ([^|\n]*)", readme, re.M)
+    return [" ".join(c.split()) for c in ci_list.splitlines() + examples if c.strip()]
+
+
+def test_every_documented_command_takes_the_fast_path():
+    documented = _documented_commands()
+    assert len(documented) == 18 + 3  # CI's list, README's examples
+    # each is one of VERB_COMMANDS, which a fresh interpreter runs below
+    assert set(documented) <= set(VERB_COMMANDS)
+    for cmd in VERB_COMMANDS:
+        assert cli._parse(cmd.format(out="o.dot").split()) is not None, cmd
+
+
 SLOW_IMPORTS = (
     "import sys; sys.path.insert(0, sys.argv[1]); from dihom.cli import main; "
     "code = main(sys.argv[2:]); "
-    "sys.stderr.write(' '.join({'dataclasses', 'inspect'} & set(sys.modules))); "
+    "sys.stderr.write(' '.join({'argparse', 'dataclasses', 'gettext', 'inspect'} & set(sys.modules))); "
     "sys.exit(code)"
 )
 
@@ -789,6 +841,7 @@ SLOW_IMPORTS = (
     "cmd", VERB_COMMANDS, ids=[c.split(" fixtures")[0] for c in VERB_COMMANDS]
 )
 def test_no_verb_imports_dataclasses_or_inspect(tmp_path, cmd):
+    # nor argparse and gettext: a plain command line never reaches argparse
     src = str(Path(dihom.__file__).resolve().parents[1])
     argv = cmd.format(out=tmp_path / "out.dot").split()
     proc = subprocess.run(
