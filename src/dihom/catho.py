@@ -24,12 +24,12 @@ generator graph is acyclic, length-truncated otherwise).  Realization
 builds the classes of generator words one length at a time with the class
 engine of :mod:`dihom.fundcat`; length-changing relations are first made
 length-preserving by cutting each generator into one piece per unit of
-height it climbs, which needs an acyclic presentation.
+height it climbs, which needs an acyclic presentation.  Whether a morphism
+preserves relations is decided on the same engine, by one sweep of the target.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 
 from ._kernels import _backtrack, _UnionFind
@@ -844,41 +844,13 @@ def _length_preserving(pres):
     return all(len(u) == len(v) for u, v in pres.relations)
 
 
-def _rewrites(relations, word):
-    """Every word one relation substitution (either direction) away."""
-    for u, v in relations:
-        for a, b in ((u, v), (v, u)):
-            la = len(a)
-            for i in range(len(word) - la + 1):
-                if word[i : i + la] == a:
-                    yield word[:i] + b + word[i + la :]
-
-
-def _word_swap_class(pres, word, max_words=MAX_WORDS):
-    """BFS closure of a word under relation substitutions.
-
-    Finite (and used) only when all relations preserve length.  A BFS, not
-    the class engine: the closure of an image word in a target without
-    relations has size 1, while the engine would build every class of the
-    word's length.
-    """
-    seen = {tuple(word)}
-    queue = deque(seen)
-    while queue:
-        for w2 in _rewrites(pres.relations, queue.popleft()):
-            if w2 not in seen:
-                seen.add(w2)
-                if len(seen) > max_words:
-                    raise EnumerationLimitError(f"more than {max_words} words in the "
-                                                f"swap closure of {';'.join(word)}")
-                queue.append(w2)
-    return seen
-
-
 def check_presentation_morphism(morph):
-    """Violations list: totality, endpoint preservation, relation preservation
-    (decided by swap closure when the target's relations preserve length,
-    else on the realized target; undecided when that target is cyclic)."""
+    """Violations list: totality, endpoint preservation, relation preservation.
+    Relations whose image words differ are decided by one class-engine sweep
+    of the target from those words' start objects: up to the longest of them
+    if the target's relations preserve length, else on subdivided generators,
+    which needs an acyclic target (else undecided).  A target without
+    relations builds nothing: distinct words are never equivalent there."""
     out = []
     src, tgt = morph.source, morph.target
     out.extend(f"source: {v}" for v in validate_presentation(src))
@@ -907,29 +879,19 @@ def check_presentation_morphism(morph):
             out.append(f"generator {g}: image word has wrong endpoints")
     if out:
         return out
-    lp = _length_preserving(tgt)
-    cyclic = not lp and tgt._engine.heights is None
-    real = None  # the realized target, built for the first relation that needs it
-    for i, (u, v) in enumerate(src.relations):
-        wu, wv = morph.word(u), morph.word(v)
-        if wu == wv:
-            continue
-        if cyclic:
-            out.append(
-                f"relation {i}: preservation undecided "
-                "(target is cyclic and has length-changing relations)"
-            )
-            continue
-        if lp:
-            same = wv in _word_swap_class(tgt, wu)
-        else:
-            if real is None:
-                real = realize_presentation(tgt)
-            start = tgt.gen_src(wu[0])
-            same = real.class_of(start, wu) == real.class_of(start, wv)
-        if not same:
-            out.append(f"relation {i}: image words are not equivalent in the target")
-    return out
+    images = ((i, morph.word(u), morph.word(v)) for i, (u, v) in enumerate(src.relations))
+    differ = [(i, tgt.gen_src(wu[0]), wu, wv) for i, wu, wv in images if wu != wv]
+    if differ and tgt.relations:
+        bound = None
+        if _length_preserving(tgt):
+            bound = max(len(w) for _, _, wu, wv in differ for w in (wu, wv))
+        elif tgt._engine.heights is None:
+            return [f"relation {i}: preservation undecided (target is cyclic and has "
+                    "length-changing relations)" for i, *_ in differ]
+        real = _realize(tgt, list(dict.fromkeys(x for _, x, _, _ in differ)), bound, MAX_WORDS)
+        differ = [(i, x, wu, wv) for i, x, wu, wv in differ
+                  if real.class_of(x, wu) != real.class_of(x, wv)]
+    return [f"relation {i}: image words are not equivalent in the target" for i, *_ in differ]
 
 
 def require_morphism(morph):
@@ -994,7 +956,8 @@ class Realization:
     off the class engine's layers by :func:`dihom.fundcat._composites`.
     """
 
-    def __init__(self, presentation, bound, truncated, homs, layers, engine, chains, whole):
+    def __init__(self, presentation, bound, truncated, homs, layers, engine, chains, whole,
+                 starts):
         self.presentation = presentation
         self.bound = bound
         self.truncated = truncated
@@ -1002,6 +965,7 @@ class Realization:
         self.homs = homs  # (x, y) -> tuple of canonical representative words
         self._layers, self._engine = layers, engine
         self._chains, self._whole = chains, whole  # generator -> its pieces, and back
+        self._starts = starts  # source object -> its class in layer 0, its place in the sweep
 
     def hom_reps(self, x, y):
         return self.homs.get((x, y), ())
@@ -1013,8 +977,8 @@ class Realization:
         """Canonical word of the class of ``word`` out of ``start``;
         DomainError for an unknown start, a word that does not compose from
         it, or one longer than the realization covers."""
-        i = self._engine.index.get(start)
-        if i is None or i >= len(self.objects):  # chain objects are no starts
+        i = self._starts.get(start)
+        if i is None:
             raise DomainError(f"unknown object {start}")
         gens, layers = self.presentation.generators, self._layers
         pieces, at = [], start
@@ -1035,7 +999,7 @@ class Realization:
         walked on from its class the same way."""
         if self.truncated:
             raise DomainError("truncated realization does not form a category")
-        layers, index, pos = self._layers, self._engine.index, self._engine.pos
+        layers, starts, pos = self._layers, self._starts, self._engine.pos
         arrows, leaving = {}, {}  # x -> (pieces, arrow, target) per class out of x, homs order
         for (x, y), reps in self.homs.items():
             for w in reps:
@@ -1050,7 +1014,7 @@ class Realization:
         for x, out in leaving.items():
             order = sorted(range(len(out)), key=lambda k: out[k][0])
             suffixes = _shared_prefixes([out[k][0] for k in order])
-            at = _composites(layers, pos, index[x], 0, suffixes)
+            at = _composites(layers, pos, starts[x], 0, suffixes)
             place = sorted(range(len(out)), key=order.__getitem__)
             walks[x] = suffixes, [(r, len(p), at[r], a, y) for r, (p, a, y) in zip(place, out)]
             for _, d, c, a, _ in walks[x][1]:
@@ -1081,10 +1045,17 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
     bad = validate_presentation(pres)
     if bad:
         raise DomainError("invalid presentation: " + "; ".join(bad[:5]))
+    if bound is None and pres._engine.heights is None:
+        raise DomainError("cyclic presentation needs a length bound")
+    return _realize(pres, pres.objects, bound, max_words)
+
+
+def _realize(pres, sources, bound, max_words):
+    """The Realization of a valid presentation by one sweep from the
+    ``sources`` objects (see :func:`realize_presentation`); its hom-sets and
+    ``class_of`` cover the words out of those objects only."""
     engine = pres._engine
     heights = engine.heights
-    if bound is None and heights is None:
-        raise DomainError("cyclic presentation needs a length bound")
     chains = {g: (g,) for g in pres.generators}
     whole = tuple  # the identity on the representatives, which are tuples
     if not _length_preserving(pres):
@@ -1093,23 +1064,24 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
         chains, *sub = _subdivided(pres, heights)
         engine = _SwapEngine(*sub)
         whole = lambda pieces: tuple(g for g, k in pieces if not k)
-    objects = pres.objects
-    layers = list(engine.layers(objects, bound, max_words))
+    layers = list(engine.layers(sources, bound, max_words))
     # hom-sets gather under x * n + y, x and y ranks in name order: integers sort fast
+    objects = pres.objects
     n, names = len(objects), sorted(objects)
     rank = dict(zip(names, range(n)))
-    ranks = [rank[x] for x in objects]
+    ranks, firsts = [rank[x] for x in objects], [rank[x] for x in sources]
     found = {}
     for layer in layers:
         blocks = layer.blocks or (0, len(layer.ends))
-        for x, lo, hi in zip(ranks, blocks, blocks[1:]):
+        for x, lo, hi in zip(firsts, blocks, blocks[1:]):
             for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
                 if y < n:  # not inside a chain
                     found.setdefault(x * n + ranks[y], []).append(whole(rep))
     homs = {(names[k // n], names[k % n]): tuple(sorted(found[k])) for k in sorted(found)}
     # the last layer is empty unless the bound cut the words off
     truncated = any(engine.out[v] for v in layers[-1].ends)
-    return Realization(pres, bound, truncated, homs, layers, engine, chains, whole)
+    starts = dict(zip(sources, range(len(sources))))
+    return Realization(pres, bound, truncated, homs, layers, engine, chains, whole, starts)
 
 
 def _subdivided(pres, heights):

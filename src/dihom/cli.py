@@ -57,15 +57,23 @@ def _sniff(text):
     return next((tok[0] for _, tok in directives(text)), "")
 
 
+_COMPLEX_KINDS = ("vertex", "edge", "square")  # the directives a complex file starts with
+
+
 def _load_complex_or_scene(path):
     """Returns (complex, scene-or-None)."""
     text = _read(path)
-    kind = _sniff(text)
+    return _parse_complex_or_scene(text, _sniff(text), path)
+
+
+def _parse_complex_or_scene(text, kind, path):
+    """(complex, scene-or-None) of the text read from ``path``, of the
+    ``kind`` that ``_sniff`` names."""
     if kind == "grid":
         from . import gridscene
         scene = gridscene.parse_scene(text)
         return gridscene.to_precubical(scene), scene
-    if kind in ("vertex", "edge", "square"):
+    if kind in _COMPLEX_KINDS:
         from . import precubical
         return precubical.parse_complex(text), None
     raise InputSyntaxError(f"{path}: not a scene or complex file")
@@ -305,10 +313,8 @@ def _cmd_cat(args, out):
                 out.write(f"hom {x} {y} {len(reps)}\n")
     else:  # faithful
         path = Path(args.functor)
-
-        def resolve(ref):
-            return _checked_category(path.parent / ref)
-
+        # one cache per query: a category named as domain and codomain is read once
+        resolve = functools.cache(lambda ref: _checked_category(path.parent / ref))
         fun = catho.parse_functor(_read(path), resolve)
         bad = catho.check_functor(fun)
         if bad:
@@ -361,20 +367,17 @@ def _cmd_export_dot(args, out):
         raise _UsageError(f"{given[0]} needs --highlight")
     if kind == "grid" and (args.src is None) != (args.dst is None):
         raise _UsageError("--highlight on a scene takes both --from and --to, or neither")
+    if kind in _COMPLEX_KINDS and args.highlight is not None and None in (args.src, args.dst):
+        raise _UsageError("--highlight on a complex takes both --from and --to")
     if kind == "object":
         from . import catho
         cat = catho.parse_category(text)
         dot_text = dot.category_dot(cat, name=Path(args.input).stem)
     else:
-        complex_, scene = _load_complex_or_scene(args.input)
+        complex_, scene = _parse_complex_or_scene(text, kind, args.input)
         highlight = ()
         if args.highlight is not None:
-            if scene is not None and (args.src is None or args.dst is None):
-                src, dst = _scene_endpoints(scene)
-            elif args.src is not None and args.dst is not None:
-                src, dst = args.src, args.dst
-            else:
-                raise DomainError("--highlight needs --from and --to on a complex")
+            src, dst = _scene_endpoints(scene) if args.src is None else (args.src, args.dst)
             from . import fundcat
             h = fundcat.hom_classes(complex_, src, dst, args.max_len)
             if not 0 <= args.highlight < h.count:

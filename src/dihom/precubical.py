@@ -387,10 +387,7 @@ def parse_complex(text):
         if cell in cells[kind]:
             raise InputSyntaxError(f"duplicate {kind} id {cell}", ln)
         cells[kind][cell] = tuple(faces)
-    try:
-        return PreCubicalSet(cells["vertex"], cells["edge"], cells["square"])
-    except DomainError as exc:
-        raise InputSyntaxError(str(exc)) from exc
+    return PreCubicalSet(cells["vertex"], cells["edge"], cells["square"])
 
 
 def format_complex(complex_):

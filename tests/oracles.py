@@ -22,13 +22,13 @@ from dihom.catho import (
     NatTransf,
     _guard,
     _length_preserving,
-    _rewrites,
     _subdivided,
     compose_functors,
     full_subcategory,
     identity_functor,
     monoid_category,
     poset_category,
+    realize_presentation,
     require_category,
     retract_endofunctors,
 )
@@ -701,6 +701,92 @@ def to_fincategory_oracle(real):
                     w = real.class_of(x, w1 + w2)
                     table[(name(x, w1), name(y, w2))] = name(x, w)
     return arrows, identity, table
+
+
+def _rewrites(relations, word):
+    """Every word one relation substitution (either direction) away."""
+    for u, v in relations:
+        for a, b in ((u, v), (v, u)):
+            la = len(a)
+            for i in range(len(word) - la + 1):
+                if word[i : i + la] == a:
+                    yield word[:i] + b + word[i + la :]
+
+
+def word_swap_class_oracle(pres, word, max_words=MAX_WORDS):
+    """BFS closure of a word under relation substitutions: how
+    ``check_presentation_morphism`` decided length-preserving targets
+    before the class engine did.  Finite only when all relations preserve
+    length."""
+    seen = {tuple(word)}
+    queue = deque(seen)
+    while queue:
+        for w2 in _rewrites(pres.relations, queue.popleft()):
+            if w2 not in seen:
+                seen.add(w2)
+                if len(seen) > max_words:
+                    raise EnumerationLimitError(f"more than {max_words} words in the "
+                                                f"swap closure of {';'.join(word)}")
+                queue.append(w2)
+    return seen
+
+
+def check_presentation_morphism_oracle(morph):
+    """``check_presentation_morphism`` as it was before one engine sweep
+    decided every relation: swap closure (``word_swap_class_oracle``) when
+    the target's relations preserve length, else the whole target realized
+    by ``realize_presentation``; undecided when that target is cyclic."""
+    out = []
+    src, tgt = morph.source, morph.target
+    out.extend(f"source: {v}" for v in validate_presentation(src))
+    out.extend(f"target: {v}" for v in validate_presentation(tgt))
+    if out:
+        return out
+    out += [f"object {x}: not an object of the source" for x in morph.obj_map
+            if x not in src.objects]
+    out += [f"generator {g}: not a generator of the source" for g in morph.gen_map
+            if g not in src.generators]
+    tobj = set(tgt.objects)
+    for x in src.objects:
+        if morph.obj_map.get(x) not in tobj:
+            out.append(f"object {x}: image missing or unknown")
+    for g, (s, t) in src.generators.items():
+        w = morph.gen_map.get(g)
+        if not w:
+            out.append(f"generator {g}: image word missing or empty")
+            continue
+        try:
+            ends = tgt.word_endpoints(tuple(w))
+        except DomainError as exc:
+            out.append(f"generator {g}: image {exc}")
+            continue
+        if ends != (morph.obj_map.get(s), morph.obj_map.get(t)):
+            out.append(f"generator {g}: image word has wrong endpoints")
+    if out:
+        return out
+    lp = _length_preserving(tgt)
+    cyclic = not lp and tgt._engine.heights is None
+    real = None  # the realized target, built for the first relation that needs it
+    for i, (u, v) in enumerate(src.relations):
+        wu, wv = morph.word(u), morph.word(v)
+        if wu == wv:
+            continue
+        if cyclic:
+            out.append(
+                f"relation {i}: preservation undecided "
+                "(target is cyclic and has length-changing relations)"
+            )
+            continue
+        if lp:
+            same = wv in word_swap_class_oracle(tgt, wu)
+        else:
+            if real is None:
+                real = realize_presentation(tgt)
+            start = tgt.gen_src(wu[0])
+            same = real.class_of(start, wu) == real.class_of(start, wv)
+        if not same:
+            out.append(f"relation {i}: image words are not equivalent in the target")
+    return out
 
 
 def realize_words_oracle(pres, bound, max_words=MAX_WORDS):

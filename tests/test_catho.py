@@ -4,8 +4,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 
 import pytest
@@ -1454,14 +1455,151 @@ def test_one_hole_8x8_category_is_pinned():
     assert digest.startswith("749c03f6c48a")
 
 
-def test_swap_closure_cap_names_its_count_and_word():
-    square = ct.parse_presentation(
-        "object 00\nobject 01\nobject 10\nobject 11\n"
-        "gen a 00 10\ngen b 10 11\ngen c 00 01\ngen d 01 11\nrel a;b = c;d\n")
-    assert ct._word_swap_class(square, ("a", "b"), max_words=2) == {("a", "b"), ("c", "d")}
+def _morphism_targets(rng):
+    """Seeded (kind, target) pairs for the morphism checker: acyclic and
+    cyclic targets with length-preserving relations, acyclic ones with
+    length-changing relations, cyclic ones with a relation between words of
+    two lengths, and targets without relations."""
+    kinds = ("acyclic", "cyclic", "length-changing", "cyclic length-changing", "free")
+    for trial in count():
+        kind = kinds[trial % len(kinds)]
+        if kind == "length-changing":
+            target = None
+            while target is None:
+                target = _length_changing_presentation(rng)
+        else:
+            target = _random_presentation(rng, acyclic=kind == "acyclic")
+        if kind == "free":
+            target = fc.CatPresentation(target.objects, target.generators, ())
+        elif kind == "cyclic length-changing":
+            parallel = {}
+            for x in target.objects:
+                for w, y in _words_out_of(target, x, 2):
+                    if w:
+                        parallel.setdefault((x, y), []).append(w)
+            pairs = [(u, v) for ws in parallel.values() for u in ws for v in ws
+                     if len(u) < len(v)]
+            if not pairs or target._engine.heights is not None:
+                continue
+            target = fc.CatPresentation(target.objects, target.generators,
+                                        target.relations + (rng.choice(pairs),))
+        yield kind, target
+
+
+def _random_morphism(rng, target):
+    """A morphism into ``target`` whose 1-5 generators go to words of length
+    1-3 out of random objects, in pairs of parallel or equal words, and
+    whose 1-3 relations join parallel source words of length 1-2; None when
+    the target has no generator."""
+    words = {}  # (x, y) -> the nonempty target words x -> y of length <= 3
+    for x in target.objects:
+        for w, y in _words_out_of(target, x, 3):
+            if w:
+                words.setdefault((x, y), []).append(w)
+    if not words:
+        return None
+    groups = sorted(words.items())
+    images, gens = {}, {}
+    for j in range(rng.randint(1, 5)):
+        if j % 2 == 0:  # s1 goes to a word parallel to s0's, s3 to one parallel to s2's
+            ends, ws = rng.choice(groups)
+        images[f"s{j}"] = rng.choice(ws)
+        gens[f"s{j}"] = ends
+    source = fc.CatPresentation(target.objects, gens, ())
+    parallel = {}
+    for x in source.objects:
+        for w, y in _words_out_of(source, x, 2):
+            if w:
+                parallel.setdefault((x, y), []).append(w)
+    choices = [ws for ws in parallel.values() if len(ws) > 1]
+    relations = tuple(tuple(rng.sample(rng.choice(choices), 2))
+                      for _ in range(rng.randint(1, 3) if choices else 0))
+    source = fc.CatPresentation(target.objects, gens, relations)
+    return ct.PresentationMorphism(source, target, {x: x for x in target.objects}, images)
+
+
+def test_morphism_checks_match_the_swap_closure_and_the_whole_realization():
+    rng = random.Random(20261022)
+    kinds, verdicts, starts = Counter(), Counter(), Counter()
+    checked = 0
+    for kind, target in _morphism_targets(rng):
+        morph = _random_morphism(rng, target)
+        if morph is None:
+            continue
+        got = _outcome(lambda: ct.check_presentation_morphism(morph))
+        assert got == _outcome(lambda: oracles.check_presentation_morphism_oracle(morph))
+        kinds[kind] += 1
+        images = {(morph.word(u), morph.word(v)) for u, v in morph.source.relations}
+        differ = {target.gen_src(wu[0]) for wu, wv in images if wu != wv}
+        starts["past the first"] += any(x != target.objects[0] for x in differ)
+        starts["several"] += len(differ) > 1
+        verdicts["equal images"] += any(wu == wv for wu, wv in images)
+        for v in got:
+            verdicts[v.split(": ", 1)[1]] += 1
+        verdicts["all preserved"] += differ != set() and got == []
+        checked += 1
+        if checked == 2000:
+            break
+    assert min(kinds.values()) >= 300, kinds
+    assert min(starts.values()) >= 75, starts
+    assert len(verdicts) == 4 and min(verdicts.values()) >= 100, verdicts
+
+
+def _one_hole_grid(n):
+    """The presentation of the n x n scene with one unit hole in its middle."""
+    m = n // 2 - 1
+    return fc.presentation_of(gs.to_precubical(gs.make_scene(n, n, [(m, m, m + 1, m + 1)],
+                                                             (0, 0), (n, n))))
+
+
+PAIR = fc.CatPresentation(("a", "c"), {"f": ("a", "c"), "g": ("a", "c")}, ((("f",), ("g",)),))
+
+
+def _timed(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+def test_boundary_routes_around_a_hole_are_decided_by_one_sweep():
+    # the swap closure of the east-first route holds the 92378 words below
+    # the hole: listing them took 63 s
+    grid = _one_hole_grid(10)
+    east = tuple(f"e{i}_0" for i in range(10)) + tuple(f"n10_{j}" for j in range(10))
+    north = tuple(f"n0_{j}" for j in range(10)) + tuple(f"e{i}_10" for i in range(10))
+    routes = ct.PresentationMorphism(PAIR, grid, {"a": "v0_0", "c": "v10_10"},
+                                     {"f": east, "g": north})
+    verdict, seconds = _timed(lambda: ct.check_presentation_morphism(routes))
+    assert verdict == ["relation 0: image words are not equivalent in the target"]
+    assert seconds < 0.1  # 1.0-1.2 ms on a 2-core machine
+
+
+def test_length_changing_check_sweeps_from_its_start_only():
+    # the 20 x 20 one-hole grid plus d = e0_0;n1_0: the check realized the
+    # whole target (0.43-0.47 s), where one sweep from v0_0 takes 7-11 ms
+    # (2-core machine)
+    grid = _one_hole_grid(20)
+    target = fc.CatPresentation(grid.objects, {**grid.generators, "d": ("v0_0", "v1_1")},
+                                grid.relations + ((("d",), ("e0_0", "n1_0")),))
+    morph = ct.PresentationMorphism(PAIR, target, {"a": "v0_0", "c": "v1_1"},
+                                    {"f": ("d",), "g": ("e0_0", "n1_0")})
+    verdict, seconds = _timed(lambda: ct.check_presentation_morphism(morph))
+    assert verdict == []
+    assert seconds < 0.15
+
+
+def test_morphism_check_past_the_class_cap_names_its_start(monkeypatch):
+    # f = g goes to the two routes round the hole of the 4 x 4 grid, out of
+    # v1_1; the sweep from v1_1 alone passes a cap of 5 at length 2, with
+    # 1 + 2 + 4 classes
+    routes = ct.PresentationMorphism(PAIR, _one_hole_grid(4), {"a": "v1_1", "c": "v2_2"},
+                                     {"f": ("e1_1", "n2_1"), "g": ("n1_1", "e1_2")})
+    assert ct.check_presentation_morphism(routes) == [
+        "relation 0: image words are not equivalent in the target"]
+    monkeypatch.setattr(ct, "MAX_WORDS", 5)
     with pytest.raises(EnumerationLimitError,
-                       match="^more than 1 words in the swap closure of a;b$"):
-        ct._word_swap_class(square, ("a", "b"), max_words=1)
+                       match="^7 dipath classes built from v1_1, more than the cap of 5$"):
+        ct.check_presentation_morphism(routes)
 
 
 # poset categories

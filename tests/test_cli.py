@@ -275,9 +275,28 @@ def test_export_dot_complex_highlight_between_given_vertices(workdir, tmp_path):
         '  "0" -> "1" [label="b", color=red, penwidth=2.0];\n'
         "}\n"
     )
-    refused = (1, "", "error: --highlight needs --from and --to on a complex\n")
+    refused = (2, "", "error: --highlight on a complex takes both --from and --to\n")
     for ends in ([], ["--from", "0"], ["--to", "1"]):
         assert invoke(base + ends) == refused
+
+
+@pytest.mark.parametrize("argv,reads", [
+    (["export-dot", "hole.scene", "-o", "out.dot", "--highlight", "0"], ["hole.scene"]),
+    (["export-dot", "o1.complex", "-o", "out.dot"], ["o1.complex"]),
+    (["cat", "faithful", "endo.functor"], ["endo.functor", "oc.category"]),
+    (["cat", "faithful", "inc.functor"], ["inc.functor", "two.category", "oc.category"]),
+], ids=["dot-scene", "dot-complex", "faithful-endofunctor", "faithful"])
+def test_each_input_file_is_read_once_per_query(workdir, monkeypatch, argv, reads):
+    (workdir / "endo.functor").write_text(
+        "domain oc.category\ncodomain oc.category\n"
+        "object 0 0\nobject 1 1\narrow a b\narrow b a\n")
+    read = cli._read
+    seen = []
+    monkeypatch.setattr(cli, "_read", lambda path: seen.append(Path(path).name) or read(path))
+    monkeypatch.chdir(workdir)
+    code, _, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert seen == reads
 
 
 @pytest.mark.parametrize("name,options,message", [
