@@ -43,8 +43,9 @@ from .errors import (
 )
 from .fundcat import (
     CatPresentation,
+    _closure,
     _composites,
-    _reach,
+    _picked,
     _shared_prefixes,
     _SwapEngine,
     validate_presentation,
@@ -223,11 +224,12 @@ def poset_category(elements, le_pairs):
         if a not in index or b not in index:
             raise DomainError(f"relation mentions unknown element {a if a not in index else b}")
         above[index[a]].append(index[b])
-    up = [_reach(above, i) for i in range(len(els))]
-    for i, js in enumerate(up):
-        twins = [j for j in js if j > i and i in up[j]]
-        if twins:
-            raise DomainError(f"not a poset: {els[i]} and {els[min(twins)]} are equivalent")
+    masks, first = _closure(above), {}
+    twins = [(first[m], j) for j, m in enumerate(masks) if first.setdefault(m, j) != j]
+    if twins:  # equal masks: the least element with a twin, and its least twin
+        i, j = min(twins)
+        raise DomainError(f"not a poset: {els[i]} and {els[j]} are equivalent")
+    up = [list(_picked(range(len(els)), m)) for m in masks]
     name = {(i, j): f"a({els[i]},{els[j]})" for i, js in enumerate(up) for j in js if i != j}
     arrows = {a: (els[i], els[j]) for (i, j), a in name.items()}
     # antisymmetry makes i, j and k distinct
@@ -1061,8 +1063,10 @@ def _realize(pres, sources, bound, max_words):
     if not _length_preserving(pres):
         if heights is None or bound is not None and bound < max(heights):
             raise DomainError("length-changing relation in truncated mode")
-        chains, *sub = _subdivided(pres, heights)
-        engine = _SwapEngine(*sub)
+        if "_subdivision" not in vars(pres):  # kept on the presentation, as its _engine is
+            chains, *sub = _subdivided(pres, heights)
+            vars(pres)["_subdivision"] = chains, _SwapEngine(*sub)
+        chains, engine = vars(pres)["_subdivision"]
         whole = lambda pieces: tuple(g for g, k in pieces if not k)
     layers = list(engine.layers(sources, bound, max_words))
     # hom-sets gather under x * n + y, x and y ranks in name order: integers sort fast

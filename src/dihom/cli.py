@@ -36,7 +36,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DihomError, DomainError, InputSyntaxError, directives
+from .errors import (DihomError, DomainError, InputSyntaxError, UnboundedEnumerationError,
+                     directives)
 
 
 class _UsageError(Exception):
@@ -251,16 +252,16 @@ def _cmd_pi0(args, out):
 def _cmd_preorder(args, out):
     from . import fundcat
     complex_, _ = _load_complex_or_scene(args.input)
-    reach = fundcat.path_preorder(complex_)
-    for x in sorted(reach):
-        for y in sorted(reach[x]):
-            out.write(f"{x} {y}\n")
+    out.write(fundcat.format_preorder(complex_))
 
 
 def _cmd_one_simple(args, out):
     from . import fundcat
     complex_, _ = _load_complex_or_scene(args.input)
-    res = fundcat.is_one_simple(complex_)
+    try:
+        res = fundcat.is_one_simple(complex_)
+    except UnboundedEnumerationError:  # the library's line asks for a bound the verb lacks
+        raise UnboundedEnumerationError("one-simple decides acyclic complexes only") from None
     if res.one_simple:
         out.write("one-simple true\n")
     else:
@@ -272,8 +273,7 @@ def _cmd_monoid(args, out):
     complex_, _ = _load_complex_or_scene(args.input)
     table = fundcat.fundamental_monoid_classes(complex_, args.at, args.max_len)
     out.write("counts " + " ".join(str(c) for c in table.counts) + "\n")
-    for (i, j), k in sorted(table.table.items()):
-        out.write(f"concat {i} {j} = {k}\n")
+    out.write("".join(f"concat {i} {j} = {k}\n" for (i, j), k in table.table.items()))
 
 
 def _cmd_cat(args, out):

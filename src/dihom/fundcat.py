@@ -26,6 +26,7 @@ Unbounded computation is only allowed on acyclic complexes and is refused
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 
 from ._kernels import _UnionFind
 from .errors import (
@@ -39,6 +40,7 @@ from .precubical import require_valid
 
 DEFAULT_MAX_PATHS = 1_000_000
 DEFAULT_MAX_CLASSES = 1_000_000
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to flag bytes
 
 
 class DiPath(Record):
@@ -106,7 +108,7 @@ class MonoidClassTable(Record):
     ``counts[l]`` is the number of classes of length l; ``reps`` lists the
     canonical representatives in class order; ``table[(i, j)]`` is the class
     index of reps[i] + reps[j] (present when the sum of lengths fits the
-    bound).
+    bound), and the table lists its keys (i, j) in sorted order.
     """
 
     __slots__ = _fields = ("point", "bound", "counts", "reps", "table")
@@ -571,21 +573,46 @@ def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX
 def path_preorder(complex_):
     """x <= y iff some dipath runs x -> y; reflexive-transitive by construction."""
     k = require_valid(complex_)
-    targets, verts = _engine_of(k).targets, k.vertices
-    return {x: frozenset(verts[v] for v in _reach(targets, i)) for i, x in enumerate(verts)}
+    rows = zip(k.vertices, _closure(_engine_of(k).targets))
+    return {x: frozenset(_picked(k.vertices, m)) for x, m in rows}
 
 
-def _reach(targets, root):
-    """The numbers reachable from ``root`` (itself included) when ``targets[v]``
-    lists the numbers one step from v: an iterative depth-first search."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        for w in targets[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
+def _closure(targets):
+    """Per number v, the bitmask of the numbers reachable from v (v included)
+    along ``targets``.  One iterative Tarjan pass pops each strongly connected
+    component after all those it reaches: its mask ORs its members' bits and
+    their successors' masks, its own still 0 (Nuutila's closure)."""
+    n = len(targets)
+    reach, low, stack, seen = [0] * n, [0] * (n + 1), [], 0  # low: 0 unseen, n + 1 popped
+    calls = [(n, 0, 0, iter(range(n)))]  # a root above all, one step from each vertex
+    while calls:
+        v, num, at, ws = calls[-1]
+        for w in ws:
+            if not low[w]:
+                low[w] = seen = seen + 1
+                calls.append((w, seen, len(stack), iter(targets[w])))
                 stack.append(w)
-    return seen
+                break
+            if low[w] < low[v]:
+                low[v] = low[w]
+        else:
+            calls.pop()
+            if low[v] == num:  # v roots a component: stack[at:]
+                mask = sum(1 << u for u in stack[at:])
+                for u in stack[at:]:
+                    for w in targets[u]:
+                        mask |= reach[w]
+                for u in stack[at:]:
+                    reach[u], low[u] = mask, n + 1
+                del stack[at:]
+            elif low[v] < low[calls[-1][0]]:
+                low[calls[-1][0]] = low[v]
+    return reach
+
+
+def _picked(items, mask):
+    """The items whose numbers are set in ``mask``, read through one flag byte per number."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_FLAGS))
 
 
 def pi0(complex_):
@@ -637,3 +664,10 @@ def format_hom_classes(homset):
         rep = " ".join(c.representative)
         lines.append(f"class {i} size {c.size} rep {rep}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def format_preorder(complex_):
+    """Text report: ``x y`` per pair x <= y, sorted, as vertex numbers follow id order."""
+    k = require_valid(complex_)
+    rows = zip(k.vertices, _closure(_engine_of(k).targets))
+    return "".join(f"{x} " + f"\n{x} ".join(_picked(k.vertices, m)) + "\n" for x, m in rows)

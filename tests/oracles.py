@@ -38,10 +38,12 @@ from dihom.fundcat import (
     DiPath,
     _require_walkable,
     _SwapEngine,
+    _engine_of,
     _UnionFind,
     _walk,
     validate_presentation,
 )
+from dihom.precubical import require_valid
 
 INF = math.inf
 
@@ -629,6 +631,55 @@ def poset_category_oracle(elements, le_pairs):
         for (c, d) in rel:
             if b == c and a != b and c != d:
                 compose[(f"a({a},{b})", f"a({c},{d})")] = f"a({a},{d})"
+    return FinCategory.build(els, arrows, compose)
+
+
+def reach_oracle(targets, root):
+    """The numbers reachable from ``root`` (itself included) when ``targets[v]``
+    lists the numbers one step from v: the depth-first search that served
+    the path preorder and poset categories before the bitset closure, one
+    search per root, kept as it was."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for w in targets[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def path_preorder_walk_oracle(complex_):
+    """``path_preorder`` as it was built from one search per vertex."""
+    k = require_valid(complex_)
+    targets, verts = _engine_of(k).targets, k.vertices
+    return {x: frozenset(verts[v] for v in reach_oracle(targets, i)) for i, x in enumerate(verts)}
+
+
+def format_preorder_oracle(reach):
+    """The ``preorder`` verb's text as it was written from that dict."""
+    return "".join(f"{x} {y}\n" for x in sorted(reach) for y in sorted(reach[x]))
+
+
+def poset_category_walk_oracle(elements, le_pairs):
+    """``poset_category`` as it was built from one search per element, its
+    twin check included; the composition table follows set order here."""
+    els = sorted(set(map(str, elements)))
+    index = {x: i for i, x in enumerate(els)}
+    above = [[] for _ in els]
+    for a, b in le_pairs:
+        a, b = str(a), str(b)
+        if a not in index or b not in index:
+            raise DomainError(f"relation mentions unknown element {a if a not in index else b}")
+        above[index[a]].append(index[b])
+    up = [reach_oracle(above, i) for i in range(len(els))]
+    for i, js in enumerate(up):
+        twins = [j for j in js if j > i and i in up[j]]
+        if twins:
+            raise DomainError(f"not a poset: {els[i]} and {els[min(twins)]} are equivalent")
+    name = {(i, j): f"a({els[i]},{els[j]})" for i, js in enumerate(up) for j in js if i != j}
+    arrows = {a: (els[i], els[j]) for (i, j), a in name.items()}
+    compose = {(name[i, j], name[j, k]): name[i, k] for i, j in name for k in up[j] if k != j}
     return FinCategory.build(els, arrows, compose)
 
 

@@ -1132,6 +1132,33 @@ def test_morphism_into_length_changing_relations_is_decided_when_acyclic():
         assert ct.check_presentation_morphism(morph) == verdict
 
 
+def test_morphism_checks_into_one_target_subdivide_it_once(monkeypatch):
+    calls = []
+    subdivided = ct._subdivided
+
+    def counting(pres, heights):
+        calls.append(pres)
+        return subdivided(pres, heights)
+
+    monkeypatch.setattr(ct, "_subdivided", counting)
+    pair = fc.CatPresentation(("a", "c"), {"f": ("a", "c"), "g": ("a", "c")},
+                              ((("f",), ("g",)),))
+    routes = three_routes()
+    ends = {"a": "0", "c": "2"}
+    for gs_image, verdict in ((("r", "s"), []), (("x", "y", "z"), []),
+                              (("p", "q"), [])):
+        morph = ct.PresentationMorphism(pair, routes, ends, {"f": ("p", "q"), "g": gs_image})
+        assert ct.check_presentation_morphism(morph) == verdict
+    assert calls == [routes]
+    real = ct.realize_presentation(routes)
+    assert real.homs[("0", "2")] == (("p", "q"),) and calls == [routes]
+    # a fresh presentation with the same fields builds its own
+    again = three_routes()
+    morph = ct.PresentationMorphism(pair, again, ends, {"f": ("p", "q"), "g": ("r", "s")})
+    assert ct.check_presentation_morphism(morph) == []
+    assert calls == [routes, again] and again == routes
+
+
 def test_grid_with_a_diagonal_generator_matches_the_complex_classes():
     # d = e0_0;n1_0 changes length; listing the words would take minutes
     k = gs.to_precubical(gs.make_scene(8, 8, [(3, 3, 4, 4)], (0, 0), (8, 8)))
@@ -1633,6 +1660,47 @@ def test_poset_category_matches_the_closure_oracle():
         assert got.table == want.table
         built += 1
     assert built > 150 and refused > 40
+
+
+def test_poset_category_matches_one_search_per_element():
+    """Against the per-element search it replaced: the same category, or the
+    same error line (a twin pair, or an unknown element); only the
+    composition table's order differs, which is now ascending."""
+    rng = random.Random(20261019)
+    built = twins = 0
+    for trial in range(400):
+        n = rng.randint(0, 12)
+        els = [f"v{i}" for i in rng.sample(range(14), n)]  # v9 < v10 only as numbers
+        le = [(a, b) for a in els for b in els if rng.random() < (0.25 if trial % 2 else 0.06)]
+        if els and trial % 5 == 0:
+            le.append((rng.choice(els + ["x"]), rng.choice(els)))
+        try:
+            want = oracles.poset_category_walk_oracle(els, le)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                ct.poset_category(els, le)
+            assert str(got.value) == str(exc)
+            twins += str(exc).startswith("not a poset")
+            continue
+        got = ct.poset_category(els, le)
+        assert (got.objects, got.arrows, got.identity, got.table) == (
+            want.objects, want.arrows, want.identity, want.table)
+        index = {x: i for i, x in enumerate(got.objects)}
+        pairs = [(index[got.src(f)], index[got.tgt(f)], index[got.tgt(g)])
+                 for f, g in got.table if not (got.is_identity(f) or got.is_identity(g))]
+        assert pairs == sorted(pairs)
+        built += 1
+    assert built > 120 and twins > 120
+
+
+def test_poset_category_names_the_least_twins():
+    # two cycles; the one through the least element is named, by its least twin
+    pairs = [("d", "e"), ("e", "d"), ("a", "c"), ("c", "b"), ("b", "a")]
+    with pytest.raises(DomainError, match="^not a poset: a and b are equivalent$"):
+        ct.poset_category("abcde", pairs)
+    pairs = [("a", "e"), ("e", "a"), ("b", "c"), ("c", "b")]
+    with pytest.raises(DomainError, match="^not a poset: a and e are equivalent$"):
+        ct.poset_category("abcde", pairs)
 
 
 def test_poset_category_takes_elements_as_strings():

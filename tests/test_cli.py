@@ -122,8 +122,9 @@ def test_preorder_verb(workdir):
 def test_one_simple_verb(workdir):
     code, out, _ = invoke(["one-simple", str(workdir / "o1.complex")])
     assert (code, out) == (0, "one-simple false witness 0 1\n")
-    code, out, _ = invoke(["one-simple", str(workdir / "circle.complex")])
-    assert code == 1
+    # the verb takes no length bound, so its line says what it decides
+    assert invoke(["one-simple", str(workdir / "circle.complex")]) == (
+        1, "", "error: one-simple decides acyclic complexes only\n")
     full = workdir / "full.scene"
     full.write_text("grid 2 2\nsource 0 0\ntarget 2 2\n")
     assert invoke(["one-simple", str(full)]) == (0, "one-simple true\n", "")
@@ -808,6 +809,7 @@ VERB_COMMANDS = [
     "hom fixtures/o1.complex --from 0 --to 1 --reps",
     "pi0 fixtures/hole.scene",
     "preorder fixtures/hole.scene",
+    "preorder fixtures/circle.complex",
     "one-simple fixtures/y.scene",
     "monoid fixtures/torus.complex --at v --max-len 4",
     "cat contractible fixtures/two.category --direction past",
@@ -841,7 +843,7 @@ def _documented_commands():
 
 def test_every_documented_command_takes_the_fast_path():
     documented = _documented_commands()
-    assert len(documented) == 18 + 3  # CI's list, README's examples
+    assert len(documented) == 19 + 3  # CI's list, README's examples
     # each is one of VERB_COMMANDS, which a fresh interpreter runs below
     assert set(documented) <= set(VERB_COMMANDS)
     for cmd in VERB_COMMANDS:

@@ -43,6 +43,13 @@ def test_torus_fixture_monoid_is_free_commutative():
     assert out.splitlines()[0] == "counts 1 2 3 4 5"
 
 
+@pytest.mark.parametrize("complex_,expected", [("circle.complex", "* *\n"),
+                                               ("torus.complex", "v v\n")])
+def test_loop_fixture_preorder(complex_, expected):
+    # one vertex with loops on it (a square between them on the torus): one pair
+    assert invoke(["preorder", str(FIXTURES / complex_)]) == expected
+
+
 def test_category_fixtures():
     out = invoke(
         ["cat", "contractible", str(FIXTURES / "two.category"), "--direction", "past"]

@@ -15,9 +15,12 @@ from dihom.errors import (
 from oracles import (
     bfs_dipaths,
     enumerate_dipaths_oracle,
+    format_preorder_oracle,
     has_no_cycle_oracle,
     is_length_addition,
     monoid_table_oracle,
+    path_preorder_walk_oracle,
+    reach_oracle,
     scene_path_classes,
     swap_partition,
 )
@@ -380,6 +383,63 @@ def test_hole_grid_preorder():
     assert "v0_0" not in reach["v3_3"]
 
 
+def random_digraph(rng):
+    """Up to 12 vertices named from a pool where string order is not insertion
+    order (v9 < v10 as numbers, not as strings), and edges with cycles,
+    self-loops, parallel copies and vertices left isolated."""
+    n = rng.randint(1, 12)
+    verts = rng.sample([f"v{i}" for i in range(14)], n)
+    edges = {}
+    for j in range(rng.choice([0, n // 2, n, 2 * n])):
+        a = rng.choice(verts)
+        b = a if rng.random() < 0.1 else rng.choice(verts)
+        edges[f"e{j}"] = (a, b)
+        if rng.random() < 0.1:  # a parallel copy
+            edges[f"p{j}"] = (a, b)
+    return pc.PreCubicalSet(verts, edges, {})
+
+
+def test_closure_matches_one_search_per_vertex():
+    rng = random.Random(20261019)
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        targets = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        masks = fc._closure(targets)
+        assert [{w for w in range(n) if m >> w & 1} for m in masks] == [
+            reach_oracle(targets, v) for v in range(n)
+        ]
+        assert all(list(fc._picked(range(n), m)) == sorted(reach_oracle(targets, v))
+                   for v, m in enumerate(masks))
+        cyclic += len(set(masks)) < n
+    assert cyclic > 100
+
+
+def test_preorder_matches_the_walk_on_random_digraphs():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        k = random_digraph(rng)
+        want = path_preorder_walk_oracle(k)
+        got = fc.path_preorder(k)
+        assert got == want and list(got) == list(want)
+        assert fc.format_preorder(k) == format_preorder_oracle(want)
+
+
+def test_preorder_of_a_scene_matches_its_complex_written_out():
+    rng = random.Random(20261021)
+    for _ in range(40):
+        w, h = rng.randint(1, 12), rng.randint(1, 12)  # ids v9_0 < v10_0 only as numbers
+        boxes = []
+        for _ in range(rng.randint(0, 3)):
+            x0, y0 = rng.randint(0, w - 1), rng.randint(0, h - 1)
+            boxes.append(gs.Box(x0, y0, rng.randint(x0 + 1, w), rng.randint(y0 + 1, h)))
+        k = gs.to_precubical(gs.GridScene(w, h, tuple(boxes), (0, 0), (w, h)))
+        parsed = pc.parse_complex(pc.format_complex(k))
+        text = format_preorder_oracle(path_preorder_walk_oracle(k))
+        assert fc.format_preorder(k) == fc.format_preorder(parsed) == text
+        assert fc.path_preorder(k) == fc.path_preorder(parsed)
+
+
 def test_pi0_two_intervals():
     k = pc.PreCubicalSet(["0", "1", "p", "q"], {"a": ("0", "1"), "b": ("p", "q")}, {})
     assert fc.pi0(k) == (("0", "1"), ("p", "q"))
@@ -542,6 +602,24 @@ def test_engine_monoid_table_matches_oracle_partition():
             if len(ri) + len(rj) <= length
         }
         assert (table.counts, table.reps, table.table) == (tuple(counts), reps, expected)
+
+
+def test_monoid_table_lists_its_keys_in_sorted_order():
+    # the monoid verb writes the table as built, so its key order is its output order
+    rng = random.Random(20261023)
+    torus = pc.PreCubicalSet(["*"], {"a": ("*", "*"), "b": ("*", "*")},
+                             {"w": ("a", "a", "b", "b")})
+    cases = [(torus, "*", 5), (pc.model("wedge_circles(2)"), "*", 4),
+             (pc.model("wedge_circles(3)"), "*", 3)]
+    for _ in range(60):
+        k = random_complex(rng, acyclic=rng.random() < 0.3)
+        cases.append((k, rng.choice(list(k.vertices)), rng.randint(0, 4)))
+    entries = 0
+    for k, x, length in cases:
+        t = fc.fundamental_monoid_classes(k, x, length)
+        assert list(t.table) == sorted(t.table)
+        entries += len(t.table)
+    assert entries > 500
 
 
 def test_monoid_table_matches_walks_without_sharing_at_lengths_4_to_8():
