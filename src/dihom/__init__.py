@@ -4,7 +4,7 @@ Modules by topic:
 
 - :mod:`dihom.precubical` -- pre-cubical sets (dims 0-2) and their text format
 - :mod:`dihom.gridscene`  -- planar grid regions with forbidden boxes
-- :mod:`dihom.fundcat`    -- dipaths, swap classes, preorders, presentations
+- :mod:`dihom.fundcat`    -- dipaths, swap classes, preorders, realizations
 - :mod:`dihom.catho`      -- directed homotopy of finite categories, pushouts
 - :mod:`dihom.dmetric`    -- Lawvere directed metric spaces, exact arithmetic
 - :mod:`dihom.cli`        -- the ``dihom`` command

@@ -20,9 +20,9 @@ cores, without the size guards.
 The module also carries the presentation machinery used by the van Kampen
 computations: pushouts of generators-and-relations presentations along
 morphisms, and their realization as explicit categories (full when the
-generator graph is acyclic, length-truncated otherwise).  Realization
-builds the classes of generator words one length at a time with the class
-engine of :mod:`dihom.fundcat`; length-changing relations are first made
+generator graph is acyclic, length-truncated otherwise): a
+:class:`dihom.fundcat.Realization` of the classes of generator words, on
+an engine this module picks.  Length-changing relations are first made
 length-preserving by cutting each generator into one piece per unit of
 height it climbs, which needs an acyclic presentation.  Whether a morphism
 preserves relations is decided on the same engine, by one sweep of the target.
@@ -43,10 +43,9 @@ from .errors import (
 )
 from .fundcat import (
     CatPresentation,
+    Realization,
     _closure,
-    _composites,
     _picked,
-    _shared_prefixes,
     _SwapEngine,
     validate_presentation,
 )
@@ -949,98 +948,15 @@ def pushout(p0, p1, p2, u1, u2):
     return Pushout(pres, left, right)
 
 
-class Realization:
-    """Hom-sets of a presented category as classes of generator words.
-
-    Complete when the generator graph is acyclic and no bound cuts the
-    enumeration short; otherwise ``truncated`` is set and hom-sets only
-    cover words up to the length bound.  Classes and composites are read
-    off the class engine's layers by :func:`dihom.fundcat._composites`.
-    """
-
-    def __init__(self, presentation, bound, truncated, homs, layers, engine, chains, whole,
-                 starts):
-        self.presentation = presentation
-        self.bound = bound
-        self.truncated = truncated
-        self.objects = presentation.objects
-        self.homs = homs  # (x, y) -> tuple of canonical representative words
-        self._layers, self._engine = layers, engine
-        self._chains, self._whole = chains, whole  # generator -> its pieces, and back
-        self._starts = starts  # source object -> its class in layer 0, its place in the sweep
-
-    def hom_reps(self, x, y):
-        return self.homs.get((x, y), ())
-
-    def hom_count(self, x, y):
-        return len(self.hom_reps(x, y))
-
-    def class_of(self, start, word):
-        """Canonical word of the class of ``word`` out of ``start``;
-        DomainError for an unknown start, a word that does not compose from
-        it, or one longer than the realization covers."""
-        i = self._starts.get(start)
-        if i is None:
-            raise DomainError(f"unknown object {start}")
-        gens, layers = self.presentation.generators, self._layers
-        pieces, at = [], start
-        for g in word:
-            if len(pieces) + 1 == len(layers):
-                raise DomainError(f"word longer than the bound {self.bound}")
-            if g not in gens or gens[g][0] != at:
-                raise DomainError(f"word not composable at generator {g}")
-            pieces += self._chains[g]
-            at = gens[g][1]
-        [c] = _composites(layers, self._engine.pos, i, 0, [(pieces, 0)])
-        return self._whole(layers[len(pieces)].reps[c])
-
-    def to_fincategory(self):
-        """Explicit category with one arrow per class; complete mode only.
-        One walk from each object's empty word along its representatives, in
-        sorted order, finds their classes; the composites of each w1 are
-        walked on from its class the same way."""
-        if self.truncated:
-            raise DomainError("truncated realization does not form a category")
-        layers, starts, pos = self._layers, self._starts, self._engine.pos
-        arrows, leaving = {}, {}  # x -> (pieces, arrow, target) per class out of x, homs order
-        for (x, y), reps in self.homs.items():
-            for w in reps:
-                a = ";".join(w) if w else f"id({x})"
-                arrows[a] = (x, y)
-                pieces = tuple(p for g in w for p in self._chains[g])
-                leaving.setdefault(x, []).append((pieces, a, y))
-        identity = {x: f"id({x})" for x in self.objects}
-        # x -> (the walk along its pieces, sorted; per class in homs order:
-        # its place in that walk, length, class, arrow and target)
-        walks, names = {}, [[None] * len(layer.ends) for layer in layers]
-        for x, out in leaving.items():
-            order = sorted(range(len(out)), key=lambda k: out[k][0])
-            suffixes = _shared_prefixes([out[k][0] for k in order])
-            at = _composites(layers, pos, starts[x], 0, suffixes)
-            place = sorted(range(len(out)), key=order.__getitem__)
-            walks[x] = suffixes, [(r, len(p), at[r], a, y) for r, (p, a, y) in zip(place, out)]
-            for _, d, c, a, _ in walks[x][1]:
-                names[d][c] = a
-        table = {}
-        for _, entries in walks.values():
-            for _, d1, c1, a1, y in entries:
-                suffixes, after = walks[y]
-                ends = _composites(layers, pos, c1, d1, suffixes)
-                for r, d2, _, a2, _ in after:
-                    table[(a1, a2)] = names[d1 + d2][ends[r]]
-        return FinCategory(self.objects, arrows, identity, table)
-
-
 def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
     """Hom-sets of a presented category, fully if the generator graph is
     acyclic, else for words up to ``bound``; ``truncated`` is set when a
     bound was given and some word of that length can still be extended.
 
-    The class engine of :mod:`dihom.fundcat` builds the classes one word
-    length at a time, in one sweep from every object, at most ``max_words``
-    per source object.  With length-changing relations (acyclic only, bound
-    at least the longest generator word) it runs on :func:`_subdivided`
-    generators, and the chains' inner classes count towards the cap.
+    A :class:`dihom.fundcat.Realization` builds the classes in one sweep
+    from every object, at most ``max_words`` per object.  Relations that
+    change length (acyclic only, bound at least the longest generator word)
+    make it run on :func:`_subdivided` generators, whose inner classes count.
     """
     if bound is not None and bound < 0:
         raise DomainError(f"length bound {bound} is negative")
@@ -1054,38 +970,18 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
 
 def _realize(pres, sources, bound, max_words):
     """The Realization of a valid presentation by one sweep from the
-    ``sources`` objects (see :func:`realize_presentation`); its hom-sets and
-    ``class_of`` cover the words out of those objects only."""
-    engine = pres._engine
-    heights = engine.heights
-    chains = {g: (g,) for g in pres.generators}
-    whole = tuple  # the identity on the representatives, which are tuples
+    ``sources`` objects (see :func:`realize_presentation`): on its own
+    engine, or on that of its subdivision when a relation changes length."""
+    engine, chains = pres._engine, None
     if not _length_preserving(pres):
+        heights = engine.heights
         if heights is None or bound is not None and bound < max(heights):
             raise DomainError("length-changing relation in truncated mode")
         if "_subdivision" not in vars(pres):  # kept on the presentation, as its _engine is
             chains, *sub = _subdivided(pres, heights)
             vars(pres)["_subdivision"] = chains, _SwapEngine(*sub)
         chains, engine = vars(pres)["_subdivision"]
-        whole = lambda pieces: tuple(g for g, k in pieces if not k)
-    layers = list(engine.layers(sources, bound, max_words))
-    # hom-sets gather under x * n + y, x and y ranks in name order: integers sort fast
-    objects = pres.objects
-    n, names = len(objects), sorted(objects)
-    rank = dict(zip(names, range(n)))
-    ranks, firsts = [rank[x] for x in objects], [rank[x] for x in sources]
-    found = {}
-    for layer in layers:
-        blocks = layer.blocks or (0, len(layer.ends))
-        for x, lo, hi in zip(firsts, blocks, blocks[1:]):
-            for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
-                if y < n:  # not inside a chain
-                    found.setdefault(x * n + ranks[y], []).append(whole(rep))
-    homs = {(names[k // n], names[k % n]): tuple(sorted(found[k])) for k in sorted(found)}
-    # the last layer is empty unless the bound cut the words off
-    truncated = any(engine.out[v] for v in layers[-1].ends)
-    starts = dict(zip(sources, range(len(sources))))
-    return Realization(pres, bound, truncated, homs, layers, engine, chains, whole, starts)
+    return Realization(engine, pres.objects, sources, bound, max_words, chains)
 
 
 def _subdivided(pres, heights):

@@ -12,12 +12,12 @@ Since both sides of every square relation have length 2, swaps preserve
 word length, so classes are computed one length layer at a time without
 listing dipaths (the discrete form of the trace-space state-space
 reduction).  The engine that does so, ``_SwapEngine``, takes any
-presentation whose relations preserve length, so it also realizes glued
-presentations (:func:`dihom.catho.realize_presentation`); its cost grows
-with the number of classes (and their representatives' lengths), not with
-the number of words.  Composites are read off the engine's right action by
-one walk, ``_composites``: the monoid's concatenation table and a
-realization's composition table and ``class_of`` all go through it.
+presentation whose relations preserve length; its cost grows with the
+number of classes (and their representatives' lengths), not of words.  A
+``Realization`` reads a presented category's hom-sets off one sweep; only
+this module reads a sweep's layers.  Composites are read off the right
+action by one walk, ``_composites``: the monoid's concatenation table and
+a realization's composition table and ``class_of`` all go through it.
 
 Unbounded computation is only allowed on acyclic complexes and is refused
 (not silently truncated) otherwise; the class count is capped.
@@ -181,10 +181,12 @@ def presentation_of(complex_):
 
     Objects = vertices, generators = edges, one relation per square equating
     its two boundary routes (d2m;d1p vs d1m;d2p), written in diagrammatic
-    order.
+    order.  It shares the complex's class engine, compiled for a scene.
     """
     k = require_valid(complex_)
-    return CatPresentation(k.vertices, dict(k.edges), _square_relations(k))
+    pres = CatPresentation(k.vertices, dict(k.edges), _square_relations(k))
+    vars(pres)["_engine"] = _engine_of(k)  # in place of a second, generic engine
+    return pres
 
 
 def _square_relations(k):
@@ -481,6 +483,108 @@ def _shared_prefixes(words):
         pairs.append((w, m))
         prev = w
     return pairs
+
+
+class Realization:
+    """Hom-sets of a presented category as classes of generator words, read
+    off one sweep of a class ``engine`` from the ``sources`` objects.
+
+    The engine numbers ``objects`` first; ``chains`` maps each generator to
+    its pieces (:func:`dihom.catho._subdivided`), None for no subdivision.
+    ``truncated`` is set when the bound cut words off.  ``homs``, built on
+    first read, maps (x, y) in sorted order to the sorted canonical words
+    x -> y, and lists no empty hom-set.
+    """
+
+    def __init__(self, engine, objects, sources, bound, max_classes, chains=None):
+        self.objects, self.bound = objects, bound
+        self._engine, self._chains = engine, chains
+        self._layers = list(engine.layers(sources, bound, max_classes))
+        # the last layer is empty unless the bound cut the words off
+        self.truncated = any(engine.out[v] for v in self._layers[-1].ends)
+        self._starts = dict(zip(sources, range(len(sources))))  # source -> its layer-0 class
+        # a representative's generators: its chains' first pieces
+        self._whole = tuple if chains is None else lambda ps: tuple(g for g, k in ps if not k)
+
+    @cached_property
+    def homs(self):
+        # hom-sets gather under x * n + y, x and y ranks in name order: integers sort fast
+        objects, whole = self.objects, self._whole
+        n, names = len(objects), sorted(objects)
+        rank = dict(zip(names, range(n)))
+        ranks, firsts = [rank[x] for x in objects], [rank[x] for x in self._starts]
+        found = {}
+        for layer in self._layers:
+            blocks = layer.blocks or (0, len(layer.ends))
+            for x, lo, hi in zip(firsts, blocks, blocks[1:]):
+                for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
+                    if y < n:  # not inside a chain
+                        found.setdefault(x * n + ranks[y], []).append(whole(rep))
+        return {(names[k // n], names[k % n]): tuple(sorted(found[k])) for k in sorted(found)}
+
+    def hom_count(self, x, y):
+        return len(self.homs.get((x, y), ()))
+
+    def class_of(self, start, word):
+        """Canonical word of the class of ``word`` out of ``start``;
+        DomainError for a start that is not a source, a word that does not
+        compose from it, or one longer than the realization covers."""
+        i = self._starts.get(start)
+        if i is None:
+            raise DomainError(f"unknown object {start}")
+        engine, layers, chains = self._engine, self._layers, self._chains
+        out, targets, pos = engine.out, engine.targets, engine.pos
+        pieces, at = [], engine.index[start]
+        for g in word:
+            if len(pieces) + 1 == len(layers):
+                raise DomainError(f"word longer than the bound {self.bound}")
+            for p in (g,) if chains is None else chains.get(g, (None,)):
+                j = pos.get(p)
+                if j is None or j >= len(out[at]) or out[at][j] != p:
+                    raise DomainError(f"word not composable at generator {g}")
+                at = targets[at][j]
+                pieces.append(p)
+        [c] = _composites(layers, pos, i, 0, [(pieces, 0)])
+        return self._whole(layers[len(pieces)].reps[c])
+
+    def to_fincategory(self):
+        """Explicit category with one arrow per class, named by its word;
+        complete mode only.  One walk from each object's empty word along
+        its representatives, in sorted order, finds their classes; the
+        composites of each w1 are walked on from its class the same way."""
+        from .catho import FinCategory  # catho imports this module
+        if self.truncated:
+            raise DomainError("truncated realization does not form a category")
+        layers, starts, pos, chains = self._layers, self._starts, self._engine.pos, self._chains
+        arrows, leaving = {}, {}  # x -> (pieces, arrow, target) per class out of x, homs order
+        for (x, y), reps in self.homs.items():
+            for w in reps:
+                a = ";".join(w) if w else f"id({x})"
+                if a in arrows:
+                    raise DomainError(f"two classes would both be named {a}")
+                arrows[a] = (x, y)
+                pieces = w if chains is None else tuple(p for g in w for p in chains[g])
+                leaving.setdefault(x, []).append((pieces, a, y))
+        identity = {x: f"id({x})" for x in self.objects}
+        # x -> (the walk along its pieces, sorted; per class in homs order:
+        # its place in that walk, length, class, arrow and target)
+        walks, names = {}, [[None] * len(layer.ends) for layer in layers]
+        for x, out in leaving.items():
+            order = sorted(range(len(out)), key=lambda k: out[k][0])
+            suffixes = _shared_prefixes([out[k][0] for k in order])
+            at = _composites(layers, pos, starts[x], 0, suffixes)
+            place = sorted(range(len(out)), key=order.__getitem__)
+            walks[x] = suffixes, [(r, len(p), at[r], a, y) for r, (p, a, y) in zip(place, out)]
+            for _, d, c, a, _ in walks[x][1]:
+                names[d][c] = a
+        table = {}
+        for _, entries in walks.values():
+            for _, d1, c1, a1, y in entries:
+                suffixes, after = walks[y]
+                ends = _composites(layers, pos, c1, d1, suffixes)
+                for r, d2, _, a2, _ in after:
+                    table[(a1, a2)] = names[d1 + d2][ends[r]]
+        return FinCategory(self.objects, arrows, identity, table)
 
 
 def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_CLASSES):

@@ -943,13 +943,14 @@ def realize_per_source_oracle(pres, bound=None, max_words=MAX_WORDS):
     return WordClasses(homs, truncated, class_of)
 
 
-def extend_per_suffix_oracle(real, start, word, suffixes):
+def extend_per_suffix_oracle(pres, real, start, word, suffixes):
     """``Realization``'s composite walk as it was before the shared walk:
     walk ``word`` from ``start``'s empty word, then each suffix on from
-    there, generator by generator, through ``real``'s layers; returns the
-    canonical word of word + s per suffix s, with the same errors."""
+    there, generator by generator, through ``real``'s layers (``real``
+    realizes ``pres``); returns the canonical word of word + s per suffix
+    s, with the same errors."""
     layers, index, pos = real._layers, real._engine.index, real._engine.pos
-    pres, chains = real.presentation, real._chains
+    chains = real._chains or {g: (g,) for g in pres.generators}
 
     def walk(cls, depth, word):  # on from class cls of layer depth, by the right action
         for g in word:
@@ -970,10 +971,11 @@ def extend_per_suffix_oracle(real, start, word, suffixes):
     return [real._whole(layers[d].reps[c]) for c, d in (walk(*at, s) for s in suffixes)]
 
 
-def to_fincategory_per_suffix_oracle(real):
+def to_fincategory_per_suffix_oracle(pres, real):
     """``Realization.to_fincategory`` as it was before the shared walk: each
-    composite's suffix walked on from the first word's class on its own.
-    Returns (arrows, identity, table) in the order built."""
+    composite's suffix walked on from the first word's class on its own
+    (``real`` realizes ``pres``).  Returns (arrows, identity, table) in the
+    order built."""
     arrows, name = {}, {}  # name: (start, rep) -> arrow name
     leaving = {}  # x -> the reps of the classes out of x, in homs order
     for (x, y), reps in real.homs.items():
@@ -986,7 +988,7 @@ def to_fincategory_per_suffix_oracle(real):
     for (x, y), reps in real.homs.items():
         for w1 in reps:
             a1 = name[(x, w1)]
-            for w2, w in zip(leaving[y], extend_per_suffix_oracle(real, x, w1, leaving[y])):
+            for w2, w in zip(leaving[y], extend_per_suffix_oracle(pres, real, x, w1, leaving[y])):
                 table[(a1, name[(y, w2)])] = name[(x, w)]
     return arrows, identity, table
 

@@ -2,11 +2,12 @@ import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import count, product
+from itertools import count, islice, product
 from pathlib import Path
 
 import pytest
@@ -790,6 +791,16 @@ def test_realize_interval_gives_the_interval_category():
     assert len(cat.arrows) == 3
 
 
+@pytest.mark.parametrize("text, name", [
+    ("object 0\nobject 1\ngen id(0) 0 1\n", "id(0)"),  # a generator named as an identity
+    ("object 0\nobject 1\nobject 2\ngen a 0 1\ngen b 1 2\ngen a;b 0 2\n", "a;b"),
+])
+def test_to_fincategory_refuses_two_classes_of_one_name(text, name):
+    real = ct.realize_presentation(ct.parse_presentation(text))
+    with pytest.raises(DomainError, match=f"^two classes would both be named {re.escape(name)}$"):
+        real.to_fincategory()
+
+
 def test_realize_circle_bounded():
     circ = fc.presentation_of(pc.model("directed_circle"))
     with pytest.raises(DomainError):
@@ -1418,52 +1429,55 @@ def test_to_fincategory_matches_the_scan_over_every_hom_entry():
 
 
 def _walk_cases():
-    """The realizations of the to_fincategory scan test's 200 seeded
-    presentations (bounded cyclic ones among them), 60 length-changing ones
-    (subdivided, half with a bound at least the longest word) and 40 cyclic
-    ones whose bound cuts the words off, and 10 seeded scenes."""
+    """(presentation, realization) pairs: the to_fincategory scan test's 200
+    seeded presentations (bounded cyclic ones among them), 60 length-changing
+    ones (subdivided, half with a bound at least the longest word) and 40
+    cyclic ones whose bound cuts the words off, and 10 seeded scenes."""
     rng = random.Random(20261018)
     for trial in range(200):
         acyclic = trial % 2 == 0
         pres = _random_presentation(rng, acyclic)
         bound = None if acyclic and rng.random() < 0.5 else rng.randint(0, 4)
-        yield ct.realize_presentation(pres, bound)
+        yield pres, ct.realize_presentation(pres, bound)
     rng = random.Random(20261021)
     for trial in range(60):
         pres = None
         while pres is None:
             pres = _length_changing_presentation(rng)
-        yield ct.realize_presentation(pres, None if trial % 2 else 9)
+        yield pres, ct.realize_presentation(pres, None if trial % 2 else 9)
     for _ in range(40):
-        yield ct.realize_presentation(_random_presentation(rng, False), rng.randint(1, 4))
+        pres = _random_presentation(rng, False)
+        yield pres, ct.realize_presentation(pres, rng.randint(1, 4))
     for _ in range(10):  # scenes: many representatives with long common prefixes
         w, h = rng.randint(2, 4), rng.randint(2, 4)
         boxes = [(x, y, x + 1, y + 1) for x in range(w) for y in range(h) if rng.random() < 0.3]
         k = gs.to_precubical(gs.make_scene(w, h, boxes, (0, 0), (w, h)))
-        yield ct.realize_presentation(fc.presentation_of(k))
+        pres = fc.presentation_of(k)
+        yield pres, ct.realize_presentation(pres)
 
 
 def test_shared_walk_matches_the_walk_per_suffix():
     kinds = Counter()
-    for real in _walk_cases():
-        kinds["subdivided"] += any(len(c) > 1 for c in real._chains.values())
+    for pres, real in _walk_cases():
+        kinds["subdivided"] += real._chains is not None
         kinds["truncated"] += real.truncated
-        tails = [("nope",)] + [(g,) for g in sorted(real.presentation.generators)]
+        assert list(real.homs) == sorted(real.homs) and all(real.homs.values())
+        tails = [("nope",)] + [(g,) for g in sorted(pres.generators)]
         for (x, _y), reps in real.homs.items():
             for w in reps:
                 for k in range(len(w) + 1):
-                    want = oracles.extend_per_suffix_oracle(real, x, w[:k], [()])
+                    want = oracles.extend_per_suffix_oracle(pres, real, x, w[:k], [()])
                     assert [real.class_of(x, w[:k])] == want
                 for tail in tails:
                     assert _outcome(lambda: real.class_of(x, w + tail)) == _outcome(
-                        lambda: oracles.extend_per_suffix_oracle(real, x, w + tail, [()])[0])
+                        lambda: oracles.extend_per_suffix_oracle(pres, real, x, w + tail, [()])[0])
         if real.truncated:
             continue
         kinds["complete"] += 1
         kinds["shared"] += any(len(w) > 1 for reps in real.homs.values() for w in reps)
         kinds["large"] += sum(map(len, real.homs.values())) > 100
         cat = real.to_fincategory()
-        arrows, identity, table = oracles.to_fincategory_per_suffix_oracle(real)
+        arrows, identity, table = oracles.to_fincategory_per_suffix_oracle(pres, real)
         assert list(cat.table.items()) == list(table.items())
         assert cat.arrows == arrows
         assert list(cat.identity.items()) == list(identity.items())
@@ -1473,10 +1487,11 @@ def test_shared_walk_matches_the_walk_per_suffix():
 
 def test_one_hole_8x8_category_is_pinned():
     k = gs.to_precubical(gs.make_scene(8, 8, [(3, 3, 4, 4)], (0, 0), (8, 8)))
-    real = ct.realize_presentation(fc.presentation_of(k))
+    pres = fc.presentation_of(k)
+    real = ct.realize_presentation(pres)
     cat = real.to_fincategory()
     assert len(cat.table) == 33325
-    _, _, table = oracles.to_fincategory_per_suffix_oracle(real)
+    _, _, table = oracles.to_fincategory_per_suffix_oracle(pres, real)
     assert list(cat.table.items()) == list(table.items())
     digest = hashlib.sha256(ct.format_category(cat).encode()).hexdigest()
     assert digest.startswith("749c03f6c48a")
@@ -1570,6 +1585,24 @@ def test_morphism_checks_match_the_swap_closure_and_the_whole_realization():
     assert min(kinds.values()) >= 300, kinds
     assert min(starts.values()) >= 75, starts
     assert len(verdicts) == 4 and min(verdicts.values()) >= 100, verdicts
+
+
+def test_morphism_checks_leave_the_hom_sets_unbuilt(monkeypatch):
+    made = []
+
+    class Watched(fc.Realization):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(ct, "Realization", Watched)
+    rng = random.Random(20261022)
+    for _, target in islice(_morphism_targets(rng), 300):
+        morph = _random_morphism(rng, target)
+        if morph is not None:
+            ct.check_presentation_morphism(morph)
+    assert len(made) > 50 and not any("homs" in vars(real) for real in made)
+    assert made[0].homs is made[0].homs  # built on the first read, and kept
 
 
 def _one_hole_grid(n):

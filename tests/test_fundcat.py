@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from dihom import catho as ct
 from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
@@ -728,8 +730,44 @@ def test_one_complex_builds_its_class_engine_once(monkeypatch):
         fc.path_preorder(k)
         fc.pi0(k)
         fc.DiPath(k, "v0_0", ("e0_0",))
+        assert ct.realize_presentation(fc.presentation_of(k))._engine is engine
         assert k._engine is engine
         assert len(built) == generic_builds  # a scene hands over its arrays
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_a_complex_presentation_realizes_as_a_fresh_copy_does():
+    """presentation_of(k) hands over k's engine (compiled, for a scene); the
+    realization is that of a fresh presentation, which builds its own."""
+    kinds = Counter()
+    for _, k, bound in random_cases(20261019, 40):
+        shared = ct.realize_presentation(fc.presentation_of(k), bound)
+        fresh = ct.realize_presentation(
+            fc.CatPresentation(k.vertices, dict(k.edges), fc._square_relations(k)), bound)
+        assert shared._engine is fc._engine_of(k) is not fresh._engine
+        kinds["compiled"] += k._make_engine is not None
+        assert list(shared.homs.items()) == list(fresh.homs.items())
+        assert shared.truncated == fresh.truncated
+        tails = [(), ("nope",)] + [(e,) for e in sorted(k.edges)]
+        for (x, _y), reps in fresh.homs.items():
+            for w in reps:
+                for tail in tails:
+                    assert (_outcome(shared.class_of, x, w + tail)
+                            == _outcome(fresh.class_of, x, w + tail))
+        if fresh.truncated:
+            continue
+        kinds["complete"] += 1
+        got, want = shared.to_fincategory(), fresh.to_fincategory()
+        assert got.objects == want.objects
+        for part in ("arrows", "identity", "table"):
+            assert list(getattr(got, part).items()) == list(getattr(want, part).items())
+    assert kinds["compiled"] >= 8 and kinds["complete"] >= 20, kinds
 
 
 def test_dipath_needs_a_valid_complex():
