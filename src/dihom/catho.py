@@ -886,7 +886,7 @@ def check_presentation_morphism(morph):
         bound = None
         if _length_preserving(tgt):
             bound = max(len(w) for _, _, wu, wv in differ for w in (wu, wv))
-        elif tgt._engine.heights is None:
+        elif not tgt._engine.acyclic:
             return [f"relation {i}: preservation undecided (target is cyclic and has "
                     "length-changing relations)" for i, *_ in differ]
         real = _realize(tgt, list(dict.fromkeys(x for _, x, _, _ in differ)), bound, MAX_WORDS)
@@ -963,7 +963,7 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
     bad = validate_presentation(pres)
     if bad:
         raise DomainError("invalid presentation: " + "; ".join(bad[:5]))
-    if bound is None and pres._engine.heights is None:
+    if bound is None and not pres._engine.acyclic:
         raise DomainError("cyclic presentation needs a length bound")
     return _realize(pres, pres.objects, bound, max_words)
 

@@ -196,19 +196,16 @@ def _square_relations(k):
 
 def _engine_of(k):
     """The class engine of a validated complex (vertices, edges, squares),
-    built on the first call and kept on the complex; a compiled scene hands
-    over the engine's arrays instead (:func:`dihom.gridscene.to_precubical`)."""
+    built on the first call and kept on the complex; a compiled scene builds
+    its own (:class:`dihom.gridscene._SceneComplex`)."""
     if k._engine is None:
-        if k._make_engine is None:
-            k._engine = _SwapEngine(k.vertices, k._edges, _square_relations(k))
-        else:
-            k._engine = _SwapEngine._compiled(*k._make_engine())
+        k._engine = _SwapEngine(k.vertices, k._edges, _square_relations(k))
     return k._engine
 
 
 def is_acyclic(complex_):
     """True iff edge reachability has no nontrivial cycle (self-loops count)."""
-    return _engine_of(require_valid(complex_)).heights is not None
+    return _engine_of(require_valid(complex_)).acyclic
 
 
 def _require_walkable(complex_, vertices, max_len):
@@ -218,7 +215,7 @@ def _require_walkable(complex_, vertices, max_len):
     for v in vertices:
         if v not in engine.index:
             raise DomainError(f"unknown vertex {v}")
-    if max_len is None and engine.heights is None:
+    if max_len is None and not engine.acyclic:
         raise UnboundedEnumerationError(
             "unbounded enumeration on cyclic complex; pass a length bound"
         )
@@ -336,39 +333,38 @@ class _SwapEngine:
         self.depth = max(self.relations, default=1)
 
     @classmethod
-    def _compiled(cls, index, out, targets, pos, relations, heights):
-        """An engine from arrays laid out as ``__init__`` lays them out, and
-        the ``heights`` of an acyclic generator graph; nothing is sorted,
-        looked up or checked."""
+    def _compiled(cls, index, out, targets, pos, relations):
+        """An engine from arrays laid out as ``__init__`` lays them out, of
+        an acyclic generator graph; nothing is sorted, looked up or checked."""
         engine = object.__new__(cls)
         engine.index, engine.out, engine.targets, engine.pos = index, out, targets, pos
         engine.relations = relations
         engine.depth = max(relations, default=1)
-        engine.heights = heights  # kept in place of the cached Kahn pass
+        engine.acyclic = True  # in place of the cached traversal
         return engine
 
     @cached_property
     def heights(self):
         """Per object number, the length of the longest generator word into
-        it; None if the generator graph has a cycle (self-loops count).  By
-        Kahn's algorithm: an object is freed after all its predecessors, and
-        never if it is on a cycle."""
+        it; None if the generator graph has a cycle (self-loops count).
+        ``_order`` lists each component after all it reaches, so in reverse
+        an object comes after its predecessors."""
         targets = self.targets
-        into = [0] * len(targets)  # in-generators not yet removed
-        for ts in targets:
-            for w in ts:
-                into[w] += 1
         heights = [0] * len(targets)
-        free = [v for v, n in enumerate(into) if not n]
-        for v in free:  # the list grows while it is read
+        for component in reversed(_order(targets)):
+            v = component[0]
+            if len(component) > 1 or v in targets[v]:
+                return None
             h = heights[v] + 1
             for w in targets[v]:
                 if heights[w] < h:
                     heights[w] = h
-                into[w] -= 1
-                if not into[w]:
-                    free.append(w)
-        return heights if len(free) == len(targets) else None
+        return heights
+
+    @cached_property
+    def acyclic(self):
+        """Whether the generator graph has no cycle (self-loops count)."""
+        return self.heights is not None
 
     def layers(self, sources, max_len, max_classes):
         """Yield the _Layer of each length 0, 1, ... up to ``max_len``, or
@@ -681,15 +677,15 @@ def path_preorder(complex_):
     return {x: frozenset(_picked(k.vertices, m)) for x, m in rows}
 
 
-def _closure(targets):
-    """Per number v, the bitmask of the numbers reachable from v (v included)
-    along ``targets``.  One iterative Tarjan pass pops each strongly connected
-    component after all those it reaches: its mask ORs its members' bits and
-    their successors' masks, its own still 0 (Nuutila's closure)."""
+def _order(targets):
+    """The strongly connected components of the graph ``targets`` (per
+    number, the numbers it steps to), as lists of numbers, each component
+    after every one it reaches: one iterative Tarjan pass, from a root above
+    all numbers that steps to each of them, so there is no outer loop."""
     n = len(targets)
-    reach, low, stack, seen = [0] * n, [0] * (n + 1), [], 0  # low: 0 unseen, n + 1 popped
-    calls = [(n, 0, 0, iter(range(n)))]  # a root above all, one step from each vertex
-    while calls:
+    low, stack, seen, found = [0] * (n + 1), [], 0, []  # low: 0 unseen, n + 1 popped
+    calls = [(n, 0, 0, iter(range(n)))]
+    while True:
         v, num, at, ws = calls[-1]
         for w in ws:
             if not low[w]:
@@ -701,16 +697,30 @@ def _closure(targets):
                 low[v] = low[w]
         else:
             calls.pop()
+            if not calls:
+                return found
             if low[v] == num:  # v roots a component: stack[at:]
-                mask = sum(1 << u for u in stack[at:])
-                for u in stack[at:]:
-                    for w in targets[u]:
-                        mask |= reach[w]
-                for u in stack[at:]:
-                    reach[u], low[u] = mask, n + 1
+                found.append(stack[at:])
                 del stack[at:]
+                for u in found[-1]:
+                    low[u] = n + 1
             elif low[v] < low[calls[-1][0]]:
                 low[calls[-1][0]] = low[v]
+
+
+def _closure(targets):
+    """Per number v, the bitmask of the numbers reachable from v (v included)
+    along ``targets``.  A component comes after all it reaches, so its mask
+    ORs its members' bits and their successors' masks, its own still 0
+    (Nuutila's closure)."""
+    reach = [0] * len(targets)
+    for component in _order(targets):
+        mask = sum(1 << u for u in component)
+        for u in component:
+            for w in targets[u]:
+                mask |= reach[w]
+        for u in component:
+            reach[u] = mask
     return reach
 
 
@@ -744,12 +754,11 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     """
     k = require_valid(complex_)
     engine = _engine_of(k)
-    acyclic = engine.heights is not None
-    if max_len is None and not acyclic:
+    if max_len is None and not engine.acyclic:
         raise UnboundedEnumerationError(
             "one-simplicity on a cyclic complex needs a length bound"
         )
-    exact = acyclic and max_len is None
+    exact = engine.acyclic and max_len is None
     for x in k.vertices:
         counts = [0] * len(k.vertices)
         for layer in engine.layers([x], max_len, max_classes):

@@ -5,17 +5,18 @@ list of open rectangular holes, and two marked lattice points (source and
 target).  Scenes compile to pre-cubical sets whose cells are the unit
 vertices/edges/squares of the grid; a cell survives iff its closed carrier
 misses every open box, so hole shorelines stay traversable.  A compiled
-scene is valid and acyclic by construction: it keeps an empty
-``validate`` verdict, and its class engine gets its arrays and heights
-read off the lattice, unchecked.  A cell's label is its coordinates; the
-labels and the edge and square dicts are built on first read, since the
-class queries never read them.
+scene is a :class:`~dihom.precubical.PreCubicalSet` subclass, valid by
+construction, that builds its cell dicts, its labels (a cell's
+coordinates) and its class engine from the lattice on first use; the
+class queries read only the engine.
 
 Data given in the 45-degree "cone" order (both diagonals bound the slope)
 converts to this product order via :func:`cone_to_product_coords`.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import InputSyntaxError, Record, SizeGuardError, directives
 from .precubical import PreCubicalSet
@@ -186,87 +187,99 @@ def to_precubical(scene):
     east edges on its bottom/top side, so the square relates
     east-then-north with north-then-east between its extreme corners.
 
-    Every id string is made once, and the complex is valid by construction,
-    so it keeps an empty :func:`~dihom.precubical.validate` verdict and gets
-    its cells unchecked, already in id order: the ids of all kinds sort the
-    way the vertex ids do, east edges before north edges.  The edge and
-    square dicts, the labels and the arrays of the class engine
-    (:func:`_scene_engine`) are each built on first use.  A scene of more
-    than ``MAX_LATTICE_POINTS`` lattice points raises
-    :class:`SizeGuardError` before anything is built.
+    The complex is a :class:`_SceneComplex`.  A scene of more than
+    ``MAX_LATTICE_POINTS`` lattice points raises :class:`SizeGuardError`
+    before anything is built.
     """
     points = (scene.width + 1) * (scene.height + 1)
     if points > MAX_LATTICE_POINTS:
         raise SizeGuardError(f"scene has {points} lattice points (guard {MAX_LATTICE_POINTS})")
-    blocked = _blocked_cells(scene)
-    blocked_verts, blocked_east, blocked_north, blocked_squares = blocked
-    stride = scene.height + 1
-    lattice = [(x, y) for x in range(scene.width + 1) for y in range(stride)]
-    vid = [vertex_id(x, y) for x, y in lattice]
-    eid = [east_edge_id(x, y) for x, y in lattice]
-    nid = [north_edge_id(x, y) for x, y in lattice]
-    order = sorted(range(len(lattice)), key=vid.__getitem__)
-    kept = [i for i in order if not blocked_verts[i]]
+    return _SceneComplex(scene)
 
-    def cells():
+
+class _SceneComplex(PreCubicalSet):
+    """The complex of a scene, valid by construction: it keeps an empty
+    :func:`~dihom.precubical.validate` verdict.  Every id string is made
+    once, in flat lists indexed like :func:`_blocked_cells`, and one sort of
+    the vertex ids orders every kind: the ids of all kinds sort the way the
+    vertex ids do, east edges before north edges.  The edge and square
+    dicts, the labels and the class engine are each read off these lists on
+    first use, unchecked; the class queries read only the engine."""
+
+    def __init__(self, scene):
+        self._blocked = _blocked_cells(scene)
+        self._stride = stride = scene.height + 1
+        lattice = self._lattice = [(x, y) for x in range(scene.width + 1) for y in range(stride)]
+        vid = self._vid = [vertex_id(x, y) for x, y in lattice]
+        self._eid = [east_edge_id(x, y) for x, y in lattice]
+        self._nid = [north_edge_id(x, y) for x, y in lattice]
+        order = self._id_order = sorted(range(len(lattice)), key=vid.__getitem__)
+        kept = self._kept = [i for i in order if not self._blocked[0][i]]
+        self._vertices = tuple(vid[i] for i in kept)
+        self._violations = ()
+
+    @cached_property
+    def _edges(self):
+        _, blocked_east, blocked_north, _ = self._blocked
+        vid, eid, nid, stride = self._vid, self._eid, self._nid, self._stride
+        order = self._id_order
         edges = {eid[i]: (vid[i], vid[i + stride]) for i in order if not blocked_east[i]}
         edges.update((nid[i], (vid[i], vid[i + 1])) for i in order if not blocked_north[i])
-        squares = {
-            square_id(*lattice[i]): (nid[i], nid[i + stride], eid[i], eid[i + 1])
-            for i in order
+        return edges
+
+    @cached_property
+    def _squares(self):
+        eid, nid, stride, blocked_squares = self._eid, self._nid, self._stride, self._blocked[3]
+        return {
+            square_id(*self._lattice[i]): (nid[i], nid[i + stride], eid[i], eid[i + 1])
+            for i in self._id_order
             if not blocked_squares[i]
         }
-        return edges, squares
 
-    return PreCubicalSet._trusted(
-        tuple(vid[i] for i in kept),
-        cells,
-        lambda: _scene_labels(lattice, blocked),
-        lambda: _scene_engine(stride, blocked, kept, vid, eid, nid),
-    )
+    @cached_property
+    def _labels(self):
+        """The coordinate label of every kept cell, kind by kind, each kind in
+        lattice (x-major) order."""
+        labels = {}
+        for (dim, name, template), flags in zip(_CELL_KINDS, self._blocked):
+            for (x, y), flag in zip(self._lattice, flags):
+                if not flag:
+                    labels[(dim, name(x, y))] = template.format(x=x, y=y, x1=x + 1, y1=y + 1)
+        return labels
 
-
-def _scene_engine(stride, blocked, kept, vid, eid, nid):
-    """The arrays of a compiled scene's class engine, read off the lattice
-    indices: ``(index, out, targets, pos, relations, heights)`` as
-    ``dihom.fundcat._SwapEngine`` lays them out for the complex, with
-    vertices numbered in ``kept`` (id) order.  A vertex lists its east edge
-    before its north edge, which is id order, and starts the relation of
-    at most one square, the one at its own corner.  ``heights[v]`` is the
-    length of the longest dipath into v; a box can leave a vertex without
-    in-edges, so it is not x + y."""
-    _, blocked_east, blocked_north, blocked_squares = blocked
-    number, index = [0] * len(vid), {}  # lattice index, vertex id -> number
-    for n, i in enumerate(kept):
-        number[i] = index[vid[i]] = n
-    out, targets, starts, pos = [], [], [], {}
-    for i in kept:
-        gens, ends = [], []
-        if not blocked_east[i]:
-            pos[eid[i]] = 0
-            gens.append(eid[i])
-            ends.append(number[i + stride])
-        if not blocked_north[i]:
-            pos[nid[i]] = len(gens)
-            gens.append(nid[i])
-            ends.append(number[i + 1])
-        out.append(gens)
-        targets.append(ends)
-        # (d2m d1p) = (d1m d2p) as positions: east then north, north then
-        # east; the north edge on the right side follows its vertex's east
-        # edge, if that is kept
-        starts.append([] if blocked_squares[i] else [[0, 1 - blocked_east[i + stride], 1, 0]])
-    relations = {2: starts} if 0 in blocked_squares else {}
-    # x-major index order visits the west and south ends of a point's
-    # in-edges before the point; the flags block every edge off the grid
-    height = [0] * len(vid)
-    for i, h in enumerate(height):
-        h += 1
-        if not blocked_east[i] and height[i + stride] < h:
-            height[i + stride] = h
-        if not blocked_north[i] and height[i + 1] < h:
-            height[i + 1] = h
-    return index, out, targets, pos, relations, [height[i] for i in kept]
+    @cached_property
+    def _engine(self):
+        """The class engine, its arrays read off the lattice indices as
+        ``dihom.fundcat._SwapEngine`` lays them out for the complex, with
+        vertices numbered in ``kept`` (id) order.  A vertex lists its east
+        edge before its north edge, which is id order, and starts the
+        relation of at most one square, the one at its own corner.  The
+        lattice has no directed cycle, so the engine is acyclic unchecked."""
+        from .fundcat import _SwapEngine  # export-dot on a scene loads no fundcat
+        _, blocked_east, blocked_north, blocked_squares = self._blocked
+        vid, eid, nid, stride = self._vid, self._eid, self._nid, self._stride
+        number, index = [0] * len(vid), {}  # lattice index, vertex id -> number
+        for n, i in enumerate(self._kept):
+            number[i] = index[vid[i]] = n
+        out, targets, starts, pos = [], [], [], {}
+        for i in self._kept:
+            gens, ends = [], []
+            if not blocked_east[i]:
+                pos[eid[i]] = 0
+                gens.append(eid[i])
+                ends.append(number[i + stride])
+            if not blocked_north[i]:
+                pos[nid[i]] = len(gens)
+                gens.append(nid[i])
+                ends.append(number[i + 1])
+            out.append(gens)
+            targets.append(ends)
+            # (d2m d1p) = (d1m d2p) as positions: east then north, north then
+            # east; the north edge on the right side follows its vertex's east
+            # edge, if that is kept
+            starts.append([] if blocked_squares[i] else [[0, 1 - blocked_east[i + stride], 1, 0]])
+        relations = {2: starts} if 0 in blocked_squares else {}
+        return _SwapEngine._compiled(index, out, targets, pos, relations)
 
 
 # dimension, id and label template of each cell kind, in _blocked_cells order
@@ -276,14 +289,3 @@ _CELL_KINDS = (
     (1, north_edge_id, "({x},{y})->({x},{y1})"),
     (2, square_id, "[{x},{x1}]x[{y},{y1}]"),
 )
-
-
-def _scene_labels(lattice, blocked):
-    """The coordinate label of every cell :func:`to_precubical` keeps, kind
-    by kind, each kind in ``lattice`` (x-major) order."""
-    labels = {}
-    for (dim, name, template), flags in zip(_CELL_KINDS, blocked):
-        for (x, y), flag in zip(lattice, flags):
-            if not flag:
-                labels[(dim, name(x, y))] = template.format(x=x, y=y, x1=x + 1, y1=y + 1)
-    return labels

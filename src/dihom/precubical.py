@@ -27,17 +27,15 @@ Complexes are immutable after construction; all functions here are pure.
 What is derived from a complex is computed once and kept on it: the
 verdict of :func:`validate` (each call returns a new list of the kept
 violations), and the integer-indexed class engine that
-:mod:`dihom.fundcat` builds on first use, with its acyclicity verdict.
-A compiled scene (:func:`dihom.gridscene.to_precubical`) is valid by
-construction, so it starts with an empty verdict, and it hands over the
-engine's arrays; its edge and square dicts and its labels are functions,
-called on the first read, which the class queries never make.
+:mod:`dihom.fundcat` builds on first use.  A compiled scene
+(:func:`dihom.gridscene.to_precubical`) is a subclass, valid by
+construction, that reads its cell dicts, labels and engine off its
+lattice on first use.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from types import MappingProxyType
 
 from .errors import DomainError, InputSyntaxError, InvalidComplexError, Record, directives
@@ -88,46 +86,12 @@ class PreCubicalSet:
         for w, faces in squares.items():
             if len(faces) != 4:
                 raise DomainError(f"square {w}: expected 4 faces")
-        self._set_fields(vs, dict(labels) if labels else {}, None)
+        self._vertices = vs
         self._edges = {e: (str(s), str(t)) for e, (s, t) in sorted(es.items())}
         self._squares = squares
-
-    @classmethod
-    def _trusted(cls, vertices, make_cells, make_labels, make_engine):
-        """A valid complex from cells known to be well formed: ``vertices`` a
-        sorted tuple of unique id strings; ``make_cells()`` returns the edge
-        and square dicts, in id order, whose values are tuples of id strings
-        (2 and 4 of them).  Nothing is checked or copied, and the verdict of
-        :func:`validate` is kept as empty.  ``make_cells()`` is called on
-        the first read of either dict, ``make_labels()`` on the first label
-        read, and ``make_engine()`` by :func:`dihom.fundcat._engine_of`
-        (see ``_SwapEngine._compiled``)."""
-        k = object.__new__(cls)
-        k._set_fields(vertices, None, make_engine)
-        k._make_cells = make_cells
-        k._make_labels = make_labels
-        k._violations = ()
-        return k
-
-    def _set_fields(self, vertices, labels, make_engine):
-        self._vertices = vertices
-        self._labels = labels
+        self._labels = dict(labels) if labels else {}
         self._violations = None  # tuple of Violations, see validate
         self._engine = None  # the class engine, see fundcat._engine_of
-        self._make_engine = make_engine  # its arrays, for a compiled scene
-
-    # a compiled complex builds its edge and square dicts on the first read
-    # of either, which keeps the other; __init__ sets both
-
-    @cached_property
-    def _edges(self):
-        edges, self._squares = self._make_cells()
-        return edges
-
-    @cached_property
-    def _squares(self):
-        self._edges, squares = self._make_cells()
-        return squares
 
     @property
     def vertices(self):
@@ -141,20 +105,15 @@ class PreCubicalSet:
     def squares(self):
         return MappingProxyType(self._squares)
 
-    def _label_dict(self):
-        if self._labels is None:
-            self._labels = self._make_labels()
-        return self._labels
-
     def label(self, dim, cell_id):
-        return self._label_dict().get((dim, cell_id))
+        return self._labels.get((dim, cell_id))
 
     @property
     def labels(self):
-        return MappingProxyType(self._label_dict())
+        return MappingProxyType(self._labels)
 
     def cells(self):
-        labels = self._label_dict()
+        labels = self._labels
         for v in self._vertices:
             yield Cell(0, v, labels.get((0, v)))
         for e in self._edges:
@@ -242,6 +201,22 @@ def require_valid(complex_):
 
 
 _MODEL_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
+# name -> (None for no parameter, or how to ask for it and its name; the model)
+_MODELS = {
+    "interval": (None, lambda: PreCubicalSet(["0", "1"], {"a": ("0", "1")}, {})),
+    "directed_circle": (None, lambda: PreCubicalSet(["*"], {"a": ("*", "*")}, {})),
+    "ordered_circle": (
+        None, lambda: PreCubicalSet(["0", "1"], {"a": ("0", "1"), "b": ("0", "1")}, {})),
+    "wedge_circles": (
+        ("a loop count, e.g. wedge_circles(2)", "k"),
+        lambda k: PreCubicalSet(["*"], {_loop_name(i): ("*", "*") for i in range(k)}, {}),
+    ),
+    "chain": (
+        ("a length, e.g. chain(3)", "n"),
+        lambda n: PreCubicalSet([str(i) for i in range(n + 1)],
+                                {f"e{i}": (str(i), str(i + 1)) for i in range(n)}, {}),
+    ),
+}
 
 
 def model(name):
@@ -251,39 +226,20 @@ def model(name):
     ``wedge_circles(k)`` with k >= 1, ``chain(n)`` with n >= 1.
     """
     m = _MODEL_RE.match(name.strip())
-    if not m:
+    if not m or m.group(1) not in _MODELS:
         raise DomainError(f"unknown model {name!r}")
-    kind, arg = m.group(1), m.group(2)
-    if kind == "interval":
+    kind, arg = m.groups()
+    param, build = _MODELS[kind]
+    if param is None:
         if arg is not None:
-            raise DomainError("interval takes no parameter")
-        return PreCubicalSet(["0", "1"], {"a": ("0", "1")}, {})
-    if kind == "directed_circle":
-        if arg is not None:
-            raise DomainError("directed_circle takes no parameter")
-        return PreCubicalSet(["*"], {"a": ("*", "*")}, {})
-    if kind == "ordered_circle":
-        if arg is not None:
-            raise DomainError("ordered_circle takes no parameter")
-        return PreCubicalSet(["0", "1"], {"a": ("0", "1"), "b": ("0", "1")}, {})
-    if kind == "wedge_circles":
-        if arg is None:
-            raise DomainError("wedge_circles needs a loop count, e.g. wedge_circles(2)")
-        k = int(arg)
-        if k < 1:
-            raise DomainError("wedge_circles needs k >= 1")
-        loops = {_loop_name(i): ("*", "*") for i in range(k)}
-        return PreCubicalSet(["*"], loops, {})
-    if kind == "chain":
-        if arg is None:
-            raise DomainError("chain needs a length, e.g. chain(3)")
-        n = int(arg)
-        if n < 1:
-            raise DomainError("chain needs n >= 1")
-        verts = [str(i) for i in range(n + 1)]
-        edges = {f"e{i}": (str(i), str(i + 1)) for i in range(n)}
-        return PreCubicalSet(verts, edges, {})
-    raise DomainError(f"unknown model {name!r}")
+            raise DomainError(f"{kind} takes no parameter")
+        return build()
+    ask, var = param
+    if arg is None:
+        raise DomainError(f"{kind} needs {ask}")
+    if int(arg) < 1:
+        raise DomainError(f"{kind} needs {var} >= 1")
+    return build(int(arg))
 
 
 def _loop_name(i):

@@ -249,8 +249,9 @@ def is_length_addition(table):
 
 def has_no_cycle_oracle(objects, generators):
     """Whether the graph of ``generators`` (id -> (src, tgt)) has no cycle,
-    self-loops included: the three-colour depth-first search that Kahn's
-    algorithm replaced in the class engine."""
+    self-loops included: the three-colour depth-first search that the class
+    engine's cycle check used before Kahn's algorithm (now
+    ``heights_kahn_oracle``) replaced it."""
     index = {v: i for i, v in enumerate(objects)}
     targets = [[] for _ in objects]
     for g, (s, t) in sorted(generators.items()):
@@ -275,6 +276,44 @@ def has_no_cycle_oracle(objects, generators):
                 color[v] = 2
                 stack.pop()
     return True
+
+
+def heights_kahn_oracle(targets):
+    """Per number, the length of the longest walk along ``targets`` into it;
+    None on a cycle (self-loops count).  Kahn's algorithm, the class engine's
+    ``heights`` before one Tarjan pass replaced it: an object is freed after
+    all its predecessors, and never if it is on a cycle."""
+    into = [0] * len(targets)  # in-generators not yet removed
+    for ts in targets:
+        for w in ts:
+            into[w] += 1
+    heights = [0] * len(targets)
+    free = [v for v, n in enumerate(into) if not n]
+    for v in free:  # the list grows while it is read
+        h = heights[v] + 1
+        for w in targets[v]:
+            if heights[w] < h:
+                heights[w] = h
+            into[w] -= 1
+            if not into[w]:
+                free.append(w)
+    return heights if len(free) == len(targets) else None
+
+
+def scene_heights_oracle(k):
+    """The heights of a compiled scene's vertices in id order, by the push
+    DP over its lattice that compiled scenes used to hand their engine."""
+    stride, (_, blocked_east, blocked_north, _), kept = k._stride, k._blocked, k._kept
+    # x-major index order visits the west and south ends of a point's
+    # in-edges before the point; the flags block every edge off the grid
+    height = [0] * len(blocked_east)
+    for i, h in enumerate(height):
+        h += 1
+        if not blocked_east[i] and height[i + stride] < h:
+            height[i + stride] = h
+        if not blocked_north[i] and height[i + 1] < h:
+            height[i + 1] = h
+    return [height[i] for i in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ from oracles import (
     enumerate_dipaths_oracle,
     format_preorder_oracle,
     has_no_cycle_oracle,
+    heights_kahn_oracle,
     is_length_addition,
     monoid_table_oracle,
     path_preorder_walk_oracle,
     reach_oracle,
+    scene_heights_oracle,
     scene_path_classes,
     swap_partition,
 )
@@ -105,6 +107,53 @@ def test_acyclic_matches_the_depth_first_oracle():
         assert (fc._SwapEngine(objects, generators, ()).heights is not None) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_heights_match_kahn_and_the_scene_push_dp():
+    rng = random.Random(20261023)
+    seen = Counter()
+    for trial in range(500):
+        n = rng.randint(0, 8)
+        objects = [f"o{i}" for i in range(n)]
+        generators = {}
+        for g in range(rng.randint(0, 12) if n else 0):
+            i, j = sorted(rng.randrange(n) for _ in range(2))
+            roll = rng.random()
+            if roll < 0.1:  # against the object order: cycles
+                i, j = j, i
+            elif roll < 0.15:
+                j = i  # a self-loop
+            elif i == j:
+                continue
+            generators[f"g{g:02d}"] = (objects[i], objects[j])
+            if rng.random() < 0.2:
+                generators[f"g{g:02d}p"] = (objects[i], objects[j])
+                seen["parallel"] += 1
+        engine = fc._SwapEngine(objects, generators, ())
+        want = heights_kahn_oracle(engine.targets)
+        assert engine.heights == want
+        assert engine.acyclic == (want is not None) == has_no_cycle_oracle(objects, generators)
+        seen["acyclic" if engine.acyclic else "cyclic"] += 1
+        seen["self-loop"] += any(s == t for s, t in generators.values())
+        seen["isolated"] += len(objects) > len({x for st in generators.values() for x in st})
+        # the components cover every object once, each after all it reaches
+        components = fc._order(engine.targets)
+        place = {v: c for c, component in enumerate(components) for v in component}
+        assert sorted(place) == list(range(n)) == sorted(sum(components, []))
+        assert all(place[w] <= place[v] for v, ts in enumerate(engine.targets) for w in ts)
+    assert min(seen.values()) >= 20, seen
+    # scenes: two boxes leave v1_1 of grid 2 2 without an in-edge (height 0)
+    scenes = [(2, 2, [(0, 0, 1, 2), (0, 0, 2, 1)]), (1, 6, [(0, 2, 1, 3)])]
+    scenes += [(rng.randint(1, 7), rng.randint(1, 7), []) for _ in range(100)]
+    for w, h, boxes in scenes:
+        for _ in range(rng.randint(0, 4) if not boxes else 0):
+            x0, y0 = rng.randint(-1, w - 1), rng.randint(-1, h - 1)
+            boxes.append((x0, y0, rng.randint(x0 + 1, w + 1), rng.randint(y0 + 1, h + 1)))
+        scene = gs.GridScene(w, h, tuple(gs.Box(*b) for b in boxes), (0, 0), (w, h))
+        k = gs.to_precubical(scene)
+        engine = fc._engine_of(k)
+        assert engine.acyclic and "heights" not in vars(engine)
+        assert engine.heights == scene_heights_oracle(k) == heights_kahn_oracle(engine.targets)
 
 
 # enumeration
@@ -751,7 +800,7 @@ def test_a_complex_presentation_realizes_as_a_fresh_copy_does():
         fresh = ct.realize_presentation(
             fc.CatPresentation(k.vertices, dict(k.edges), fc._square_relations(k)), bound)
         assert shared._engine is fc._engine_of(k) is not fresh._engine
-        kinds["compiled"] += k._make_engine is not None
+        kinds["compiled"] += isinstance(k, gs._SceneComplex)
         assert list(shared.homs.items()) == list(fresh.homs.items())
         assert shared.truncated == fresh.truncated
         tails = [(), ("nope",)] + [(e,) for e in sorted(k.edges)]

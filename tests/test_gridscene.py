@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -292,10 +294,30 @@ def test_scene_queries_build_no_cell_dicts():
 def test_scene_labels_are_built_on_first_read():
     k = gs.to_precubical(gs.make_scene(3, 2, [(1, 0, 2, 1)], (0, 0), (3, 2)))
     fc.hom_classes(k, "v0_0", "v3_2")
-    assert k._labels is None
+    assert "_labels" not in vars(k)
     assert k.label(1, "e0_1") == "(0,1)->(1,1)"
-    assert k._labels is not None
+    assert "_labels" in vars(k)
     assert dict(pc.opposite(k).labels) == dict(k.labels) == eager_labels(3, 2, [(1, 0, 2, 1)])
+
+
+def test_compiled_scene_pickles_and_deep_copies():
+    scene = gs.parse_scene(HOLE_3X3)
+    queried = gs.to_precubical(scene)
+    fc.hom_classes(queried, "v0_0", "v3_3")  # its engine is built and kept
+    for k in (gs.to_precubical(scene), queried):
+        for copy_ in (pickle.loads(pickle.dumps(k)), copy.deepcopy(k)):
+            assert copy_ == k and copy_ is not k
+            assert fc.hom_classes(copy_, "v0_0", "v3_3").count == 2
+            assert dict(copy_.labels) == dict(k.labels) == eager_labels(3, 3, [(1, 1, 2, 2)])
+            assert pc.format_complex(copy_) == pc.format_complex(k)
+
+
+def test_scene_class_queries_build_no_cells_labels_or_heights():
+    k = gs.to_precubical(gs.parse_scene(HOLE_3X3))
+    assert fc.hom_classes(k, "v0_0", "v3_3").count == 2
+    assert not fc.is_one_simple(k)
+    assert not {"_edges", "_squares", "_labels"} & set(vars(k))
+    assert "heights" not in vars(fc._engine_of(k))
 
 
 def test_scene_past_the_lattice_point_cap_is_refused():

@@ -78,6 +78,43 @@ def test_model_rejects_bad_parameters():
             pc.model(bad)
 
 
+def test_every_model_and_every_model_message():
+    built = {
+        " interval ": (("0", "1"), {"a": ("0", "1")}),
+        "directed_circle": (("*",), {"a": ("*", "*")}),
+        "ordered_circle": (("0", "1"), {"a": ("0", "1"), "b": ("0", "1")}),
+        "wedge_circles(1)": (("*",), {"a": ("*", "*")}),
+        "wedge_circles(28)": (("*",), {
+            **{chr(ord("a") + i): ("*", "*") for i in range(26)},
+            "loop26": ("*", "*"), "loop27": ("*", "*")}),
+        "chain(1)": (("0", "1"), {"e0": ("0", "1")}),
+        "chain(2)": (("0", "1", "2"), {"e0": ("0", "1"), "e1": ("1", "2")}),
+    }
+    for name, (vertices, edges) in built.items():
+        k = pc.model(name)
+        assert (k.vertices, dict(k.edges), dict(k.squares), dict(k.labels)) == (
+            vertices, edges, {}, {})
+    messages = {
+        "interval(0)": "interval takes no parameter",
+        "directed_circle(2)": "directed_circle takes no parameter",
+        "ordered_circle(1)": "ordered_circle takes no parameter",
+        "wedge_circles": "wedge_circles needs a loop count, e.g. wedge_circles(2)",
+        "wedge_circles(0)": "wedge_circles needs k >= 1",
+        "chain": "chain needs a length, e.g. chain(3)",
+        "chain(00)": "chain needs n >= 1",
+        "nonsense": "unknown model 'nonsense'",
+        "nonsense(2)": "unknown model 'nonsense(2)'",
+        " Chain(2)": "unknown model ' Chain(2)'",
+        "chain(-1)": "unknown model 'chain(-1)'",
+        "chain()": "unknown model 'chain()'",
+        "": "unknown model ''",
+    }
+    for name, message in messages.items():
+        with pytest.raises(DomainError) as exc:
+            pc.model(name)
+        assert str(exc.value) == message
+
+
 def test_opposite_swaps_interval():
     op = pc.opposite(pc.model("interval"))
     assert op.edges["a"] == ("1", "0")
