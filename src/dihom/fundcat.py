@@ -587,13 +587,17 @@ def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_
     """Partition dipaths source -> target by the swap congruence.
 
     Classes come sorted by their canonical (lexicographically least)
-    representative word.  At most ``max_classes`` classes of words out of
-    ``source`` (ending anywhere) are built before EnumerationLimitError.
+    representative word.  The sweep runs on ``complex_._between(source,
+    target)``, a scene's rectangle between the two, and stops at the
+    target's height: at most ``max_classes`` classes of words out of
+    ``source`` (ending anywhere) are built there before EnumerationLimitError.
     """
-    engine = _require_walkable(complex_, (source, target), max_len)
+    engine = _require_walkable(complex_._between(source, target), (source, target), max_len)
     t = engine.index[target]
+    heights = vars(engine).get("heights")  # read by a generic engine's acyclic check
+    bound = heights[t] if max_len is None and heights else max_len
     found = []
-    for layer in engine.layers([source], max_len, max_classes):
+    for layer in engine.layers([source], bound, max_classes):
         found += [
             HomClass(rep, size)
             for v, size, rep in zip(layer.ends, layer.sizes, layer.reps)

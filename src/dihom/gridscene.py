@@ -6,9 +6,9 @@ target).  Scenes compile to pre-cubical sets whose cells are the unit
 vertices/edges/squares of the grid; a cell survives iff its closed carrier
 misses every open box, so hole shorelines stay traversable.  A compiled
 scene is a :class:`~dihom.precubical.PreCubicalSet` subclass, valid by
-construction, that builds its cell dicts, its labels (a cell's
-coordinates) and its class engine from the lattice on first use; the
-class queries read only the engine.
+construction, that builds its lattice, cell dicts, labels and class engine
+on first use; the class queries read only the engine, and a hom query only
+that of the rectangle between its endpoints (``_SceneComplex._between``).
 
 Data given in the 45-degree "cone" order (both diagonals bound the slope)
 converts to this product order via :func:`cone_to_product_coords`.
@@ -17,8 +17,9 @@ converts to this product order via :func:`cone_to_product_coords`.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import filterfalse, product, starmap
 
-from .errors import InputSyntaxError, Record, SizeGuardError, directives
+from .errors import DomainError, InputSyntaxError, Record, SizeGuardError, directives
 from .precubical import PreCubicalSet
 
 MAX_LATTICE_POINTS = 1_000_000
@@ -198,25 +199,56 @@ def to_precubical(scene):
 
 
 class _SceneComplex(PreCubicalSet):
-    """The complex of a scene, valid by construction: it keeps an empty
-    :func:`~dihom.precubical.validate` verdict.  Every id string is made
-    once, in flat lists indexed like :func:`_blocked_cells`, and one sort of
-    the vertex ids orders every kind: the ids of all kinds sort the way the
-    vertex ids do, east edges before north edges.  The edge and square
-    dicts, the labels and the class engine are each read off these lists on
-    first use, unchecked; the class queries read only the engine."""
+    """The complex of a scene, valid by construction (an empty
+    :func:`~dihom.precubical.validate` verdict), that builds nothing when made.
+    Each id string is made once, on first use, in flat lists indexed like
+    :func:`_blocked_cells`; all kinds of ids sort as the vertex ids do (east
+    edges before north edges), so one sort orders every kind.  The edge and
+    square dicts, the labels and the class engine are read off these lists on
+    first use, unchecked; a sub-scene at ``origin`` keeps the scene's ids."""
 
-    def __init__(self, scene):
-        self._blocked = _blocked_cells(scene)
-        self._stride = stride = scene.height + 1
-        lattice = self._lattice = [(x, y) for x in range(scene.width + 1) for y in range(stride)]
-        vid = self._vid = [vertex_id(x, y) for x, y in lattice]
-        self._eid = [east_edge_id(x, y) for x, y in lattice]
-        self._nid = [north_edge_id(x, y) for x, y in lattice]
-        order = self._id_order = sorted(range(len(lattice)), key=vid.__getitem__)
-        kept = self._kept = [i for i in order if not self._blocked[0][i]]
-        self._vertices = tuple(vid[i] for i in kept)
-        self._violations = ()
+    _violations = ()
+
+    def __init__(self, scene, origin=(0, 0)):
+        self._scene, self._origin, self._stride = scene, origin, scene.height + 1
+
+    def _between(self, source, target):
+        """The rectangle from ``source`` to ``target``, ids of kept points: the
+        scene itself corner to corner, the two points alone unless source <= target."""
+        scene, (ox, oy) = self._scene, self._origin
+        if (source, target) == (vertex_id(ox, oy), vertex_id(ox + scene.width, oy + scene.height)):
+            return self
+        def point(v):
+            try:
+                x, y = map(int, v[1:].split("_"))
+            except (TypeError, ValueError):  # not an id that vertex_id writes
+                x = y = -1
+            x, y = (x - ox, y - oy) if vertex_id(x, y) == v else (-1, -1)
+            if not (0 <= x <= scene.width and 0 <= y <= scene.height
+                    and point_allowed(scene, (x, y))):
+                raise DomainError(f"unknown vertex {v}")
+            return x, y
+
+        (x0, y0), (x1, y1) = point(source), point(target)
+        if x0 > x1 or y0 > y1:
+            return PreCubicalSet((source, target), {}, {})
+        w, h = x1 - x0, y1 - y0
+        boxes = tuple(Box(b.x0 - x0, b.y0 - y0, b.x1 - x0, b.y1 - y0) for b in scene.boxes)
+        return _SceneComplex(GridScene(w, h, boxes, (0, 0), (w, h)), (ox + x0, oy + y0))
+
+    _blocked = cached_property(lambda k: _blocked_cells(k._scene))
+
+    @cached_property
+    def _lattice(self):
+        (ox, oy), scene = self._origin, self._scene
+        return list(product(range(ox, ox + scene.width + 1), range(oy, oy + scene.height + 1)))
+
+    _vid = cached_property(lambda k: list(starmap(vertex_id, k._lattice)))
+    _eid = cached_property(lambda k: list(starmap(east_edge_id, k._lattice)))
+    _nid = cached_property(lambda k: list(starmap(north_edge_id, k._lattice)))
+    _id_order = cached_property(lambda k: sorted(range(len(k._vid)), key=k._vid.__getitem__))
+    _kept = cached_property(lambda k: list(filterfalse(k._blocked[0].__getitem__, k._id_order)))
+    _vertices = cached_property(lambda k: tuple(map(k._vid.__getitem__, k._kept)))
 
     @cached_property
     def _edges(self):

@@ -112,6 +112,10 @@ class PreCubicalSet:
     def labels(self):
         return MappingProxyType(self._labels)
 
+    def _between(self, source, target):
+        """The sub-complex a sweep of the dipaths source -> target needs: the whole."""
+        return self
+
     def cells(self):
         labels = self._labels
         for v in self._vertices:

@@ -34,8 +34,11 @@ from dihom.catho import (
 )
 from dihom.errors import DomainError, EnumerationLimitError
 from dihom.fundcat import (
+    DEFAULT_MAX_CLASSES,
     DEFAULT_MAX_PATHS,
     DiPath,
+    HomClass,
+    HomClassSet,
     _require_walkable,
     _SwapEngine,
     _engine_of,
@@ -181,6 +184,25 @@ def enumerate_dipaths_oracle(complex_, source, target, max_len=None,
             stack.pop()
         else:
             return found
+
+
+def hom_classes_sweep_oracle(complex_, source, target, max_len=None,
+                             max_classes=DEFAULT_MAX_CLASSES):
+    """``fundcat.hom_classes`` as it was before it swept only the part of
+    the complex between its endpoints up to the target's height: one sweep
+    of the whole complex's engine out of the source until the layers run
+    out, the cap counting every class built on the way."""
+    engine = _require_walkable(complex_, (source, target), max_len)
+    t = engine.index[target]
+    found = []
+    for layer in engine.layers([source], max_len, max_classes):
+        found += [
+            HomClass(rep, size)
+            for v, size, rep in zip(layer.ends, layer.sizes, layer.reps)
+            if v == t
+        ]
+    found.sort(key=lambda c: c.representative)
+    return HomClassSet(source, target, max_len, tuple(found))
 
 
 def monoid_table_oracle(complex_, point, max_len):

@@ -92,6 +92,51 @@ def test_hom_verb_works_on_scenes(workdir):
     assert (code, out) == (0, "classes 2\n")
 
 
+@pytest.mark.parametrize("options,result", [
+    (["--from", "v9_9", "--to", "v3_3"], (1, "", "error: unknown vertex v9_9\n")),
+    (["--from", "v01_1", "--to", "v3_3"], (1, "", "error: unknown vertex v01_1\n")),
+    (["--from", "v0_0", "--to", "v01_1"], (1, "", "error: unknown vertex v01_1\n")),
+    (["--from", "v2_2", "--to", "v1_1", "--max-len", "-1"],
+     (1, "", "error: length bound -1 is negative\n")),
+    (["--from", "v2_2", "--to", "v1_1"], (0, "classes 0\n", "")),
+    (["--from", "v3_0", "--to", "v0_3"], (0, "classes 0\n", "")),
+    (["--from", "v1_1", "--to", "v1_1", "--reps"], (0, "classes 1\nclass 0 size 1 rep\n", "")),
+    (["--from", "v1_0", "--to", "v3_2", "--reps"],
+     (0, "classes 2\nclass 0 size 5 rep e1_0 e2_0 n3_0 n3_1\n"
+         "class 1 size 1 rep n1_0 n1_1 e1_2 e2_2\n", "")),
+    (["--from", "v0_1", "--to", "v2_3", "--reps", "--max-len", "4"],
+     (0, "classes 2\nclass 0 size 1 rep e0_1 e1_1 n2_1 n2_2\n"
+         "class 1 size 5 rep e0_1 n1_1 e1_2 n2_2\n", "")),
+])
+def test_hom_between_scene_points_keeps_its_messages(options, result):
+    assert invoke(["hom", str(FIXTURES / "hole.scene"), *options]) == result
+
+
+def test_hom_refuses_a_vertex_inside_a_box(tmp_path):
+    scene = tmp_path / "box.scene"
+    scene.write_text("grid 4 4\nbox 1 1 3 3\nsource 0 0\ntarget 4 4\n")
+    for ends in (["--from", "v2_2", "--to", "v4_4"], ["--from", "v0_0", "--to", "v2_2"]):
+        assert invoke(["hom", str(scene), *ends]) == (1, "", "error: unknown vertex v2_2\n")
+
+
+def test_hom_near_a_corner_of_a_large_scene(tmp_path):
+    scene = tmp_path / "large.scene"
+    scene.write_text("grid 300 300\nbox 100 100 200 200\nsource 0 0\ntarget 300 300\n")
+    argv = ["hom", str(scene), "--from", "v0_0", "--to", "v2_2", "--reps"]
+    assert invoke(argv) == (0, "classes 1\nclass 0 size 6 rep e0_0 e1_0 n2_0 n2_1\n", "")
+    argv = ["hom", str(scene), "--from", "v99_0", "--to", "v101_300"]
+    assert invoke(argv) == (0, "classes 1\n", "")
+
+
+def test_export_dot_highlights_a_class_between_scene_points(tmp_path):
+    target = tmp_path / "out.dot"
+    argv = ["export-dot", str(FIXTURES / "hole.scene"), "-o", str(target),
+            "--highlight", "1", "--from", "v1_0", "--to", "v3_2"]
+    assert invoke(argv) == (0, "", "")
+    red = re.findall(r'\[label="(\w+)", color=red', target.read_text())
+    assert red == ["e1_2", "e2_2", "n1_0", "n1_1"]
+
+
 def test_hom_unbounded_on_cyclic_exits_one(workdir):
     code, out, err = invoke(
         ["hom", str(workdir / "circle.complex"), "--from", "*", "--to", "*"]

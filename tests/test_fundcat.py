@@ -20,6 +20,7 @@ from oracles import (
     format_preorder_oracle,
     has_no_cycle_oracle,
     heights_kahn_oracle,
+    hom_classes_sweep_oracle,
     is_length_addition,
     monoid_table_oracle,
     path_preorder_walk_oracle,
@@ -615,6 +616,35 @@ def test_engine_hom_classes_match_oracle_partition():
             assert got == oracle_classes(k, x, y, bound), (k, x, y, bound)
             checked += h.count
     assert checked > 100
+
+
+def test_unbounded_hom_classes_stop_at_the_target_height():
+    # the same classes as the whole sweep, bounded or not, on random acyclic
+    # complexes; count the queries whose whole sweep runs past the target
+    rng = random.Random(20261020)
+    past = 0
+    for _ in range(300):
+        k = random_complex(rng, acyclic=True)
+        engine = fc._engine_of(k)
+        for _ in range(3):
+            x, y = rng.choice(k.vertices), rng.choice(k.vertices)
+            for bound in (None, rng.randint(0, 4)):
+                assert fc.hom_classes(k, x, y, bound) == hom_classes_sweep_oracle(k, x, y, bound)
+            layers = list(engine.layers([x], None, fc.DEFAULT_MAX_CLASSES))
+            past += len(layers) - 1 > engine.heights[engine.index[y]] + 1
+    assert past > 100
+
+
+def test_unbounded_hom_classes_build_no_class_past_the_target():
+    # s -a-> t and five edges out of t: the whole sweep builds 7 classes
+    edges = {"a": ("s", "t"), **{f"b{i}": ("t", f"u{i}") for i in range(5)}}
+    k = pc.PreCubicalSet(["s", "t", *(f"u{i}" for i in range(5))], edges, {})
+    with pytest.raises(EnumerationLimitError, match="^7 dipath classes built from s"):
+        hom_classes_sweep_oracle(k, "s", "t", max_classes=3)
+    h = fc.hom_classes(k, "s", "t", max_classes=3)
+    assert [(c.representative, c.size) for c in h.classes] == [(("a",), 1)]
+    with pytest.raises(EnumerationLimitError, match="^7 dipath classes built from s"):
+        fc.hom_classes(k, "s", "t", max_len=2, max_classes=3)  # a bound keeps its sweep
 
 
 def test_enumerate_dipaths_matches_the_checked_walk():

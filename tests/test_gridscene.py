@@ -8,11 +8,12 @@ from dihom import dot
 from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
-from dihom.errors import InputSyntaxError, SizeGuardError
+from dihom.errors import DomainError, EnumerationLimitError, InputSyntaxError, SizeGuardError
 from oracles import (
     closed_cell_meets_open_box,
     edge_east_ok,
     edge_north_ok,
+    hom_classes_sweep_oracle,
     square_ok,
 )
 
@@ -318,6 +319,123 @@ def test_scene_class_queries_build_no_cells_labels_or_heights():
     assert not fc.is_one_simple(k)
     assert not {"_edges", "_squares", "_labels"} & set(vars(k))
     assert "heights" not in vars(fc._engine_of(k))
+
+
+def window_scene(rng, trial):
+    """A scene up to 12 x 12 (1 x n every fifth), its boxes on the border or
+    anywhere, overlapping or not."""
+    if trial % 5 == 0:
+        w, h = (1, rng.randint(1, 12)) if rng.random() < 0.5 else (rng.randint(1, 12), 1)
+    else:
+        w, h = rng.randint(1, 12), rng.randint(1, 12)
+    boxes = []
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.3:  # on the border
+            x0, y0 = rng.choice([(0, rng.randint(0, h - 1)), (rng.randint(0, w - 1), 0)])
+        else:
+            x0, y0 = rng.randint(0, w - 1), rng.randint(0, h - 1)
+        boxes.append(gs.Box(x0, y0, rng.randint(x0 + 1, w), rng.randint(y0 + 1, h)))
+    return gs.GridScene(w, h, tuple(boxes), (0, 0), (w, h))
+
+
+def window_endpoint(rng, scene):
+    """A lattice point, often a corner or a point on a side of a box."""
+    b = rng.choice(scene.boxes) if scene.boxes and rng.random() < 0.5 else None
+    if b is None:
+        return rng.randint(0, scene.width), rng.randint(0, scene.height)
+    if rng.random() < 0.5:
+        return rng.choice([b.x0, b.x1]), rng.choice([b.y0, b.y1])
+    if rng.random() < 0.5:
+        return rng.choice([b.x0, b.x1]), rng.randint(b.y0, b.y1)
+    return rng.randint(b.x0, b.x1), rng.choice([b.y0, b.y1])
+
+
+def test_window_hom_classes_match_the_whole_sweep_of_the_complex_written_out():
+    # the compiled scene sweeps the rectangle between the endpoints; its
+    # complex written out and parsed back sweeps the generic engine to the end
+    rng = random.Random(20261024)
+    seen = dict.fromkeys(("equal", "not below", "on a box", "crossing", "thin", "window"), 0)
+    for trial in range(320):
+        scene = window_scene(rng, trial)
+        k = gs.to_precubical(scene)
+        parsed = pc.parse_complex(pc.format_complex(k))
+        seen["thin"] += min(scene.width, scene.height) == 1
+        for _ in range(4):
+            a, b = window_endpoint(rng, scene), window_endpoint(rng, scene)
+            if rng.random() < 0.1:
+                b = a
+            src, dst = gs.vertex_id(*a), gs.vertex_id(*b)
+            if not (gs.point_allowed(scene, a) and gs.point_allowed(scene, b)):
+                for complex_ in (k, parsed):
+                    with pytest.raises(DomainError, match="^unknown vertex v"):
+                        fc.hom_classes(complex_, src, dst)
+                continue
+            below = a[0] <= b[0] and a[1] <= b[1]
+            seen["equal"] += a == b
+            seen["not below"] += not below
+            seen["window"] += below and (a, b) != ((0, 0), (scene.width, scene.height))
+            seen["on a box"] += any(
+                bx.x0 <= x <= bx.x1 and bx.y0 <= y <= bx.y1 for bx in scene.boxes for x, y in (a, b))
+            seen["crossing"] += below and any(  # meets the window, not inside it
+                bx.x0 < b[0] and bx.x1 > a[0] and bx.y0 < b[1] and bx.y1 > a[1]
+                and not (a[0] <= bx.x0 and bx.x1 <= b[0] and a[1] <= bx.y0 and bx.y1 <= b[1])
+                for bx in scene.boxes)
+            for bound in (None, rng.randint(0, 8)):
+                got = fc.hom_classes(k, src, dst, bound)
+                assert got == hom_classes_sweep_oracle(parsed, src, dst, bound), (scene, a, b, bound)
+                assert got == fc.hom_classes(parsed, src, dst, bound)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_a_window_query_builds_nothing_of_the_whole_scene():
+    k = gs.to_precubical(gs.make_scene(12, 12, [(3, 3, 6, 6), (8, 0, 10, 4)], (0, 0), (12, 12)))
+    h = fc.hom_classes(k, "v2_2", "v9_7")
+    assert [c.representative[:2] for c in h.classes] == [("e2_2", "e3_2"), ("e2_2", "n3_2")]
+    window = k._between("v2_2", "v9_7")
+    assert window.vertices[:3] == ("v2_2", "v2_3", "v2_4") and window.label(0, "v9_7") == "(9,7)"
+    lattice = {"_blocked", "_lattice", "_vid", "_eid", "_nid", "_id_order", "_kept", "_vertices"}
+    assert not (lattice | {"_engine", "_edges", "_squares", "_labels"}) & set(vars(k))
+    assert set(vars(k)) == {"_scene", "_origin", "_stride"}
+
+
+def test_corner_queries_build_one_engine(monkeypatch):
+    built = []
+    compiled, init = fc._SwapEngine._compiled.__func__, fc._SwapEngine.__init__
+    monkeypatch.setattr(fc._SwapEngine, "_compiled",
+                        classmethod(lambda cls, *a: built.append(cls) or compiled(cls, *a)))
+    monkeypatch.setattr(fc._SwapEngine, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
+    k = gs.to_precubical(gs.parse_scene(HOLE_3X3))
+    assert k._between("v0_0", "v3_3") is k
+    assert fc.hom_classes(k, "v0_0", "v3_3").count == fc.hom_classes(k, "v0_0", "v3_3").count == 2
+    assert not fc.is_one_simple(k)
+    assert built == [fc._SwapEngine]
+    assert fc.hom_classes(k, "v1_0", "v3_2").count == 2  # a window builds its own
+    assert built == [fc._SwapEngine] * 2
+
+
+@pytest.mark.parametrize("vertex", [
+    "v9_9", "v01_1", "v1_01", "v-1_0", "v+1_1", "v 1_1", "v1_1_1", "v1", "w1_1", "v1__1",
+    "v\u0661_1", "v1_\uff11", "v2_2",
+])
+def test_window_endpoints_must_be_ids_of_kept_lattice_points(vertex):
+    k = gs.to_precubical(gs.make_scene(4, 4, [(1, 1, 3, 3)], (0, 0), (4, 4)))
+    for source, target in ((vertex, "v4_4"), ("v0_0", vertex)):
+        with pytest.raises(DomainError, match="^unknown vertex"):
+            k._between(source, target)
+        with pytest.raises(DomainError) as info:
+            fc.hom_classes(k, source, target)
+        assert str(info.value) == f"unknown vertex {vertex}"
+
+
+def test_the_class_cap_counts_only_the_classes_of_the_window():
+    # out of v0_0 the whole 6 x 6 sweep builds many classes; the 1 x 1
+    # window between v0_0 and v1_1 builds four
+    k = gs.to_precubical(gs.make_scene(6, 6, [(2, 2, 3, 3), (4, 4, 5, 5)], (0, 0), (6, 6)))
+    with pytest.raises(EnumerationLimitError, match="built from v0_0"):
+        hom_classes_sweep_oracle(k, "v0_0", "v1_1", max_classes=4)
+    h = fc.hom_classes(k, "v0_0", "v1_1", max_classes=4)
+    assert [(c.representative, c.size) for c in h.classes] == [(("e0_0", "n1_0"), 2)]
 
 
 def test_scene_past_the_lattice_point_cap_is_refused():
