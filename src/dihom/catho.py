@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ._kernels import _backtrack, _UnionFind
+from ._kernels import _backtrack, _isomorphic, _UnionFind
 from .errors import (
     DomainError,
     EnumerationLimitError,
@@ -639,7 +639,7 @@ def dhomotopy_equivalent(c, d, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS,
     all three guards.
     """
     if _is_thin(c) and _is_thin(d):
-        return _isomorphic_posets(_stong_core(c), _stong_core(d), max_functors)
+        return _isomorphic(_stong_core(c), _stong_core(d), max_functors)
     return equivalence_witness(
         c, d, max_objects=max_objects, max_arrows=max_arrows, max_functors=max_functors
     ) is not None
@@ -650,77 +650,30 @@ def _is_thin(cat):
 
 
 def _stong_core(cat):
-    """The core of a thin category, as ``(above, below)``: ``above[x]`` is
-    the set of points strictly above x, ``below[x]`` those strictly below.
-    Isomorphic objects are collapsed onto the first of their class, then
-    beat points are removed until none is left.  x is a beat point when the
-    points strictly below it have a maximum y (the one point of them with
-    one point fewer below it than x), or dually above."""
-    rep = {}
-    for x in cat.objects:
-        if x not in rep:
-            for y in cat.objects:
-                if y not in rep and cat.hom(x, y) and cat.hom(y, x):
-                    rep[y] = x
-    points = sorted(set(rep.values()))
-    above = {x: {y for y in points if y != x and cat.hom(x, y)} for x in points}
-    below = {x: {y for y in points if y != x and cat.hom(y, x)} for x in points}
+    """The core of a thin category as a matrix over its sorted points, 0 where
+    x <= y and None elsewhere.  Isomorphic objects are collapsed onto the
+    first of their class, then beat points go until none is left: x is one
+    when the points strictly below it have a maximum y (the one point of
+    them with one point fewer below it than x), or dually above."""
+    le = cat._hom  # the pairs (x, y) with x <= y
+    points = sorted({next(y for y in cat.objects if (x, y) in le and (y, x) in le)
+                     for x in cat.objects})
+    above = {x: {y for y in points if y != x and (x, y) in le} for x in points}
+    below = {x: {y for y in points if y != x and (y, x) in le} for x in points}
 
     def beat(x):
-        return any(len(below[y]) == len(below[x]) - 1 for y in below[x]) or any(
-            len(above[y]) == len(above[x]) - 1 for y in above[x]
-        )
+        return any(len(side[y]) == len(side[x]) - 1 for side in (below, above) for y in side[x])
 
     removed = True
     while removed:
         removed = False
         for x in points:
             if x in above and beat(x):
-                for y in above.pop(x):
-                    below[y].discard(x)
-                for y in below.pop(x):
-                    above[y].discard(x)
+                for side, other in ((above, below), (below, above)):
+                    for y in side.pop(x):
+                        other[y].discard(x)
                 removed = True
-    return above, below
-
-
-def _isomorphic_posets(p1, p2, max_maps=MAX_FUNCTORS):
-    """Whether two finite posets, given as ``(above, below)`` like
-    :func:`_stong_core` returns them, are isomorphic.  Points of the first
-    are mapped one at a time, each next to as many mapped points as
-    possible, onto points of the second with as many points below and above
-    that agree on every relation to the points mapped before; past
-    ``max_maps`` partial maps tried it raises :class:`EnumerationLimitError`."""
-    (up1, down1), (up2, down2) = p1, p2
-    deg1 = {x: (len(down1[x]), len(up1[x])) for x in up1}
-    deg2 = {y: (len(down2[y]), len(up2[y])) for y in up2}
-    if sorted(deg1.values()) != sorted(deg2.values()):
-        return False
-    order, links = [], dict.fromkeys(up1, 0)
-    while links:
-        x = max(links, key=links.get)  # first of the most linked points
-        del links[x]
-        order.append(x)
-        for y in up1[x] | down1[x]:
-            if y in links:
-                links[y] += 1
-    options = [[y for y in up2 if deg2[y] == deg1[x]] for x in order]
-    tried = 0
-
-    def consistent(k, chosen):
-        nonlocal tried
-        tried += 1
-        if tried > max_maps:
-            raise EnumerationLimitError(f"more than {max_maps} partial isomorphisms tried")
-        x, y = order[k], chosen[k]
-        ux, uy = up1[x], up2[y]
-        for j in range(k):
-            xj, yj = order[j], chosen[j]
-            if yj == y or (xj in ux) != (yj in uy) or (x in up1[xj]) != (y in up2[yj]):
-                return False
-        return True
-
-    return next(_backtrack(options, consistent), None) is not None
+    return [[0 if x == y or y in up else None for y in above] for x, up in above.items()]
 
 
 def _universal_object(cat, hom):

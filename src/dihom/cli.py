@@ -53,12 +53,16 @@ def _read(path):
         raise InputSyntaxError(f"cannot read {path}: not UTF-8 text") from exc
 
 
+# the keys of gridscene._SCENE_DIRECTIVES, precubical._COMPLEX_DIRECTIVES and
+# catho._CATEGORY_DIRECTIVES, written out: sniffing a file imports no parser
+_FORMATS = {**dict.fromkeys(("grid", "box", "source", "target"), "scene"),
+            **dict.fromkeys(("vertex", "edge", "square"), "complex"),
+            **dict.fromkeys(("object", "arrow", "compose"), "category")}
+
+
 def _sniff(text):
-    """First directive decides the file kind."""
-    return next((tok[0] for _, tok in directives(text)), "")
-
-
-_COMPLEX_KINDS = ("vertex", "edge", "square")  # the directives a complex file starts with
+    """The format its first directive names: scene, complex, category, or None."""
+    return next((_FORMATS.get(tok[0]) for _, tok in directives(text)), None)
 
 
 def _load_complex_or_scene(path):
@@ -70,11 +74,11 @@ def _load_complex_or_scene(path):
 def _parse_complex_or_scene(text, kind, path):
     """(complex, scene-or-None) of the text read from ``path``, of the
     ``kind`` that ``_sniff`` names."""
-    if kind == "grid":
+    if kind == "scene":
         from . import gridscene
         scene = gridscene.parse_scene(text)
         return gridscene.to_precubical(scene), scene
-    if kind in _COMPLEX_KINDS:
+    if kind == "complex":
         from . import precubical
         return precubical.parse_complex(text), None
     raise InputSyntaxError(f"{path}: not a scene or complex file")
@@ -360,15 +364,15 @@ def _cmd_export_dot(args, out):
     given = [flag for flag, value in (("--from", args.src), ("--to", args.dst),
                                       ("--max-len", args.max_len), ("--highlight", args.highlight))
              if value is not None]
-    if kind == "object" and given:
+    if kind == "category" and given:
         raise _UsageError(f"{given[0]} applies to a scene or complex, not to a category")
     if given and args.highlight is None:
         raise _UsageError(f"{given[0]} needs --highlight")
-    if kind == "grid" and (args.src is None) != (args.dst is None):
+    if kind == "scene" and (args.src is None) != (args.dst is None):
         raise _UsageError("--highlight on a scene takes both --from and --to, or neither")
-    if kind in _COMPLEX_KINDS and args.highlight is not None and None in (args.src, args.dst):
+    if kind == "complex" and args.highlight is not None and None in (args.src, args.dst):
         raise _UsageError("--highlight on a complex takes both --from and --to")
-    if kind == "object":
+    if kind == "category":
         from . import catho
         cat = catho.parse_category(text)
         dot_text = dot.category_dot(cat, name=Path(args.input).stem)

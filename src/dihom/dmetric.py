@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._kernels import _backtrack, _UnionFind
+from ._kernels import _isomorphic, _UnionFind
 from .errors import DomainError, InputSyntaxError, Record, SizeGuardError, directives
 
 INF = math.inf
@@ -233,28 +233,10 @@ def discretized_directed_circle(n):
 
 
 def is_isometric(x, y):
-    """Existence of a distance-preserving bijection, by backtracking: point i
-    of x tries the points of y with its self-distance in index order."""
-    n = len(x.points)
-    if len(y.points) != n:
-        return False
-    x_in, y_in = tuple(zip(*x.dist)), tuple(zip(*y.dist))  # columns
-    at = [n] * n  # depth at which each point of y was last placed
-
-    def fits(i, chosen):
-        j = chosen[i]
-        if (at[j] < i and chosen[at[j]] == j  # j is still placed at depth at[j]
-                or tuple(map(y.dist[j].__getitem__, chosen[:i])) != x.dist[i][:i]
-                or tuple(map(y_in[j].__getitem__, chosen[:i])) != x_in[i][:i]):
-            return False
-        at[j] = i
-        return True
-
-    images = {}  # self-distance -> points of y with it, in index order
-    for j in range(n):
-        images.setdefault(y.dist[j][j], []).append(j)
-    options = [images.get(x.dist[i][i], ()) for i in range(n)]
-    return next(_backtrack(options, fits), None) is not None
+    """Existence of a distance-preserving bijection: the shared isomorphism
+    search on the matrices with oo as None (a NaN entry matches only itself)."""
+    return _isomorphic(*([[None if type(v) is float and v == INF else v for v in row]
+                          for row in s.dist] for s in (x, y)))
 
 
 def parse_dmetric(text):

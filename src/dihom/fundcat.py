@@ -225,9 +225,10 @@ def _require_walkable(complex_, vertices, max_len):
 def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_MAX_PATHS):
     """All dipaths source -> target of length <= max_len, lexicographically.
 
-    ``max_len=None`` means unbounded and requires an acyclic complex.
+    ``max_len=None`` means unbounded and requires an acyclic complex.  Like
+    :func:`hom_classes` it walks ``complex_._between(source, target)``.
     """
-    engine = _require_walkable(complex_, (source, target), max_len)
+    engine = _require_walkable(complex_._between(source, target), (source, target), max_len)
     t = engine.index[target]
     out = []
     for word, at in _walk(engine, engine.index[source], max_len):

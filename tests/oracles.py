@@ -13,8 +13,10 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
+from dihom._kernels import _backtrack
 from dihom.catho import (
     MAX_ARROWS,
+    MAX_FUNCTORS,
     MAX_OBJECTS,
     MAX_WORDS,
     FinCategory,
@@ -1217,6 +1219,74 @@ def is_isometric_oracle(x, y):
             used[j] = False
             j += 1
     return True
+
+
+def is_isometric_backtrack_oracle(x, y):
+    """``dmetric.is_isometric`` before it ran the isomorphism search it
+    shares with thin categories' cores, kept as it was: point i of x tries
+    the points of y with its self-distance in index order."""
+    n = len(x.points)
+    if len(y.points) != n:
+        return False
+    x_in, y_in = tuple(zip(*x.dist)), tuple(zip(*y.dist))  # columns
+    at = [n] * n  # depth at which each point of y was last placed
+
+    def fits(i, chosen):
+        j = chosen[i]
+        if (at[j] < i and chosen[at[j]] == j  # j is still placed at depth at[j]
+                or tuple(map(y.dist[j].__getitem__, chosen[:i])) != x.dist[i][:i]
+                or tuple(map(y_in[j].__getitem__, chosen[:i])) != x_in[i][:i]):
+            return False
+        at[j] = i
+        return True
+
+    images = {}  # self-distance -> points of y with it, in index order
+    for j in range(n):
+        images.setdefault(y.dist[j][j], []).append(j)
+    options = [images.get(x.dist[i][i], ()) for i in range(n)]
+    return next(_backtrack(options, fits), None) is not None
+
+
+def isomorphic_posets_oracle(p1, p2, max_maps=MAX_FUNCTORS):
+    """``catho._isomorphic_posets``, the search thin ``cat equiv`` ran on
+    two cores before it shared one with ``dmetric.is_isometric``, kept as it
+    was.  Whether two finite posets, given as ``(above, below)``
+    (``above[x]`` the set of points strictly above x, ``below[x]`` those
+    strictly below), are isomorphic.  Points of the first
+    are mapped one at a time, each next to as many mapped points as
+    possible, onto points of the second with as many points below and above
+    that agree on every relation to the points mapped before; past
+    ``max_maps`` partial maps tried it raises :class:`EnumerationLimitError`."""
+    (up1, down1), (up2, down2) = p1, p2
+    deg1 = {x: (len(down1[x]), len(up1[x])) for x in up1}
+    deg2 = {y: (len(down2[y]), len(up2[y])) for y in up2}
+    if sorted(deg1.values()) != sorted(deg2.values()):
+        return False
+    order, links = [], dict.fromkeys(up1, 0)
+    while links:
+        x = max(links, key=links.get)  # first of the most linked points
+        del links[x]
+        order.append(x)
+        for y in up1[x] | down1[x]:
+            if y in links:
+                links[y] += 1
+    options = [[y for y in up2 if deg2[y] == deg1[x]] for x in order]
+    tried = 0
+
+    def consistent(k, chosen):
+        nonlocal tried
+        tried += 1
+        if tried > max_maps:
+            raise EnumerationLimitError(f"more than {max_maps} partial isomorphisms tried")
+        x, y = order[k], chosen[k]
+        ux, uy = up1[x], up2[y]
+        for j in range(k):
+            xj, yj = order[j], chosen[j]
+            if yj == y or (xj in ux) != (yj in uy) or (x in up1[xj]) != (y in up2[yj]):
+                return False
+        return True
+
+    return next(_backtrack(options, consistent), None) is not None
 
 
 def metric_product_oracle(factors):

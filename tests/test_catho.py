@@ -375,6 +375,12 @@ def random_preorder(rng, n):
             for j in objs:
                 if (i, k) in le and (k, j) in le:
                     le.add((i, j))
+    return thin_category(objs, le)
+
+
+def thin_category(objs, le):
+    """The thin category of a preorder ``le``, a reflexive and transitive
+    set of pairs of ``objs``."""
 
     def arrow(x, y):
         return f"id({x})" if x == y else f"a({x},{y})"
@@ -410,6 +416,74 @@ def test_thin_equivalence_by_cores_matches_the_search(monkeypatch):
         assert ct.dhomotopy_equivalent(c, d) == want, (c.arrows, d.arrows)
         answers.append(want)
     assert 40 < sum(answers) < len(answers) - 40
+
+
+def core_sets(cat):
+    """``catho._stong_core(cat)`` as ``(above, below)``: the sets of points
+    strictly above and strictly below each point, points named by index."""
+    m = ct._stong_core(cat)
+    points = range(len(m))
+    above = {x: {y for y in points if y != x and m[x][y] == 0} for x in points}
+    below = {x: {y for y in points if y != x and m[y][x] == 0} for x in points}
+    return above, below
+
+
+def renamed_thin(rng, cat):
+    """``cat`` (thin) with its objects renamed at random, so its core's
+    points come in another order."""
+    objs = list(cat.objects)
+    name = dict(zip(objs, (f"r{i}" for i in rng.sample(range(len(objs)), len(objs)))))
+    le = {(name[x], name[y]) for x in objs for y in objs if cat.hom(x, y)}
+    return thin_category(sorted(name.values()), le)
+
+
+def crowns(rng, sizes):
+    """Disjoint crowns, renamed at random: a core with two keys, one for
+    every minimal point and one for every maximal point, so that the search
+    backtracks."""
+    orders = [crown_order(n, f"c{i}") for i, n in enumerate(sizes)]
+    return renamed_thin(rng, ct.poset_category(*(sum(part, []) for part in zip(*orders))))
+
+
+def test_thin_equivalence_matches_the_poset_isomorphism_search():
+    # the shared isomorphism search against the poset search it replaced,
+    # on the same cores: the same answer, or the same cap error, per cap
+    rng = random.Random(20261020)
+    empty = ct.discrete_category([])
+    cats = [empty, ONE] + [crown(n) for n in (2, 3, 4)]
+    for _ in range(80):
+        cats.append(random_poset(rng, rng.randint(1, 7)))
+        cats.append(random_preorder(rng, rng.randint(1, 5)))  # twins allowed
+    pairs = [(empty, empty), (empty, ONE), (crown(3), crown(3))]
+    for i in range(300):
+        c = rng.choice(cats)
+        if i % 3 == 0:
+            d = renamed_thin(rng, c)
+        elif i % 3 == 1:
+            d = rng.choice([e for e in cats if len(e.objects) != len(c.objects)])
+        else:
+            d = rng.choice(cats)
+        pairs.append((c, d))
+    for sizes, other in [((4, 2), (3, 3)), ((2, 2, 2), (3, 3)), ((2, 3), (3, 2)),
+                         ((4, 4), (2, 3, 3))]:
+        pairs += [(crowns(rng, sizes), crowns(rng, other)) for _ in range(4)]
+
+    def outcome(search, *args, **kwargs):
+        try:
+            return search(*args, **kwargs)
+        except EnumerationLimitError as exc:
+            return str(exc)
+
+    seen = Counter()
+    for c, d in pairs:
+        cores = core_sets(c), core_sets(d)
+        for cap in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, None):
+            guard = {} if cap is None else {"max_functors": cap}
+            want = outcome(oracles.isomorphic_posets_oracle, *cores, *guard.values())
+            got = outcome(ct.dhomotopy_equivalent, c, d, **guard)
+            assert got == want, (c.arrows, d.arrows, cap)
+            seen[want if isinstance(want, bool) else "cap"] += 1
+    assert min(seen[True], seen[False], seen["cap"]) > 200, seen
 
 
 def saturating_monoid():

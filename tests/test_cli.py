@@ -488,8 +488,62 @@ def test_metric_row_one_entry_short_names_its_line():
 
 
 def test_sniff_reads_the_first_directive():
-    assert _sniff("# only a comment\n\n   # and another\n") == ""
-    assert _sniff("\n# comment\n  grid 3 3 # trailing\n") == "grid"
+    assert _sniff("# only a comment\n\n   # and another\n") is None
+    assert _sniff("\n# comment\n  grid 3 3 # trailing\n") == "scene"
+    assert _sniff("  source 0 0\ngrid 3 3\n") == "scene"
+    assert _sniff("compose f g h\n") == "category"
+    assert _sniff("points 2 a b\n") is None
+
+
+def test_sniff_knows_every_directive_of_the_three_formats():
+    assert cli._FORMATS == {**dict.fromkeys(gs._SCENE_DIRECTIVES, "scene"),
+                            **dict.fromkeys(pc._COMPLEX_DIRECTIVES, "complex"),
+                            **dict.fromkeys(ct._CATEGORY_DIRECTIVES, "category")}
+
+
+# X_SCENE with each of its other directives first, and a category whose
+# first line is an arrow or a composite: each verb answers as on the file
+# in its usual order, where a file of these used to exit 2
+CHAIN_CATEGORY = (
+    "object 0\nobject 1\nobject 2\narrow f 0 1\narrow g 1 2\narrow h 0 2\ncompose f g = h\n")
+SCENE_VERBS = [
+    "classes {}", "hom {} --from v0_0 --to v6_6 --reps", "hom {} --from v1_0 --to v5_6",
+    "pi0 {}", "preorder {}", "one-simple {}", "monoid {} --at v0_0 --max-len 2",
+    "export-dot {} -o {out}", "export-dot {} -o {out} --highlight 1",
+]
+CATEGORY_VERBS = ["export-dot {} -o {out}", "cat contractible {} --direction past"]
+
+
+@pytest.mark.parametrize("name,usual,moved,verbs", [
+    ("x.scene", X_SCENE, "source 0 0\n" + X_SCENE.replace("source 0 0\n", ""), SCENE_VERBS),
+    ("x.scene", X_SCENE, "box 1 4 4 5\n" + X_SCENE.replace("box 1 4 4 5\n", ""), SCENE_VERBS),
+    ("x.scene", X_SCENE, "# comment\ntarget 6 6\n" + X_SCENE.replace("target 6 6\n", ""),
+     SCENE_VERBS),
+    ("oc.category", OC_CATEGORY, "arrow a 0 1\n" + OC_CATEGORY.replace("arrow a 0 1\n", ""),
+     CATEGORY_VERBS),
+    ("chain.category", CHAIN_CATEGORY,
+     "compose f g = h\n" + CHAIN_CATEGORY.replace("compose f g = h\n", ""), CATEGORY_VERBS),
+], ids=["source", "box", "target", "arrow", "compose"])
+def test_lines_in_any_order(tmp_path, name, usual, moved, verbs):
+    for verb in verbs:
+        answers = []
+        for folder, text in (("usual", usual), ("moved", moved)):
+            (tmp_path / folder).mkdir(exist_ok=True)
+            path, out = tmp_path / folder / name, tmp_path / folder / "out.dot"
+            path.write_text(text)
+            answers.append(invoke(verb.format(path, out=out).split()))
+            if verb.startswith("export-dot"):
+                answers.append(out.read_text())
+        assert answers[0][0] == 0, (verb, answers[0])
+        assert answers[: len(answers) // 2] == answers[len(answers) // 2:], verb
+
+
+@pytest.mark.parametrize("text", ["", "# nothing\n", "points 1 a\n0\n", "gird 3 3\n"])
+def test_a_file_of_no_known_format_exits_two(tmp_path, text):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    for argv in (["pi0", str(path)], ["export-dot", str(path), "-o", str(tmp_path / "o.dot")]):
+        assert invoke(argv) == (2, "", f"error: {path}: not a scene or complex file\n")
 
 
 def test_repeated_presentation_object_exits_two(tmp_path):

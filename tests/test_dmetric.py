@@ -9,6 +9,7 @@ from dihom.errors import DomainError, InputSyntaxError, SizeGuardError
 from oracles import (
     discretized_circle_oracle,
     discretized_interval_oracle,
+    is_isometric_backtrack_oracle,
     is_isometric_oracle,
     metric_format_oracle,
     metric_product_oracle,
@@ -300,7 +301,7 @@ def test_is_isometric_matches_the_hand_written_search():
                 rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(ISO_ENTRIES)
             y = dm.DMetricSpace(tuple(f"y{i}" for i in range(n)), tuple(map(tuple, rows)))
         expected = is_isometric_oracle(x, y)
-        assert dm.is_isometric(x, y) == expected
+        assert dm.is_isometric(x, y) == is_isometric_backtrack_oracle(x, y) == expected
         if len(x.points) == len(y.points):
             answers.add(expected)
             after_backtracking += expected and not first_fit_isometry(x, y)
@@ -309,6 +310,21 @@ def test_is_isometric_matches_the_hand_written_search():
     empty = dm.DMetricSpace((), ())
     assert dm.is_isometric(empty, empty)
     assert not dm.is_isometric(empty, dm.discretized_interval(1))
+
+
+def test_is_isometric_on_nan_entries():
+    # a NaN object matches itself and no other NaN object, as in the
+    # hand-written search, though validate's exact scaling cannot read it
+    nan, other = float("nan"), float("nan")
+
+    def space(ab, aa):  # d(a, b) = ab, d(a, a) = aa, d(b, b) = 0, d(b, a) = oo
+        return dm.make_space("ab", lambda p, q: {"ab": ab, "aa": aa, "bb": 0}.get(p + q, dm.INF))
+
+    for x, y in ((space(nan, 0), space(other, 0)), (space(1, nan), space(1, other))):
+        with pytest.raises(ValueError):
+            dm.validate(x)
+        for a, b, want in ((x, x, True), (y, y, True), (x, y, False), (y, x, False)):
+            assert dm.is_isometric(a, b) is is_isometric_backtrack_oracle(a, b) is want
 
 
 def test_product_past_the_point_cap_is_refused(monkeypatch):

@@ -13,6 +13,7 @@ from oracles import (
     closed_cell_meets_open_box,
     edge_east_ok,
     edge_north_ok,
+    enumerate_dipaths_oracle,
     hom_classes_sweep_oracle,
     square_ok,
 )
@@ -396,6 +397,61 @@ def test_a_window_query_builds_nothing_of_the_whole_scene():
     lattice = {"_blocked", "_lattice", "_vid", "_eid", "_nid", "_id_order", "_kept", "_vertices"}
     assert not (lattice | {"_engine", "_edges", "_squares", "_labels"}) & set(vars(k))
     assert set(vars(k)) == {"_scene", "_origin", "_stride"}
+
+
+def test_window_dipaths_match_the_walk_of_the_complex_written_out():
+    # enumerate_dipaths walks the rectangle between the endpoints of a scene;
+    # the oracle walks the whole compiled scene, and the library walks the
+    # whole of the complex written out
+    rng = random.Random(20261020)
+    seen = dict.fromkeys(("equal", "not below", "window", "capped", "unknown"), 0)
+    for trial in range(240):
+        scene = window_scene(rng, trial)
+        k = gs.to_precubical(scene)
+        parsed = pc.parse_complex(pc.format_complex(k))
+        for _ in range(4):
+            a, b = window_endpoint(rng, scene), window_endpoint(rng, scene)
+            if rng.random() < 0.1:
+                b = a
+            elif rng.random() < 0.6:  # most pairs below one another
+                a, b = (min(a[0], b[0]), min(a[1], b[1])), (max(a[0], b[0]), max(a[1], b[1]))
+            src, dst = gs.vertex_id(*a), gs.vertex_id(*b)
+            if not (gs.point_allowed(scene, a) and gs.point_allowed(scene, b)):
+                seen["unknown"] += 1
+                for complex_ in (k, parsed):
+                    with pytest.raises(DomainError, match="^unknown vertex v"):
+                        fc.enumerate_dipaths(complex_, src, dst, 2)
+                continue
+            below = a[0] <= b[0] and a[1] <= b[1]
+            seen["equal"] += a == b
+            seen["not below"] += not below
+            seen["window"] += below and (a, b) != ((0, 0), (scene.width, scene.height))
+            # unbounded only on small scenes: the oracle walks every word out of a
+            for bound in ([rng.randint(0, 9)] + [None] * (scene.width * scene.height <= 30)):
+                outcomes, cap = [], rng.choice((2, 5, 1000))
+                for walk, complex_ in ((fc.enumerate_dipaths, k), (enumerate_dipaths_oracle, k),
+                                       (fc.enumerate_dipaths, parsed)):
+                    try:
+                        paths = walk(complex_, src, dst, bound, max_paths=cap)
+                    except EnumerationLimitError as exc:
+                        outcomes.append(str(exc))
+                    else:
+                        assert all(p.complex is complex_ for p in paths)
+                        outcomes.append([(p.start, p.edges) for p in paths])
+                seen["capped"] += isinstance(outcomes[0], str)
+                assert outcomes[0] == outcomes[1] == outcomes[2], (scene, a, b, bound)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_window_dipaths_build_nothing_of_the_whole_scene():
+    k = gs.to_precubical(gs.make_scene(300, 300, [(100, 100, 200, 200)], (0, 0), (300, 300)))
+    assert [p.edges for p in fc.enumerate_dipaths(k, "v0_0", "v1_1", max_len=2)] == [
+        ("e0_0", "n1_0"), ("n0_0", "e0_1")]
+    paths = fc.enumerate_dipaths(k, "v250_250", "v254_253")  # unbounded
+    assert len(paths) == 35 and all(p.complex is k for p in paths)
+    assert paths[0].edges == ("e250_250", "e251_250", "e252_250", "e253_250",
+                              "n254_250", "n254_251", "n254_252")
+    assert set(vars(k)) == {"_scene", "_origin", "_stride"}  # no _vid, no engine
 
 
 def test_corner_queries_build_one_engine(monkeypatch):
