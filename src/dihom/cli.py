@@ -312,8 +312,8 @@ def _cmd_cat(args, out):
         real = catho.realize_presentation(pres, args.bound)
         out.write(f"objects {len(real.objects)}\n")
         out.write(f"truncated {'true' if real.truncated else 'false'}\n")
-        for (x, y), reps in real.homs.items():
-            out.write(f"hom {x} {y} {len(reps)}\n")
+        for (x, y), count in real.hom_counts().items():
+            out.write(f"hom {x} {y} {count}\n")
     else:  # faithful
         path = Path(args.functor)
         # one cache per query: a category named as domain and codomain is read once

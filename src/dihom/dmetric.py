@@ -7,9 +7,12 @@ in a valid space), with ``math.inf`` as the absorbing top element, and
 every construction here (product = sup, sum = oo across summands, quotient
 = cheapest chain through zero-cost identifications) stays exact, so
 comparisons in tests are equalities rather than tolerances.  The triangle
-check, the quotient's shortest paths and the product's sup run on
-integers: every finite entry is brought to one common denominator
-(``_scaled``), oo is handled by explicit tests, never added, and
+check, the quotient's shortest paths, the product's sup and the output
+text run on one scaled matrix per space (:func:`_matrix_of`): every finite
+entry as an integer over one common denominator, oo as ``INF``, tested for
+and never added.  A parsed space and every space an operation returns
+carry their matrix from the start; ``_scaled``, the one scaling step,
+builds it from the distinct entries of a hand-built space on first read.
 ``Fraction`` values appear only at input and output.
 """
 
@@ -17,19 +20,24 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from ._kernels import _isomorphic, _UnionFind
-from .errors import DomainError, InputSyntaxError, Record, SizeGuardError, directives
+from .errors import DomainError, InputSyntaxError, Record, SizeGuardError, _set, directives
 
 INF = math.inf
 MAX_PRODUCT_POINTS = 1000  # a matrix of 10**6 entries, as scenes' MAX_LATTICE_POINTS
 
 
 def parse_dist(token):
-    """Parse an entry: ``inf``, a ``p/q`` rational, or a decimal literal."""
+    """Parse an entry: ``inf``, a ``p/q`` rational, or a decimal literal.
+    Plain ASCII ``n`` and ``n/m`` are read with ``int()``, ``n`` as an int."""
     if token == "inf":
         return INF
+    num, slash, den = token.partition("/")
     try:
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else int(num)
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise InputSyntaxError(f"bad distance {token!r}") from None
@@ -45,7 +53,8 @@ def format_dist(value):
 
 
 class DMetricSpace(Record):
-    __slots__ = _fields = ("points", "dist")  # dist: rows of int or Fraction, INF allowed
+    _fields = ("points", "dist")  # dist: rows of int or Fraction, INF allowed
+    __slots__ = _fields + ("_matrix",)  # the scaled matrix, see _matrix_of
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
@@ -71,33 +80,64 @@ def make_space(points, dist_fn):
     return DMetricSpace(points, dist)
 
 
-def _scaled(*spaces):
-    """``(L, matrices)``: ``L`` is the lcm of the denominators of every finite
-    entry of ``spaces``, and each space's matrix holds entry ``v`` as the
-    exact integer ``v * L``, or None for ``INF``.  Scaling by ``L > 0`` keeps
-    every sum and comparison, so integer results are exact over ``L``."""
-    ratios = [[[None if type(v) is float and v == INF else v.as_integer_ratio() for v in row]
-               for row in s.dist] for s in spaces]
-    lcm = math.lcm(*{r[1] for m in ratios for row in m for r in row if r is not None})
-    return lcm, [[[None if r is None else r[0] * (lcm // r[1]) for r in row] for row in m]
-                 for m in ratios]
+def _scaled(entries, *denominators):
+    """The one scaling step: ``(L, ints)`` for ``entries``, a dict of keys
+    to entries.  ``L`` is the lcm of ``denominators`` and of the finite
+    entries' denominators, and ``ints`` maps each key to its entry ``v`` as
+    the exact integer ``v * L``, or to ``INF`` for oo.  Scaling by ``L > 0``
+    keeps every sum and comparison, so integer results are exact over ``L``."""
+    ratios = {k: None if type(v) is float and v == INF else v.as_integer_ratio()
+              for k, v in entries.items()}
+    lcm = math.lcm(*denominators, *{r[1] for r in ratios.values() if r is not None})
+    return lcm, {k: INF if r is None else r[0] * (lcm // r[1]) for k, r in ratios.items()}
+
+
+def _matrix_of(space):
+    """``(L, rows)``: the space's entries as integers over ``L`` (tuples, oo
+    as ``INF``), kept on the space.  Built on the first read from the
+    distinct entry objects of a space made by hand, and given at birth to
+    every space :func:`parse_dmetric` and the operations return."""
+    try:
+        return space._matrix
+    except AttributeError:
+        pass
+    lcm, ints = _scaled({id(v): v for row in space.dist for v in row})
+    matrix = lcm, tuple(tuple(ints[id(v)] for v in row) for row in space.dist)
+    _set(space, "_matrix", matrix)
+    return matrix
+
+
+def _matrices(spaces):
+    """``(L, matrices)``: each space's rows over one common ``L``."""
+    mats = [_matrix_of(s) for s in spaces]
+    lcm, _ = _scaled({}, *(m[0] for m in mats))
+    return lcm, [rows if k == lcm else
+                 tuple(tuple(v if v is INF else v * (lcm // k) for v in row) for row in rows)
+                 for k, rows in mats]
+
+
+def _space(points, dist, matrix):
+    """A space that keeps ``matrix``, its ``(L, rows)``, from the start."""
+    space = DMetricSpace(points, dist)
+    _set(space, "_matrix", matrix)
+    return space
 
 
 def validate(space):
     """Check d(x,x) = 0, nonnegativity, and all triangle inequalities."""
     pts = space.points
-    _, (d,) = _scaled(space)
+    _, d = _matrix_of(space)
     out = [f"d({p},{p}) = {format_dist(space.dist[i][i])} != 0"
            for i, p in enumerate(pts) if d[i][i] != 0]
     out += [f"d({pts[i]},{pts[j]}) < 0"
-            for i, row in enumerate(d) for j, v in enumerate(row) if v is not None and v < 0]
-    # d(i,k) <= d(i,j) + d(j,k) holds whenever a right-hand term is oo
-    finite = [[(k, v) for k, v in enumerate(row) if v is not None] for row in d]
+            for i, row in enumerate(d) if min(row) < 0 for j, v in enumerate(row) if v < 0]
+    # d(i,k) <= d(i,j) + d(j,k) holds whenever a right-hand term is oo,
+    # and fails whenever both are finite and d(i,k) is oo
+    finite = [[(k, v) for k, v in enumerate(row) if v is not INF] for row in d]
     for i, di in enumerate(d):
         for j, a in finite[i]:
             for k, b in finite[j]:
-                c = di[k]
-                if c is None or a + b < c:
+                if a + b < di[k]:
                     out.append(f"triangle fails on ({pts[i]},{pts[j]},{pts[k]})")
     return out
 
@@ -124,18 +164,19 @@ def product(*spaces):
     size = math.prod(len(s.points) for s in spaces)
     if size > MAX_PRODUCT_POINTS:
         raise SizeGuardError(f"product has {size} points (guard {MAX_PRODUCT_POINTS})")
-    _, keys = _scaled(*spaces)
-    top = 1 + max((v for m in keys for row in m for v in row if v is not None), default=0)
-    # cells are (key, entry) with oo keyed above every finite entry; one factor
-    # is folded in at a time, and a tie keeps the earlier factor's entry
-    cells = [[[(top if k is None else k, v) for k, v in zip(krow, vrow)]
-              for krow, vrow in zip(m, s.dist)] for m, s in zip(keys, spaces)]
+    lcm, keys = _matrices(spaces)
+    # cells are (key, entry); one factor is folded in at a time, and a tie
+    # keeps the earlier factor's entry
+    cells = [[list(zip(krow, vrow)) for krow, vrow in zip(m, s.dist)]
+             for m, s in zip(keys, spaces)]
     points, rows = spaces[0].points, cells[0]
     for s, other in zip(spaces[1:], cells[1:]):
         points = [f"{p},{q}" for p in points for q in s.points]
         rows = [[f if f[0] > e[0] else e for e in ra for f in sa]
                 for ra in rows for sa in other]
-    return DMetricSpace(tuple(points), tuple(tuple(v for _, v in row) for row in rows))
+    key, entry = itemgetter(0), itemgetter(1)
+    return _space(tuple(points), tuple(tuple(map(entry, row)) for row in rows),
+                  (lcm, tuple(tuple(map(key, row)) for row in rows)))
 
 
 def disjoint_sum(*spaces):
@@ -143,12 +184,14 @@ def disjoint_sum(*spaces):
     if not spaces:
         raise DomainError("sum needs at least one summand")
     points = tuple(f"{i}:{p}" for i, s in enumerate(spaces) for p in s.points)
-    blanks = [(INF,) * len(s.points) for s in spaces]
-    dist = []
-    for i, s in enumerate(spaces):  # by index: one space may be passed twice
+    lcm, keys = _matrices(spaces)
+    blanks = [(INF,) * len(s.points) for s in spaces]  # oo in entries and matrix alike
+    dist, rows = [], []
+    for i, (s, m) in enumerate(zip(spaces, keys)):  # by index: one space may be passed twice
         left, right = sum(blanks[:i], ()), sum(blanks[i + 1:], ())
         dist += [left + tuple(row) + right for row in s.dist]
-    return DMetricSpace(points, tuple(dist))
+        rows += [left + row + right for row in m]
+    return _space(points, tuple(dist), (lcm, tuple(rows)))
 
 
 def quotient(space, pairs):
@@ -165,26 +208,26 @@ def quotient(space, pairs):
         uf.union(idx[p], idx[q])
 
     root = [uf.find(i) for i in range(n)]
-    lcm, (w,) = _scaled(space)
+    lcm, d = _matrix_of(space)
+    w = [list(row) for row in d]  # relaxed in place: the space's own rows stay as they are
     for i in range(n):
         for j in range(n):
             if root[i] == root[j] and i != j:
                 w[i][j] = 0
     for k in range(n):
         wk = w[k]
-        finite = [(j, v) for j, v in enumerate(wk) if v is not None]
+        finite = [(j, v) for j, v in enumerate(wk) if v is not INF]
         for i in range(n):
             row = w[i]
             wik = row[k]
-            if wik is None:
+            if wik is INF:
                 continue
             for j, v in finite:
                 c = wik + v
-                r = row[j]
-                if r is None or c < r:
+                if c < row[j]:
                     row[j] = c
             if i == k:  # a negative d(k,k) lowers row k for the rows after it
-                finite = [(j, v) for j, v in enumerate(wk) if v is not None]
+                finite = [(j, v) for j, v in enumerate(wk) if v is not INF]
 
     classes = {}
     for i, p in enumerate(space.points):
@@ -193,9 +236,10 @@ def quotient(space, pairs):
     named = sorted((min(members), root) for root, members in classes.items())
     points = tuple(name for name, _root in named)
     reps = [idx[name] for name, _root in named]
-    value = {v: Fraction(v, lcm) for v in {v for a in reps for v in w[a]} if v is not None}
-    dist = tuple(tuple(value.get(w[a][b], INF) for b in reps) for a in reps)
-    return DMetricSpace(points, dist)
+    rows = tuple(tuple(w[a][b] for b in reps) for a in reps)
+    value = {v: v if v is INF else Fraction(v, lcm) for v in set().union(*rows)}
+    dist = tuple(tuple(map(value.__getitem__, row)) for row in rows)
+    return _space(points, dist, (lcm, rows))
 
 
 def ball(space, center, eps, direction):
@@ -257,7 +301,6 @@ def parse_dmetric(text):
         raise InputSyntaxError(f"expected {n} point ids, got {len(ids)}", ln0)
     if len(lines) != n + 1:
         raise InputSyntaxError(f"expected {n} matrix rows, got {len(lines) - 1}")
-    rows = []
     values = {}  # each distinct token is parsed once
     for ln, entries in lines[1:]:
         if len(entries) != n:
@@ -268,30 +311,25 @@ def parse_dmetric(text):
                     values[e] = parse_dist(e)
         except InputSyntaxError as exc:
             raise InputSyntaxError(str(exc), ln) from None
-        rows.append(tuple(map(values.__getitem__, entries)))
+    rows = [entries for _, entries in lines[1:]]
+    lcm, ints = _scaled(values)
     try:
-        return DMetricSpace(tuple(ids), tuple(rows))
+        return _space(tuple(ids), tuple(tuple(map(values.__getitem__, r)) for r in rows),
+                      (lcm, tuple(tuple(map(ints.__getitem__, r)) for r in rows)))
     except DomainError as exc:  # a repeated id: rows were checked above
         raise InputSyntaxError(str(exc), ln0) from exc
 
 
 def format_dmetric(space):
-    """Canonical text form: points sorted by id, rows in that order."""
-    order = sorted(range(len(space.points)), key=lambda i: space.points[i])
-    points = [space.points[i] for i in order]
-    lines = ["points " + " ".join([str(len(points))] + points)]
-    # products and sums repeat a few entry objects: format each one once,
-    # keyed by id (space.dist keeps every entry alive for the whole call)
-    shown = {}
-    for i in order:
-        row = space.dist[i]
-        cells = []
-        for j in order:
-            key = id(row[j])
-            if key not in shown:
-                shown[key] = format_dist(row[j])
-            cells.append(shown[key])
-        lines.append(" ".join(cells))
+    """Canonical text form: points sorted by id, rows in that order; each
+    distinct integer of the scaled matrix is formatted once."""
+    n = len(space.points)
+    order = sorted(range(n), key=space.points.__getitem__)
+    lcm, rows = _matrix_of(space)
+    shown = {v: "inf" if v is INF else str(Fraction(v, lcm)) for v in set().union(*rows)}
+    pick = itemgetter(*order) if n > 1 else tuple
+    lines = ["points " + " ".join([str(n)] + [space.points[i] for i in order])]
+    lines += [" ".join(map(shown.__getitem__, pick(rows[i]))) for i in order]
     return "\n".join(lines) + "\n"
 
 

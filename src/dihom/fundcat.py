@@ -126,7 +126,8 @@ class OneSimpleResult(Record):
 class CatPresentation(Record):
     """Objects, generating arrows, and parallel word-pair relations."""
 
-    _fields = ("objects", "generators", "relations")  # no __slots__: _engine is cached
+    # no __slots__: _engine and validate_presentation's verdict are kept in __dict__
+    _fields = ("objects", "generators", "relations")
 
     @cached_property
     def _engine(self):
@@ -152,6 +153,15 @@ class CatPresentation(Record):
 
 
 def validate_presentation(pres):
+    """Violations of a presentation's well-formedness; the verdict is kept
+    on the presentation, as its ``_engine`` is."""
+    found = vars(pres).get("_violations")
+    if found is None:
+        found = vars(pres)["_violations"] = tuple(_presentation_violations(pres))
+    return list(found)
+
+
+def _presentation_violations(pres):
     out = []
     objs = set()
     for x in pres.objects:
@@ -503,21 +513,44 @@ class Realization:
         # a representative's generators: its chains' first pieces
         self._whole = tuple if chains is None else lambda ps: tuple(g for g, k in ps if not k)
 
-    @cached_property
-    def homs(self):
-        # hom-sets gather under x * n + y, x and y ranks in name order: integers sort fast
-        objects, whole = self.objects, self._whole
+    def _hom_blocks(self):
+        """``(n, names, ranks, blocks)``: objects ranked in name order, and
+        ``(x * n, layer, lo, hi)`` for each source's block of each layer, x
+        the source's rank (keys x * n + y sort fast)."""
+        objects = self.objects
         n, names = len(objects), sorted(objects)
         rank = dict(zip(names, range(n)))
-        ranks, firsts = [rank[x] for x in objects], [rank[x] for x in self._starts]
-        found = {}
-        for layer in self._layers:
-            blocks = layer.blocks or (0, len(layer.ends))
-            for x, lo, hi in zip(firsts, blocks, blocks[1:]):
-                for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
-                    if y < n:  # not inside a chain
-                        found.setdefault(x * n + ranks[y], []).append(whole(rep))
+        ranks, bases = [rank[x] for x in objects], [rank[x] * n for x in self._starts]
+
+        def blocks():
+            for layer in self._layers:
+                cuts = layer.blocks or (0, len(layer.ends))
+                for base, lo, hi in zip(bases, cuts, cuts[1:]):
+                    yield base, layer, lo, hi
+
+        return n, names, ranks, blocks()
+
+    @cached_property
+    def homs(self):
+        n, names, ranks, blocks = self._hom_blocks()
+        whole, found = self._whole, {}
+        for base, layer, lo, hi in blocks:
+            for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
+                if y < n:  # not inside a chain
+                    found.setdefault(base + ranks[y], []).append(whole(rep))
         return {(names[k // n], names[k % n]): tuple(sorted(found[k])) for k in sorted(found)}
+
+    def hom_counts(self):
+        """The number of classes in each nonempty hom-set, in ``homs``
+        order, counted without building a word."""
+        n, names, ranks, blocks = self._hom_blocks()
+        found = {}
+        for base, layer, lo, hi in blocks:
+            for y in layer.ends[lo:hi]:
+                if y < n:  # not inside a chain
+                    k = base + ranks[y]
+                    found[k] = found.get(k, 0) + 1
+        return {(names[k // n], names[k % n]): found[k] for k in sorted(found)}
 
     def hom_count(self, x, y):
         return len(self.homs.get((x, y), ()))

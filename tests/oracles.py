@@ -34,7 +34,8 @@ from dihom.catho import (
     require_category,
     retract_endofunctors,
 )
-from dihom.errors import DomainError, EnumerationLimitError
+from dihom.dmetric import DMetricSpace, format_dist
+from dihom.errors import DomainError, EnumerationLimitError, InputSyntaxError, directives
 from dihom.fundcat import (
     DEFAULT_MAX_CLASSES,
     DEFAULT_MAX_PATHS,
@@ -1307,6 +1308,186 @@ def metric_format_oracle(points, dist):
     lines = ["points " + " ".join([str(len(points))] + [points[i] for i in order])]
     for i in order:
         lines.append(" ".join("inf" if dist[i][j] == INF else str(dist[i][j]) for j in order))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# directed metrics: the reader and the integer kernel as they were before
+# each space kept one scaled matrix, moved here unchanged (but for their
+# names): every token is read with Fraction, every operation scales its
+# inputs anew, and the text form is formatted per entry object
+
+
+def parse_dist_fraction_oracle(token):
+    """Parse an entry: ``inf``, a ``p/q`` rational, or a decimal literal."""
+    if token == "inf":
+        return INF
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise InputSyntaxError(f"bad distance {token!r}") from None
+    if value < 0:
+        raise InputSyntaxError(f"negative distance {token!r}")
+    return value
+
+
+def parse_dmetric_fraction_oracle(text):
+    """Matrix file: ``points <n> <id...>`` then n rows of n entries;
+    entries are decimals, p/q rationals, or ``inf``; ``#`` comments."""
+    lines = list(directives(text))
+    if not lines:
+        raise InputSyntaxError("empty d-metric file")
+    ln0, tok = lines[0]
+    if tok[0] != "points" or len(tok) < 2:
+        raise InputSyntaxError("first line must be: points <n> <ids...>", ln0)
+    try:
+        n = int(tok[1])
+    except ValueError:
+        raise InputSyntaxError("points count must be an integer", ln0) from None
+    ids = tok[2:]
+    if len(ids) != n:
+        raise InputSyntaxError(f"expected {n} point ids, got {len(ids)}", ln0)
+    if len(lines) != n + 1:
+        raise InputSyntaxError(f"expected {n} matrix rows, got {len(lines) - 1}")
+    rows = []
+    values = {}  # each distinct token is parsed once
+    for ln, entries in lines[1:]:
+        if len(entries) != n:
+            raise InputSyntaxError(f"expected {n} entries in row", ln)
+        try:
+            for e in entries:
+                if e not in values:
+                    values[e] = parse_dist_fraction_oracle(e)
+        except InputSyntaxError as exc:
+            raise InputSyntaxError(str(exc), ln) from None
+        rows.append(tuple(map(values.__getitem__, entries)))
+    try:
+        return DMetricSpace(tuple(ids), tuple(rows))
+    except DomainError as exc:  # a repeated id: rows were checked above
+        raise InputSyntaxError(str(exc), ln0) from exc
+
+
+def scaled_oracle(*spaces):
+    """``(L, matrices)``: ``L`` is the lcm of the denominators of every finite
+    entry of ``spaces``, and each space's matrix holds entry ``v`` as the
+    exact integer ``v * L``, or None for ``INF``."""
+    ratios = [[[None if type(v) is float and v == INF else v.as_integer_ratio() for v in row]
+               for row in s.dist] for s in spaces]
+    lcm = math.lcm(*{r[1] for m in ratios for row in m for r in row if r is not None})
+    return lcm, [[[None if r is None else r[0] * (lcm // r[1]) for r in row] for row in m]
+                 for m in ratios]
+
+
+def validate_scaled_oracle(space):
+    """Check d(x,x) = 0, nonnegativity, and all triangle inequalities."""
+    pts = space.points
+    _, (d,) = scaled_oracle(space)
+    out = [f"d({p},{p}) = {format_dist(space.dist[i][i])} != 0"
+           for i, p in enumerate(pts) if d[i][i] != 0]
+    out += [f"d({pts[i]},{pts[j]}) < 0"
+            for i, row in enumerate(d) for j, v in enumerate(row) if v is not None and v < 0]
+    # d(i,k) <= d(i,j) + d(j,k) holds whenever a right-hand term is oo
+    finite = [[(k, v) for k, v in enumerate(row) if v is not None] for row in d]
+    for i, di in enumerate(d):
+        for j, a in finite[i]:
+            for k, b in finite[j]:
+                c = di[k]
+                if c is None or a + b < c:
+                    out.append(f"triangle fails on ({pts[i]},{pts[j]},{pts[k]})")
+    return out
+
+
+def product_scaled_oracle(*spaces):
+    """Pointwise sup of coordinate distances on tuples (the l-infinity rule)."""
+    _, keys = scaled_oracle(*spaces)
+    top = 1 + max((v for m in keys for row in m for v in row if v is not None), default=0)
+    # cells are (key, entry) with oo keyed above every finite entry; one factor
+    # is folded in at a time, and a tie keeps the earlier factor's entry
+    cells = [[[(top if k is None else k, v) for k, v in zip(krow, vrow)]
+              for krow, vrow in zip(m, s.dist)] for m, s in zip(keys, spaces)]
+    points, rows = spaces[0].points, cells[0]
+    for s, other in zip(spaces[1:], cells[1:]):
+        points = [f"{p},{q}" for p in points for q in s.points]
+        rows = [[f if f[0] > e[0] else e for e in ra for f in sa]
+                for ra in rows for sa in other]
+    return DMetricSpace(tuple(points), tuple(tuple(v for _, v in row) for row in rows))
+
+
+def disjoint_sum_oracle(*spaces):
+    """Disjoint union; distances across different summands are oo."""
+    points = tuple(f"{i}:{p}" for i, s in enumerate(spaces) for p in s.points)
+    blanks = [(INF,) * len(s.points) for s in spaces]
+    dist = []
+    for i, s in enumerate(spaces):  # by index: one space may be passed twice
+        left, right = sum(blanks[:i], ()), sum(blanks[i + 1:], ())
+        dist += [left + tuple(row) + right for row in s.dist]
+    return DMetricSpace(points, tuple(dist))
+
+
+def quotient_scaled_oracle(space, pairs):
+    """Identify points (equivalence closure of ``pairs``); the quotient
+    distance is the cheapest chain alternating original distances with
+    zero-cost jumps inside a class, computed exactly by all-pairs shortest
+    paths."""
+    n = len(space.points)
+    idx = {p: i for i, p in enumerate(space.points)}
+    uf = _UnionFind(n)
+    for p, q in pairs:
+        if p not in idx or q not in idx:
+            raise DomainError(f"unknown point in relation: {p if p not in idx else q}")
+        uf.union(idx[p], idx[q])
+
+    root = [uf.find(i) for i in range(n)]
+    lcm, (w,) = scaled_oracle(space)
+    for i in range(n):
+        for j in range(n):
+            if root[i] == root[j] and i != j:
+                w[i][j] = 0
+    for k in range(n):
+        wk = w[k]
+        finite = [(j, v) for j, v in enumerate(wk) if v is not None]
+        for i in range(n):
+            row = w[i]
+            wik = row[k]
+            if wik is None:
+                continue
+            for j, v in finite:
+                c = wik + v
+                r = row[j]
+                if r is None or c < r:
+                    row[j] = c
+            if i == k:  # a negative d(k,k) lowers row k for the rows after it
+                finite = [(j, v) for j, v in enumerate(wk) if v is not None]
+
+    classes = {}
+    for i, p in enumerate(space.points):
+        classes.setdefault(root[i], []).append(p)
+    # class named by its lexicographically least member
+    named = sorted((min(members), root) for root, members in classes.items())
+    points = tuple(name for name, _root in named)
+    reps = [idx[name] for name, _root in named]
+    value = {v: Fraction(v, lcm) for v in {v for a in reps for v in w[a]} if v is not None}
+    dist = tuple(tuple(value.get(w[a][b], INF) for b in reps) for a in reps)
+    return DMetricSpace(points, dist)
+
+
+def format_by_object_oracle(space):
+    """Canonical text form: points sorted by id, rows in that order."""
+    order = sorted(range(len(space.points)), key=lambda i: space.points[i])
+    points = [space.points[i] for i in order]
+    lines = ["points " + " ".join([str(len(points))] + points)]
+    # products and sums repeat a few entry objects: format each one once,
+    # keyed by id (space.dist keeps every entry alive for the whole call)
+    shown = {}
+    for i in order:
+        row = space.dist[i]
+        cells = []
+        for j in order:
+            key = id(row[j])
+            if key not in shown:
+                shown[key] = format_dist(row[j])
+            cells.append(shown[key])
+        lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 
 

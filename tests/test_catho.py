@@ -1843,3 +1843,14 @@ def test_poset_category_output_does_not_depend_on_the_hash_seed():
     assert out.startswith(
         "not a poset: a and b are equivalent\nrelation mentions unknown element x\n"
     )
+
+
+def test_hom_counts_are_the_sizes_of_the_hom_sets():
+    seen = Counter()
+    for pres, real in _walk_cases():
+        counts = real.hom_counts()
+        assert "homs" not in vars(real)  # counted without gathering a word
+        assert list(counts.items()) == [(xy, len(reps)) for xy, reps in real.homs.items()]
+        seen["subdivided"] += real._chains is not None
+        seen["several"] += any(c > 1 for c in counts.values())
+    assert seen["subdivided"] > 40 and seen["several"] > 100, seen

@@ -970,3 +970,48 @@ def test_no_verb_imports_dataclasses_or_inspect(tmp_path, cmd):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+PUSHOUTS = (("discrete2.pres", "interval.pres", "interval.pres", "glue.morph", "glue.morph"),
+            ("interval.pres", "square.pres", "square.pres", "edge.morph", "edge.morph"))
+
+
+def test_cat_realize_prints_counts_without_building_the_hom_sets(tmp_path, monkeypatch):
+    from dihom import fundcat as fc
+    glued = []
+    for i, files in enumerate(PUSHOUTS):
+        code, out, _ = invoke(["cat", "pushout", *(str(FIXTURES / f) for f in files)])
+        assert code == 0
+        glued.append(tmp_path / f"glued{i}.pres")
+        glued[-1].write_text(out)
+    paths = [FIXTURES / "interval.pres", FIXTURES / "square.pres", *glued]
+    before = [invoke(["cat", "realize", str(p)]) for p in paths]
+
+    def refuse(self):
+        raise AssertionError("cat realize built the hom-sets")
+
+    monkeypatch.setattr(fc.Realization, "homs", property(refuse))
+    assert [invoke(["cat", "realize", str(p)]) for p in paths] == before
+    assert all(code == 0 for code, _, _ in before)
+    assert "hom 1:0 1:1 2\n" in before[2][1]
+
+
+def test_cat_pushout_validates_each_presentation_once(monkeypatch):
+    from dihom import fundcat as fc
+    scans = []
+    scan = fc._presentation_violations
+
+    def counted(pres):
+        scans.append(pres)
+        return scan(pres)
+
+    monkeypatch.setattr(fc, "_presentation_violations", counted)
+    for files in PUSHOUTS:
+        scans.clear()
+        code, _, _ = invoke(["cat", "pushout", *(str(FIXTURES / f) for f in files)])
+        assert code == 0
+        # p0, p1 and p2: one scan each, though p0 is checked by both morphisms
+        assert len(scans) == len({id(p) for p in scans}) == 3
+    scans.clear()
+    assert invoke(["cat", "realize", str(FIXTURES / "square.pres")])[0] == 0
+    assert len(scans) == 1  # parse_presentation's scan, not realize's again

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -9,13 +11,20 @@ from dihom.errors import DomainError, InputSyntaxError, SizeGuardError
 from oracles import (
     discretized_circle_oracle,
     discretized_interval_oracle,
+    disjoint_sum_oracle,
+    format_by_object_oracle,
     is_isometric_backtrack_oracle,
     is_isometric_oracle,
     metric_format_oracle,
     metric_product_oracle,
     metric_quotient_oracle,
     metric_validate_oracle,
+    parse_dist_fraction_oracle,
+    parse_dmetric_fraction_oracle,
+    product_scaled_oracle,
     quotient_distance_oracle,
+    quotient_scaled_oracle,
+    validate_scaled_oracle,
 )
 
 F = Fraction
@@ -409,3 +418,135 @@ def test_format_matches_the_entrywise_reference():
         for space in (dm.product(*spaces), dm.disjoint_sum(*spaces),
                       dm.quotient(spaces[0], pairs), spaces[-1]):
             assert dm.format_dmetric(space) == metric_format_oracle(space.points, space.dist)
+
+
+# tokens the plain-ASCII fast path must leave to Fraction or refuse as it
+# did: leading zeros, zero and bad denominators, signs, underscores,
+# exponents, non-ASCII digits, spelled infinities, and ints past the
+# conversion limit of str -> int
+TOKENS = ("007", "0/5", "3/0", "00/07", "2/4", "+1", "1_0", "1e2", ".5", "-0", "-1/2", "٣",
+          "²", "1/²", "inf", "Infinity", "nan", "1/2/3", "/2", "2/", "x", "0", "12/12",
+          "9" * 5000, "1/" + "9" * 5000, f"1/{10**30}")
+
+
+def _outcome(call, *args):
+    try:
+        return "value", call(*args)
+    except (InputSyntaxError, DomainError, ValueError) as exc:
+        return "error", type(exc).__name__, str(exc)
+
+
+def _same_space(new, old):
+    """The same points and entries, and the same text; the new space's
+    matrix agrees with its entries."""
+    assert new == old
+    assert dm.format_dmetric(new) == format_by_object_oracle(old)
+    lcm, rows = new._matrix
+    assert all(e == dm.INF if v is dm.INF else Fraction(v, lcm) == e
+               for row, drow in zip(rows, new.dist) for v, e in zip(row, drow))
+
+
+def test_tokens_read_as_the_fraction_reader_read_them():
+    for tok in TOKENS:
+        new, old = _outcome(dm.parse_dist, tok), _outcome(parse_dist_fraction_oracle, tok)
+        assert new == old, tok
+        text = f"points 2 a b\n0 {tok}\n{tok} 0\n"
+        new = _outcome(dm.parse_dmetric, text)
+        old = _outcome(parse_dmetric_fraction_oracle, text)
+        assert new[0] == old[0] and (new[0] == "value" or new == old), tok
+        if new[0] == "value":
+            _same_space(new[1], old[1])
+            assert dm.validate(new[1]) == validate_scaled_oracle(old[1])
+    assert type(dm.parse_dist("007")) is int and dm.parse_dist("2/4") == F(1, 2)
+
+
+POOL = ("0", "1", "7", "3/4", "2/4", "007", "0/5", "1e2", ".5", "+1", "inf", "12/12",
+        "5/6", "1/3", f"1/{HUGE}", f"{HUGE}/3")
+
+
+def random_text(rng):
+    """A matrix file over POOL: with a zero diagonal, or not; now and then
+    a bad or negative token, a short row or a repeated id."""
+    n = rng.randint(1, 5)
+    ids = [f"p{i}" for i in rng.sample(range(20), n)]
+    rows = [[rng.choice(POOL) if i != j or rng.random() < 0.2 else "0" for j in range(n)]
+            for i in range(n)]
+    r = rng.random()
+    if r < 0.05:
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(("x", "-1/2", "3/0", "nan"))
+    elif r < 0.08:
+        rows[rng.randrange(n)].pop()
+    elif r < 0.1 and n > 1:
+        ids[1] = ids[0]
+    return "".join([f"points {n} {' '.join(ids)}\n"] + [" ".join(row) + "\n" for row in rows])
+
+
+def parsed(rng):
+    while True:
+        try:
+            return dm.parse_dmetric(random_text(rng))
+        except InputSyntaxError:
+            pass
+
+
+def test_parse_and_every_operation_match_the_scaling_per_operation():
+    rng = random.Random(5150)
+    kinds = {"refused": 0, "valid": 0, "invalid": 0, "mixed": 0}
+    for _ in range(300):
+        text = random_text(rng)
+        new, old = _outcome(dm.parse_dmetric, text), _outcome(parse_dmetric_fraction_oracle, text)
+        if old[0] == "error":
+            kinds["refused"] += 1
+            assert new == old
+            continue
+        x, x_old = new[1], old[1]
+        _same_space(x, x_old)
+        bad = validate_scaled_oracle(x_old)
+        assert dm.validate(x) == bad
+        kinds["invalid" if bad else "valid"] += 1
+        # factors: parsed ones (carrying a matrix) and hand-built ones (none yet)
+        others = [parsed(rng) if rng.random() < 0.5 else random_space(rng, rng.randint(1, 3))
+                  for _ in range(rng.randint(0, 2))]
+        kinds["mixed"] += any(not hasattr(o, "_matrix") for o in others)
+        factors = [x] + others  # and copies without a matrix, holding the same entries
+        copies = [dm.DMetricSpace(f.points, f.dist) for f in factors]
+        for op, ref in ((dm.product, product_scaled_oracle), (dm.disjoint_sum, disjoint_sum_oracle)):
+            got, want = op(*factors), ref(*copies)
+            _same_space(got, want)
+            # each entry is the factor's own object, the earlier one on a tie
+            assert all(a is b for ra, rb in zip(got.dist, want.dist) for a, b in zip(ra, rb))
+        pairs = [tuple(rng.sample(x.points, 2)) if len(x.points) > 1 else (x.points[0],) * 2
+                 for _ in range(rng.randint(0, 3))]
+        _same_space(dm.quotient(x, pairs), quotient_scaled_oracle(copies[0], pairs))
+    assert min(kinds.values()) > 10, kinds
+
+
+def test_operations_read_the_cached_matrix_and_leave_it_unchanged():
+    x = dm.parse_dmetric("points 3 a b c\n0 1/2 3/2\ninf 0 1\ninf 1/3 0\n")
+    matrix = x._matrix
+    kept = (matrix[0], tuple(map(tuple, matrix[1])))
+    assert dm.validate(x) == []
+    for result in (dm.quotient(x, [("a", "c")]), dm.product(x, x, x),
+                   dm.disjoint_sum(x, x), dm.quotient(x, [])):
+        assert hasattr(result, "_matrix")  # every returned space carries its own
+        _same_space(result, dm.DMetricSpace(result.points, result.dist))
+    assert x._matrix is matrix and (matrix[0], tuple(map(tuple, matrix[1]))) == kept
+
+
+def test_the_cached_matrix_is_not_part_of_the_record():
+    x = dm.parse_dmetric("points 2 a b\n0 3/4\ninf 0\n")
+    bare = dm.DMetricSpace(x.points, x.dist)  # the same entries, no matrix yet
+    assert hasattr(x, "_matrix") and not hasattr(bare, "_matrix")
+    assert x == bare and hash(x) == hash(bare) and repr(x) == repr(bare)
+    assert pickle.dumps(x) == pickle.dumps(bare)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert twin == x and not hasattr(twin, "_matrix")
+        assert dm.format_dmetric(twin) == dm.format_dmetric(x)
+
+
+def test_format_refuses_an_entry_it_cannot_scale():
+    # a hand-built NaN, which validate refuses the same way
+    space = dm.make_space("ab", lambda p, q: float("nan") if p != q else 0)
+    for call in (dm.format_dmetric, dm.validate):
+        with pytest.raises(ValueError):
+            call(space)
