@@ -32,6 +32,8 @@ sees every call.
 from __future__ import annotations
 
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -390,7 +392,14 @@ def _cmd_export_dot(args, out):
             highlight = h.classes[args.highlight].representative
         dot_text = dot.complex_dot(complex_, highlight, name=Path(args.input).stem)
     try:
-        Path(args.output).write_text(dot_text, encoding="utf-8")
+        # in place, not truncated to zero first: ext4 (auto_da_alloc) flushes
+        # a file truncated to zero when it is closed; a device such as
+        # /dev/null refuses ftruncate, so only a regular file is cut to length
+        with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8") as f:
+            f.write(dot_text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except OSError as exc:
         raise DomainError(f"cannot write {args.output}: {exc.strerror}") from exc
 

@@ -307,10 +307,13 @@ class _SwapEngine:
     Built from presentation data: objects, generators (id -> (src, tgt))
     and relations; a complex enters with one relation (d2m d1p) = (d1m d2p)
     per square.  Objects are numbered in the given order; ``out`` and
-    ``targets`` list each object's sorted out-generators and their targets,
-    ``pos[g]`` is g's place in its source's list, and ``relations[m][s]``
-    holds, for each length-m relation u = v out of object s, the positions
-    of u + v.
+    ``targets`` hold, per object, a tuple of its sorted out-generators and
+    one of their targets, ``pos[g]`` is g's place in its source's tuple, and
+    ``relations[m][s]`` holds, for each length-m relation u = v out of
+    object s, a tuple of the positions of u + v.  The arrays are tuples
+    whichever way the engine is built (``_compiled`` takes them laid out):
+    the cyclic collector stops tracking a tuple of strings or ints, where
+    it would walk every list of a large engine again on each full pass.
 
     A class of length l+1 is a set of pairs (class p of length l, last
     generator g).  A relation u = v of length m out of s joins, for every
@@ -327,20 +330,20 @@ class _SwapEngine:
 
     def __init__(self, objects, generators, relations):
         index = self.index = {v: i for i, v in enumerate(objects)}
-        out = self.out = [[] for _ in objects]
-        targets = self.targets = [[] for _ in objects]
-        pos = self.pos = {}
+        out, targets, pos = [[] for _ in objects], [[] for _ in objects], {}
         for g, (s, t) in sorted(generators.items()):
             i = index[s]
             pos[g] = len(out[i])
             out[i].append(g)
             targets[i].append(index[t])
-        self.relations = {}
+        by_length = {}
         for u, v in relations:
-            starts = self.relations.get(len(u))
+            starts = by_length.get(len(u))
             if starts is None:
-                starts = self.relations[len(u)] = [[] for _ in objects]
-            starts[index[generators[u[0]][0]]].append([pos[g] for g in u + v])
+                starts = by_length[len(u)] = [[] for _ in objects]
+            starts[index[generators[u[0]][0]]].append(tuple(pos[g] for g in u + v))
+        self.out, self.targets, self.pos = tuple(map(tuple, out)), tuple(map(tuple, targets)), pos
+        self.relations = {m: tuple(map(tuple, starts)) for m, starts in by_length.items()}
         self.depth = max(self.relations, default=1)
 
     @classmethod
@@ -540,9 +543,8 @@ class Realization:
                     found.setdefault(base + ranks[y], []).append(whole(rep))
         return {(names[k // n], names[k % n]): tuple(sorted(found[k])) for k in sorted(found)}
 
-    def hom_counts(self):
-        """The number of classes in each nonempty hom-set, in ``homs``
-        order, counted without building a word."""
+    @cached_property
+    def _counts(self):
         n, names, ranks, blocks = self._hom_blocks()
         found = {}
         for base, layer, lo, hi in blocks:
@@ -552,8 +554,14 @@ class Realization:
                     found[k] = found.get(k, 0) + 1
         return {(names[k // n], names[k % n]): found[k] for k in sorted(found)}
 
+    def hom_counts(self):
+        """The number of classes in each nonempty hom-set, in ``homs``
+        order, counted without building a word (a copy of the kept counts)."""
+        return dict(self._counts)
+
     def hom_count(self, x, y):
-        return len(self.homs.get((x, y), ()))
+        """The number of classes x -> y, read off the kept counts."""
+        return self._counts.get((x, y), 0)
 
     def class_of(self, start, word):
         """Canonical word of the class of ``word`` out of ``start``;

@@ -6,9 +6,11 @@ target).  Scenes compile to pre-cubical sets whose cells are the unit
 vertices/edges/squares of the grid; a cell survives iff its closed carrier
 misses every open box, so hole shorelines stay traversable.  A compiled
 scene is a :class:`~dihom.precubical.PreCubicalSet` subclass, valid by
-construction, that builds its lattice, cell dicts, labels and class engine
-on first use; the class queries read only the engine, and a hom query only
-that of the rectangle between its endpoints (``_SceneComplex._between``).
+construction, that compiles in one build step on first use: the boxes flag
+the blocked cells, and one pass over the lattice in id order lays out the
+kept vertex ids and the class engine's arrays, off which the cell dicts and
+labels are read when asked for.  The class queries read only the engine, and
+a hom query only that of the rectangle between its endpoints.
 
 Data given in the 45-degree "cone" order (both diagonals bound the slope)
 converts to this product order via :func:`cone_to_product_coords`.
@@ -17,7 +19,7 @@ converts to this product order via :func:`cone_to_product_coords`.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import filterfalse, product, starmap
+from itertools import accumulate, compress, product
 
 from .errors import DomainError, InputSyntaxError, Record, SizeGuardError, directives
 from .precubical import PreCubicalSet
@@ -145,41 +147,6 @@ def square_id(x, y):
     return f"s{x}_{y}"
 
 
-def _blocked_cells(scene):
-    """Flags of the vertices, east edges, north edges and squares whose closed
-    carrier meets an open box, one bytearray per kind indexed by
-    ``x * (height + 1) + y`` (the cell at (x, y) has its lower-left corner
-    there).  The places where the grid has no such cell (east edges and
-    squares at x = width, north edges and squares at y = height) are
-    flagged too.  Each box marks its own index ranges, one column slice at
-    a time, so the cost follows the boxes' areas and the memory the grid's."""
-    width, stride = scene.width, scene.height + 1
-    kinds = [bytearray((width + 1) * stride) for _ in range(4)]
-    verts, east, north, squares = kinds
-
-    def mark(flags, xs, ys):
-        lo, hi = max(ys.start, 0), min(ys.stop, stride)
-        if lo >= hi:
-            return
-        for x in range(max(xs.start, 0), min(xs.stop, width + 1)):
-            flags[x * stride + lo:x * stride + hi] = b"\1" * (hi - lo)
-
-    columns, rows = range(width + 1), range(stride)
-    last_column, last_row = range(width, width + 1), range(stride - 1, stride)
-    mark(east, last_column, rows)
-    mark(north, columns, last_row)
-    mark(squares, last_column, rows)
-    mark(squares, columns, last_row)
-    for b in scene.boxes:
-        inner_x, inner_y = range(b.x0 + 1, b.x1), range(b.y0 + 1, b.y1)
-        span_x, span_y = range(b.x0, b.x1), range(b.y0, b.y1)
-        mark(verts, inner_x, inner_y)
-        mark(east, span_x, inner_y)
-        mark(north, inner_x, span_y)
-        mark(squares, span_x, span_y)
-    return kinds
-
-
 def to_precubical(scene):
     """Compile a scene to its pre-cubical set (cells labelled by coordinates).
 
@@ -189,8 +156,7 @@ def to_precubical(scene):
     east-then-north with north-then-east between its extreme corners.
 
     The complex is a :class:`_SceneComplex`.  A scene of more than
-    ``MAX_LATTICE_POINTS`` lattice points raises :class:`SizeGuardError`
-    before anything is built.
+    ``MAX_LATTICE_POINTS`` lattice points raises :class:`SizeGuardError`.
     """
     points = (scene.width + 1) * (scene.height + 1)
     if points > MAX_LATTICE_POINTS:
@@ -200,12 +166,9 @@ def to_precubical(scene):
 
 class _SceneComplex(PreCubicalSet):
     """The complex of a scene, valid by construction (an empty
-    :func:`~dihom.precubical.validate` verdict), that builds nothing when made.
-    Each id string is made once, on first use, in flat lists indexed like
-    :func:`_blocked_cells`; all kinds of ids sort as the vertex ids do (east
-    edges before north edges), so one sort orders every kind.  The edge and
-    square dicts, the labels and the class engine are read off these lists on
-    first use, unchecked; a sub-scene at ``origin`` keeps the scene's ids."""
+    :func:`~dihom.precubical.validate` verdict), that builds nothing when made;
+    its vertices, cell dicts, labels and class engine are read, unchecked and
+    on first use, off one build step.  A sub-scene at ``origin`` keeps ids."""
 
     _violations = ()
 
@@ -236,85 +199,122 @@ class _SceneComplex(PreCubicalSet):
         boxes = tuple(Box(b.x0 - x0, b.y0 - y0, b.x1 - x0, b.y1 - y0) for b in scene.boxes)
         return _SceneComplex(GridScene(w, h, boxes, (0, 0), (w, h)), (ox + x0, oy + y0))
 
-    _blocked = cached_property(lambda k: _blocked_cells(k._scene))
+    @cached_property
+    def _build(self):
+        """The blocked flags, the kept vertex ids and the class engine's arrays.
+
+        A flag marks a vertex, east edge, north edge or square whose closed
+        carrier meets an open box or that the grid lacks, in one bytearray per
+        kind indexed ``x * (height + 1) + y``; a box flags one slice per column.
+        ``v{x}_{y}`` sorts as (``f"{x}_"``, ``str(y)``), so the columns and rows
+        sorted by these keys give the id order of every kind.  The arrays are
+        tuples laid out as in ``dihom.fundcat._SwapEngine``, with vertices
+        numbered in id order: a vertex lists its east edge before its north
+        edge and starts the relation of the square at its corner, if kept."""
+        scene, (ox, oy), stride = self._scene, self._origin, self._stride
+        width = scene.width
+        top, last = b"\0" * (stride - 1) + b"\1", b"\1" * stride  # at y = height, x = width
+        verts, east = bytearray(stride * (width + 1)), bytearray(stride * width) + last
+        north, squares = bytearray(top * (width + 1)), bytearray(top * width) + last
+        for b in scene.boxes:
+            y0, lo, y1 = max(b.y0, 0), max(b.y0 + 1, 0), min(b.y1, stride)
+            if y0 >= y1:
+                continue
+            inner, span = b"\1" * (y1 - lo), b"\1" * (y1 - y0)
+            for x in range(max(b.x0, 0), min(b.x1, width + 1)):
+                c = x * stride
+                east[c + lo:c + y1] = inner
+                squares[c + y0:c + y1] = span
+                if x > b.x0:
+                    verts[c + lo:c + y1] = inner
+                    north[c + y0:c + y1] = span
+        xs = sorted(range(ox, ox + width + 1), key="{}_".format)
+        ys = sorted(range(oy, oy + stride), key=str)
+        # number: a lattice point's place in id order, less the blocked vertices before it
+        place = dict(zip(xs, range(0, len(verts), stride)))  # of a column's first point
+        rank = list(map(dict(zip(ys, range(stride))).__getitem__, range(oy, oy + stride)))
+        number = [place[x] + r for x in range(ox, ox + width + 1) for r in rank]
+        if 1 in verts:
+            shift = bytearray(len(verts))
+            for i in compress(range(len(verts)), verts):
+                shift[number[i]] = 1
+            shift = list(accumulate(shift))
+            number = [n - shift[n] for n in number]
+        vertices, out, targets, pos, starts = [], [], [], {}, []
+        add_vertex, add_out, add_targets, add_start = (
+            vertices.append, out.append, targets.append, starts.append)
+        # (d2m d1p) = (d1m d2p) as positions: east then north, north then east;
+        # the right side's north edge follows its vertex's east edge, if kept
+        square = ((0, 1, 1, 0),), ((0, 0, 1, 0),)
+        rows = [(y - oy, str(y)) for y in ys]
+        for x in xs:
+            c, v, e, n = (x - ox) * stride, f"v{x}_", f"e{x}_", f"n{x}_"
+            for r, y in rows:
+                i = c + r
+                if verts[i]:
+                    continue
+                add_vertex(v + y)
+                if not east[i] and not north[i]:
+                    g, h = e + y, n + y
+                    pos[g], pos[h] = 0, 1
+                    add_out((g, h))
+                    add_targets((number[i + stride], number[i + 1]))
+                elif east[i] and north[i]:
+                    add_out(())
+                    add_targets(())
+                else:  # one of the two
+                    g = n + y if east[i] else e + y
+                    pos[g] = 0
+                    add_out((g,))
+                    add_targets((number[i + 1 if east[i] else i + stride],))
+                add_start(() if squares[i] else square[east[i + stride]])
+        index = dict(zip(vertices, range(len(vertices))))
+        relations = {2: tuple(starts)} if 0 in squares else {}
+        return (verts, east, north, squares), tuple(vertices), (
+            index, tuple(out), tuple(targets), pos, relations)
 
     @cached_property
-    def _lattice(self):
-        (ox, oy), scene = self._origin, self._scene
-        return list(product(range(ox, ox + scene.width + 1), range(oy, oy + scene.height + 1)))
-
-    _vid = cached_property(lambda k: list(starmap(vertex_id, k._lattice)))
-    _eid = cached_property(lambda k: list(starmap(east_edge_id, k._lattice)))
-    _nid = cached_property(lambda k: list(starmap(north_edge_id, k._lattice)))
-    _id_order = cached_property(lambda k: sorted(range(len(k._vid)), key=k._vid.__getitem__))
-    _kept = cached_property(lambda k: list(filterfalse(k._blocked[0].__getitem__, k._id_order)))
-    _vertices = cached_property(lambda k: tuple(map(k._vid.__getitem__, k._kept)))
+    def _vertices(self):
+        return self._build[1]
 
     @cached_property
     def _edges(self):
-        _, blocked_east, blocked_north, _ = self._blocked
-        vid, eid, nid, stride = self._vid, self._eid, self._nid, self._stride
-        order = self._id_order
-        edges = {eid[i]: (vid[i], vid[i + stride]) for i in order if not blocked_east[i]}
-        edges.update((nid[i], (vid[i], vid[i + 1])) for i in order if not blocked_north[i])
-        return edges
+        """East edges, then north edges, each kind in id order."""
+        _, vertices, (_, out, targets, _, _) = self._build
+        east, north = {}, {}
+        for v, gens, ends in zip(vertices, out, targets):
+            for g, t in zip(gens, ends):
+                (east if g[0] == "e" else north)[g] = (v, vertices[t])
+        east.update(north)
+        return east
 
     @cached_property
     def _squares(self):
-        eid, nid, stride, blocked_squares = self._eid, self._nid, self._stride, self._blocked[3]
-        return {
-            square_id(*self._lattice[i]): (nid[i], nid[i + stride], eid[i], eid[i + 1])
-            for i in self._id_order
-            if not blocked_squares[i]
-        }
+        """The square at each vertex that starts a relation: north edges, then east edges."""
+        _, _, (_, out, targets, _, relations) = self._build
+        return {"s" + gens[0][1:]: (gens[1], out[ends[0]][rel[0][1]], gens[0], out[ends[1]][0])
+                for gens, ends, rel in zip(out, targets, relations.get(2, ())) if rel}
 
     @cached_property
     def _labels(self):
-        """The coordinate label of every kept cell, kind by kind, each kind in
-        lattice (x-major) order."""
+        """Every kept cell's coordinate label, kind by kind, each in lattice (x-major) order."""
+        (ox, oy), scene = self._origin, self._scene
+        lattice = list(product(range(ox, ox + scene.width + 1), range(oy, oy + scene.height + 1)))
         labels = {}
-        for (dim, name, template), flags in zip(_CELL_KINDS, self._blocked):
-            for (x, y), flag in zip(self._lattice, flags):
+        for (dim, name, template), flags in zip(_CELL_KINDS, self._build[0]):
+            for (x, y), flag in zip(lattice, flags):
                 if not flag:
                     labels[(dim, name(x, y))] = template.format(x=x, y=y, x1=x + 1, y1=y + 1)
         return labels
 
     @cached_property
     def _engine(self):
-        """The class engine, its arrays read off the lattice indices as
-        ``dihom.fundcat._SwapEngine`` lays them out for the complex, with
-        vertices numbered in ``kept`` (id) order.  A vertex lists its east
-        edge before its north edge, which is id order, and starts the
-        relation of at most one square, the one at its own corner.  The
-        lattice has no directed cycle, so the engine is acyclic unchecked."""
+        """The class engine on the build's arrays, acyclic unchecked, as a lattice is."""
         from .fundcat import _SwapEngine  # export-dot on a scene loads no fundcat
-        _, blocked_east, blocked_north, blocked_squares = self._blocked
-        vid, eid, nid, stride = self._vid, self._eid, self._nid, self._stride
-        number, index = [0] * len(vid), {}  # lattice index, vertex id -> number
-        for n, i in enumerate(self._kept):
-            number[i] = index[vid[i]] = n
-        out, targets, starts, pos = [], [], [], {}
-        for i in self._kept:
-            gens, ends = [], []
-            if not blocked_east[i]:
-                pos[eid[i]] = 0
-                gens.append(eid[i])
-                ends.append(number[i + stride])
-            if not blocked_north[i]:
-                pos[nid[i]] = len(gens)
-                gens.append(nid[i])
-                ends.append(number[i + 1])
-            out.append(gens)
-            targets.append(ends)
-            # (d2m d1p) = (d1m d2p) as positions: east then north, north then
-            # east; the north edge on the right side follows its vertex's east
-            # edge, if that is kept
-            starts.append([] if blocked_squares[i] else [[0, 1 - blocked_east[i + stride], 1, 0]])
-        relations = {2: starts} if 0 in blocked_squares else {}
-        return _SwapEngine._compiled(index, out, targets, pos, relations)
+        return _SwapEngine._compiled(*self._build[2])
 
 
-# dimension, id and label template of each cell kind, in _blocked_cells order
+# dimension, id and label template of each cell kind, in the build's flag order
 _CELL_KINDS = (
     (0, vertex_id, "({x},{y})"),
     (1, east_edge_id, "({x},{y})->({x1},{y})"),

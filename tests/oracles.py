@@ -11,7 +11,8 @@ were so the replacement can be checked against them result for result.
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations, filterfalse, product, starmap
 
 from dihom._kernels import _backtrack
 from dihom.catho import (
@@ -49,6 +50,7 @@ from dihom.fundcat import (
     _walk,
     validate_presentation,
 )
+from dihom.gridscene import _CELL_KINDS, east_edge_id, north_edge_id, square_id, vertex_id
 from dihom.precubical import require_valid
 
 INF = math.inf
@@ -325,10 +327,123 @@ def heights_kahn_oracle(targets):
     return heights if len(free) == len(targets) else None
 
 
+def blocked_cells_oracle(scene):
+    """Flags of the vertices, east edges, north edges and squares whose closed
+    carrier meets an open box, one bytearray per kind indexed by
+    ``x * (height + 1) + y`` (the cell at (x, y) has its lower-left corner
+    there).  The places where the grid has no such cell (east edges and
+    squares at x = width, north edges and squares at y = height) are
+    flagged too.  Each box marks its own index ranges, one column slice at
+    a time.  The library's flags before its one build step, kept as they were."""
+    width, stride = scene.width, scene.height + 1
+    kinds = [bytearray((width + 1) * stride) for _ in range(4)]
+    verts, east, north, squares = kinds
+
+    def mark(flags, xs, ys):
+        lo, hi = max(ys.start, 0), min(ys.stop, stride)
+        if lo >= hi:
+            return
+        for x in range(max(xs.start, 0), min(xs.stop, width + 1)):
+            flags[x * stride + lo:x * stride + hi] = b"\1" * (hi - lo)
+
+    columns, rows = range(width + 1), range(stride)
+    last_column, last_row = range(width, width + 1), range(stride - 1, stride)
+    mark(east, last_column, rows)
+    mark(north, columns, last_row)
+    mark(squares, last_column, rows)
+    mark(squares, columns, last_row)
+    for b in scene.boxes:
+        inner_x, inner_y = range(b.x0 + 1, b.x1), range(b.y0 + 1, b.y1)
+        span_x, span_y = range(b.x0, b.x1), range(b.y0, b.y1)
+        mark(verts, inner_x, inner_y)
+        mark(east, span_x, inner_y)
+        mark(north, inner_x, span_y)
+        mark(squares, span_x, span_y)
+    return kinds
+
+
+class SceneLatticeOracle:
+    """A compiled scene's lattice data as the library read it before its one
+    build step, kept as it was: seven chained cached properties (flags,
+    lattice points, three id lists, the id order by a sort over every vertex
+    id, the kept points), the cells, labels and engine arrays read off them.
+    ``k`` is a compiled scene or a window of one; only its scene and origin
+    are read."""
+
+    def __init__(self, k):
+        self._scene, self._origin, self._stride = k._scene, k._origin, k._stride
+
+    _blocked = cached_property(lambda k: blocked_cells_oracle(k._scene))
+
+    @cached_property
+    def _lattice(self):
+        (ox, oy), scene = self._origin, self._scene
+        return list(product(range(ox, ox + scene.width + 1), range(oy, oy + scene.height + 1)))
+
+    _vid = cached_property(lambda k: list(starmap(vertex_id, k._lattice)))
+    _eid = cached_property(lambda k: list(starmap(east_edge_id, k._lattice)))
+    _nid = cached_property(lambda k: list(starmap(north_edge_id, k._lattice)))
+    _id_order = cached_property(lambda k: sorted(range(len(k._vid)), key=k._vid.__getitem__))
+    _kept = cached_property(lambda k: list(filterfalse(k._blocked[0].__getitem__, k._id_order)))
+    _vertices = cached_property(lambda k: tuple(map(k._vid.__getitem__, k._kept)))
+
+    @cached_property
+    def _edges(self):
+        _, blocked_east, blocked_north, _ = self._blocked
+        vid, eid, nid, stride = self._vid, self._eid, self._nid, self._stride
+        order = self._id_order
+        edges = {eid[i]: (vid[i], vid[i + stride]) for i in order if not blocked_east[i]}
+        edges.update((nid[i], (vid[i], vid[i + 1])) for i in order if not blocked_north[i])
+        return edges
+
+    @cached_property
+    def _squares(self):
+        eid, nid, stride, blocked_squares = self._eid, self._nid, self._stride, self._blocked[3]
+        return {
+            square_id(*self._lattice[i]): (nid[i], nid[i + stride], eid[i], eid[i + 1])
+            for i in self._id_order
+            if not blocked_squares[i]
+        }
+
+    @cached_property
+    def _labels(self):
+        labels = {}
+        for (dim, name, template), flags in zip(_CELL_KINDS, self._blocked):
+            for (x, y), flag in zip(self._lattice, flags):
+                if not flag:
+                    labels[(dim, name(x, y))] = template.format(x=x, y=y, x1=x + 1, y1=y + 1)
+        return labels
+
+    @cached_property
+    def _engine(self):
+        _, blocked_east, blocked_north, blocked_squares = self._blocked
+        vid, eid, nid, stride = self._vid, self._eid, self._nid, self._stride
+        number, index = [0] * len(vid), {}  # lattice index, vertex id -> number
+        for n, i in enumerate(self._kept):
+            number[i] = index[vid[i]] = n
+        out, targets, starts, pos = [], [], [], {}
+        for i in self._kept:
+            gens, ends = [], []
+            if not blocked_east[i]:
+                pos[eid[i]] = 0
+                gens.append(eid[i])
+                ends.append(number[i + stride])
+            if not blocked_north[i]:
+                pos[nid[i]] = len(gens)
+                gens.append(nid[i])
+                ends.append(number[i + 1])
+            out.append(gens)
+            targets.append(ends)
+            starts.append([] if blocked_squares[i] else [[0, 1 - blocked_east[i + stride], 1, 0]])
+        relations = {2: starts} if 0 in blocked_squares else {}
+        return _SwapEngine._compiled(index, out, targets, pos, relations)
+
+
 def scene_heights_oracle(k):
     """The heights of a compiled scene's vertices in id order, by the push
     DP over its lattice that compiled scenes used to hand their engine."""
-    stride, (_, blocked_east, blocked_north, _), kept = k._stride, k._blocked, k._kept
+    lattice = SceneLatticeOracle(k)
+    stride, (_, blocked_east, blocked_north, _), kept = k._stride, lattice._blocked, lattice._kept
     # x-major index order visits the west and south ends of a point's
     # in-edges before the point; the flags block every edge off the grid
     height = [0] * len(blocked_east)

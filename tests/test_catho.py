@@ -1845,6 +1845,25 @@ def test_poset_category_output_does_not_depend_on_the_hash_seed():
     )
 
 
+def test_hom_count_reads_the_kept_counts_without_gathering_words(monkeypatch):
+    # on every pair of objects of the walk cases, hom_count on a fresh
+    # realization whose homs raises is the size of the hom-set in homs
+    cases = [(pres, real.bound, {(x, y): len(real.homs.get((x, y), ()))
+                                 for x, y in product(pres.objects, repeat=2)})
+             for pres, real in _walk_cases()]
+
+    def refuse(real):
+        raise AssertionError("hom_count gathered the words of homs")
+
+    monkeypatch.setattr(fc.Realization, "homs", property(refuse))
+    empty = 0
+    for pres, bound, counts in cases:
+        real = ct.realize_presentation(pres, bound)
+        assert {xy: real.hom_count(*xy) for xy in counts} == counts
+        empty += 0 in counts.values()
+    assert empty > 100, empty
+
+
 def test_hom_counts_are_the_sizes_of_the_hom_sets():
     seen = Counter()
     for pres, real in _walk_cases():

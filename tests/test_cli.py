@@ -1,4 +1,5 @@
 import io
+import os
 import random
 import re
 import shutil
@@ -135,6 +136,39 @@ def test_export_dot_highlights_a_class_between_scene_points(tmp_path):
     assert invoke(argv) == (0, "", "")
     red = re.findall(r'\[label="(\w+)", color=red', target.read_text())
     assert red == ["e1_2", "e2_2", "n1_0", "n1_1"]
+
+
+def test_export_dot_over_a_longer_file_leaves_exactly_the_new_text(tmp_path):
+    target = tmp_path / "out.dot"
+    argv = ["export-dot", str(FIXTURES / "hole.scene"), "-o", str(target)]
+    assert invoke(argv) == (0, "", "")
+    fresh = target.read_bytes()
+    target.write_bytes(b"x" * (3 * len(fresh)))
+    assert invoke(argv) == (0, "", "")
+    assert target.read_bytes() == fresh
+
+
+def test_export_dot_writes_to_a_device():
+    # /dev/null is seekable yet refuses ftruncate
+    assert invoke(["export-dot", str(FIXTURES / "hole.scene"), "-o", "/dev/null"]) == (0, "", "")
+
+
+def test_export_dot_into_a_directory_gives_the_write_error_line(tmp_path):
+    with pytest.raises(OSError) as info:
+        tmp_path.write_text("", encoding="utf-8")
+    code, out, err = invoke(["export-dot", str(FIXTURES / "hole.scene"), "-o", str(tmp_path)])
+    assert (code, out, err) == (1, "", f"error: cannot write {tmp_path}: {info.value.strerror}\n")
+
+
+def test_export_dot_opens_its_file_without_truncating_it(tmp_path, monkeypatch):
+    opened, real_open = [], os.open
+    monkeypatch.setattr(os, "open", lambda path, flags, *a: opened.append(flags) or real_open(
+        path, flags, *a))
+    target = tmp_path / "out.dot"
+    assert invoke(["export-dot", str(FIXTURES / "hole.scene"), "-o", str(target)]) == (0, "", "")
+    assert len(opened) == 1 and opened[0] & os.O_WRONLY and opened[0] & os.O_CREAT
+    assert not opened[0] & os.O_TRUNC
+    assert target.read_text(encoding="utf-8").startswith('digraph "hole" {')
 
 
 def test_hom_unbounded_on_cyclic_exits_one(workdir):
@@ -754,6 +788,7 @@ FUZZ_VERBS = {
     "edge.morph": ["cat", "pushout", "interval.pres", "square.pres", "square.pres",
                    "edge.morph", "edge.morph"],
     "torus.complex": ["monoid", "torus.complex", "--at", "v", "--max-len", "4"],
+    "wide.scene": ["hom", "wide.scene", "--from", "v10_10", "--to", "v12_11", "--reps"],
 }
 # small integers only: a mutation like "grid 6 99999" is slow, not wrong
 FUZZ_TOKENS = ("0", "1", "2", "-1", "x", "*", "a", "b", "=", ";", "1/2", "inf",

@@ -20,7 +20,7 @@ def invoke(argv):
 
 @pytest.mark.parametrize(
     "scene,expected",
-    [("x.scene", 3), ("y.scene", 4), ("hole.scene", 2)],
+    [("x.scene", 3), ("y.scene", 4), ("hole.scene", 2), ("wide.scene", 4)],
 )
 def test_scene_fixture_class_counts(scene, expected):
     assert invoke(["classes", str(FIXTURES / scene)]) == f"classes {expected}\n"

@@ -14,6 +14,7 @@ from oracles import (
     edge_east_ok,
     edge_north_ok,
     enumerate_dipaths_oracle,
+    SceneLatticeOracle,
     hom_classes_sweep_oracle,
     square_ok,
 )
@@ -278,6 +279,85 @@ def test_compiled_engine_matches_the_generic_engine():
         assert compiled.heights == generic.heights
     k = gs.to_precubical(gs.make_scene(2, 2, ENGINE_CASES[3][2], (0, 0), (2, 2)))
     assert fc._engine_of(k).heights[k.vertices.index("v1_1")] == 0
+
+
+def lattice_scene(rng, trial):
+    """A scene up to 24 x 24 (1 x n every fifth), so that ids from x or y = 10
+    on sort apart from their numbers; boxes on the border, past it, touching
+    one another at a side or a corner, or overlapping."""
+    if trial % 5 == 0:
+        w, h = (1, rng.randint(1, 24)) if rng.random() < 0.5 else (rng.randint(1, 24), 1)
+    else:
+        w, h = rng.randint(1, 24), rng.randint(1, 24)
+    boxes = []
+    for _ in range(rng.randint(0, 5)):
+        r = rng.random()
+        if boxes and r < 0.3:  # at a side or a corner of the last box
+            b = boxes[-1]
+            x0, y0 = rng.choice([(b[2], rng.randint(b[1], b[3] - 1)), (rng.randint(b[0], b[2] - 1), b[3]),
+                                 (b[2], b[3])])
+            x0, y0 = min(x0, w - 1), min(y0, h - 1)
+        elif r < 0.5:  # on the border
+            x0, y0 = rng.choice([(0, rng.randint(0, h - 1)), (rng.randint(0, w - 1), 0)])
+        else:
+            x0, y0 = rng.randint(-1, w - 1), rng.randint(-1, h - 1)
+        boxes.append((x0, y0, rng.randint(x0 + 1, w + 1), rng.randint(y0 + 1, h + 1)))
+    return gs.GridScene(w, h, tuple(gs.Box(*b) for b in boxes), (0, 0), (w, h))
+
+
+def assert_build_matches_the_chain(k):
+    old = SceneLatticeOracle(k)
+    new, engine = fc._engine_of(k), old._engine
+    assert new.index == engine.index and list(new.index) == list(engine.index)
+    assert new.out == tuple(map(tuple, engine.out))
+    assert new.targets == tuple(map(tuple, engine.targets))
+    assert new.pos == engine.pos
+    assert new.relations == {m: tuple(tuple(map(tuple, rs)) for rs in starts)
+                             for m, starts in engine.relations.items()}
+    assert type(new.out) is type(new.targets) is tuple
+    assert k.vertices == old._vertices
+    for mine, theirs in ((k.edges, old._edges), (k.squares, old._squares), (k.labels, old._labels)):
+        assert list(mine.items()) == list(theirs.items())
+
+
+def test_one_build_matches_the_chain_of_cached_properties():
+    # whole scenes, their windows, and sub-scenes at origins far from 0, so
+    # that ids where string order and numeric order differ are numbered
+    rng = random.Random(20261027)
+    seen = dict.fromkeys(("thin", "border", "touching", "overlapping", "window",
+                          "window past 10", "box partly outside", "origin past 10"), 0)
+    for trial in range(300):
+        scene = lattice_scene(rng, trial)
+        w, h = scene.width, scene.height
+        boxes = scene.boxes
+        seen["thin"] += min(w, h) == 1
+        seen["border"] += any(b.x0 <= 0 or b.y0 <= 0 or b.x1 >= w or b.y1 >= h for b in boxes)
+        pairs = [(a, b) for a in boxes for b in boxes if a is not b
+                 and a.x0 <= b.x1 and b.x0 <= a.x1 and a.y0 <= b.y1 and b.y0 <= a.y1]
+        seen["overlapping"] += any(a.x0 < b.x1 and b.x0 < a.x1 and a.y0 < b.y1 and b.y0 < a.y1
+                                   for a, b in pairs)
+        seen["touching"] += any(not (a.x0 < b.x1 and b.x0 < a.x1 and a.y0 < b.y1 and b.y0 < a.y1)
+                                for a, b in pairs)
+        k = gs.to_precubical(scene)
+        assert_build_matches_the_chain(k)
+        origin = (rng.randint(0, 120), rng.randint(0, 120))
+        seen["origin past 10"] += min(origin) >= 10
+        assert_build_matches_the_chain(gs._SceneComplex(scene, origin))
+        for low in (10, 0, 0):  # the first from x, y = 10 on where the scene reaches that far
+            x0, y0 = rng.randint(min(low, w), w), rng.randint(min(low, h), h)
+            x1, y1 = rng.randint(x0, w), rng.randint(y0, h)
+            if not (gs.point_allowed(scene, (x0, y0)) and gs.point_allowed(scene, (x1, y1))):
+                continue
+            window = k._between(gs.vertex_id(x0, y0), gs.vertex_id(x1, y1))
+            seen["window"] += window is not k
+            seen["window past 10"] += min(x0, y0) >= 10
+            seen["box partly outside"] += any(  # meets the window, not inside it
+                b.x0 < x1 and b.x1 > x0 and b.y0 < y1 and b.y1 > y0
+                and not (x0 <= b.x0 and b.x1 <= x1 and y0 <= b.y0 and b.y1 <= y1) for b in boxes)
+            assert_build_matches_the_chain(window)
+        assert set(vars(k)) == {"_scene", "_origin", "_stride", "_build", "_engine",
+                                "_vertices", "_edges", "_squares", "_labels"}
+    assert min(seen.values()) >= 30, seen
 
 
 def test_scene_queries_build_no_cell_dicts():
