@@ -10,6 +10,8 @@ from .errors import EnumerationLimitError
 
 
 class _UnionFind:
+    __slots__ = ("parent",)  # the class engine builds one per layer
+
     def __init__(self, n):
         self.parent = list(range(n))
 

@@ -232,16 +232,24 @@ def _require_walkable(complex_, vertices, max_len):
     return engine
 
 
+def _bound(engine, t, max_len):
+    """``max_len``, or if None on a generic engine, the height of object ``t``:
+    no dipath into t is longer (a scene window's top corner is the highest)."""
+    heights = vars(engine).get("heights")  # read by a generic engine's acyclic check
+    return heights[t] if max_len is None and heights else max_len
+
+
 def enumerate_dipaths(complex_, source, target, max_len=None, max_paths=DEFAULT_MAX_PATHS):
     """All dipaths source -> target of length <= max_len, lexicographically.
 
     ``max_len=None`` means unbounded and requires an acyclic complex.  Like
-    :func:`hom_classes` it walks ``complex_._between(source, target)``.
+    :func:`hom_classes` it walks ``complex_._between(source, target)``, and
+    an unbounded walk stops at the target's height.
     """
     engine = _require_walkable(complex_._between(source, target), (source, target), max_len)
     t = engine.index[target]
     out = []
-    for word, at in _walk(engine, engine.index[source], max_len):
+    for word, at in _walk(engine, engine.index[source], _bound(engine, t, max_len)):
         if at == t:
             out.append(DiPath._trusted(complex_, source, tuple(word)))
             if len(out) > max_paths:
@@ -321,6 +329,10 @@ class _SwapEngine:
     (q.v[:-1], v[-1]), where q.w is read off the right action recorded at
     the layers between; substitutions inside the prefix leave the pair
     unchanged, and the congruence is a right congruence, so this is exact.
+    The walk to those pairs is unpacked for the two common lengths: a square
+    (m = 2) takes one hop through the base layer's right action, a gluing
+    g = h of a pushout (m = 1) none; longer relations, which only subdivided
+    presentations have, go through one generic hop loop.
     Pairs are numbered in (rank of p, sorted out-generator) order and each
     class keeps its lowest pair as root: roots are then the lexicographically
     least members, each source's block of a layer comes out sorted by
@@ -412,18 +424,28 @@ class _SwapEngine:
                 # numbers: the class a pair p of one layer steps to starts
                 # the pairs of the next at next.offsets[this.step[p]]
                 base = live[-m]
-                hops = [(w.step, nxt.offsets) for w, nxt in zip(live[-m:-1], live[1 - m:])]
-                for o, s in zip(base.offsets, base.ends):
-                    for uv in starts[s]:
-                        a = o + uv[0]
-                        b = o + uv[m]
-                        i = 1
-                        while i < m:
-                            st, off = hops[i - 1]
-                            a = off[st[a]] + uv[i]
-                            b = off[st[b]] + uv[m + i]
-                            i += 1
-                        union(a, b)
+                if m == 2:  # a square swap: one hop, through the base's step
+                    st = base.step
+                    for o, s in zip(base.offsets, base.ends):
+                        for u0, u1, v0, v1 in starts[s]:
+                            union(offsets[st[o + u0]] + u1, offsets[st[o + v0]] + v1)
+                elif m == 1:  # a gluing g = h: no hop
+                    for o, s in zip(base.offsets, base.ends):
+                        for u0, v0 in starts[s]:
+                            union(o + u0, o + v0)
+                else:
+                    hops = [(w.step, nxt.offsets) for w, nxt in zip(live[-m:-1], live[1 - m:])]
+                    for o, s in zip(base.offsets, base.ends):
+                        for uv in starts[s]:
+                            a = o + uv[0]
+                            b = o + uv[m]
+                            i = 1
+                            while i < m:
+                                st, off = hops[i - 1]
+                                a = off[st[a]] + uv[i]
+                                b = off[st[b]] + uv[m + i]
+                                i += 1
+                            union(a, b)
             # a union-find parent is always a lower pair, already numbered
             # into the class of its root
             parent = uf.parent
@@ -636,15 +658,14 @@ def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_
     """
     engine = _require_walkable(complex_._between(source, target), (source, target), max_len)
     t = engine.index[target]
-    heights = vars(engine).get("heights")  # read by a generic engine's acyclic check
-    bound = heights[t] if max_len is None and heights else max_len
     found = []
-    for layer in engine.layers([source], bound, max_classes):
-        found += [
-            HomClass(rep, size)
-            for v, size, rep in zip(layer.ends, layer.sizes, layer.reps)
-            if v == t
-        ]
+    for layer in engine.layers([source], _bound(engine, t, max_len), max_classes):
+        if t in layer.ends:  # on a scene, only the last layer
+            found += [
+                HomClass(rep, size)
+                for v, size, rep in zip(layer.ends, layer.sizes, layer.reps)
+                if v == t
+            ]
     found.sort(key=lambda c: c.representative)
     return HomClassSet(source, target, max_len, tuple(found))
 
@@ -810,9 +831,9 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
         for layer in engine.layers([x], max_len, max_classes):
             for v in layer.ends:
                 counts[v] += 1
-        for y, n in zip(k.vertices, counts):
-            if n > 1:
-                return OneSimpleResult(False, (x, y), exact)
+        if max(counts) > 1:
+            y = next(y for y, n in zip(k.vertices, counts) if n > 1)
+            return OneSimpleResult(False, (x, y), exact)
     return OneSimpleResult(True, None, exact)
 
 

@@ -295,17 +295,25 @@ class _SceneComplex(PreCubicalSet):
         return {"s" + gens[0][1:]: (gens[1], out[ends[0]][rel[0][1]], gens[0], out[ends[1]][0])
                 for gens, ends, rel in zip(out, targets, relations.get(2, ())) if rel}
 
+    def label(self, dim, cell_id):
+        return self._labels_of(dim).get((dim, cell_id))
+
     @cached_property
     def _labels(self):
-        """Every kept cell's coordinate label, kind by kind, each in lattice (x-major) order."""
-        (ox, oy), scene = self._origin, self._scene
-        lattice = list(product(range(ox, ox + scene.width + 1), range(oy, oy + scene.height + 1)))
-        labels = {}
-        for (dim, name, template), flags in zip(_CELL_KINDS, self._build[0]):
-            for (x, y), flag in zip(lattice, flags):
-                if not flag:
-                    labels[(dim, name(x, y))] = template.format(x=x, y=y, x1=x + 1, y1=y + 1)
-        return labels
+        """Every kept cell's coordinate label, dimension by dimension."""
+        return {**self._labels_of(0), **self._labels_of(1), **self._labels_of(2)}
+
+    def _labels_of(self, dim):
+        """The labels of the kept cells of one dimension, built on its first
+        read and kept: kind by kind, each in lattice (x-major) order."""
+        kept = vars(self).setdefault("_dim_labels", {})
+        if dim not in kept:
+            (ox, oy), scene = self._origin, self._scene
+            lattice = list(product(range(ox, ox + scene.width + 1), range(oy, oy + self._stride)))
+            kept[dim] = {(d, name(x, y)): template.format(x=x, y=y, x1=x + 1, y1=y + 1)
+                         for (d, name, template), flags in zip(_CELL_KINDS, self._build[0])
+                         if d == dim for (x, y), flag in zip(lattice, flags) if not flag}
+        return kept[dim]
 
     @cached_property
     def _engine(self):

@@ -36,13 +36,21 @@ from dihom.catho import (
     retract_endofunctors,
 )
 from dihom.dmetric import DMetricSpace, format_dist
-from dihom.errors import DomainError, EnumerationLimitError, InputSyntaxError, directives
+from dihom.errors import (
+    DomainError,
+    EnumerationLimitError,
+    InputSyntaxError,
+    UnboundedEnumerationError,
+    directives,
+)
 from dihom.fundcat import (
     DEFAULT_MAX_CLASSES,
     DEFAULT_MAX_PATHS,
     DiPath,
     HomClass,
     HomClassSet,
+    OneSimpleResult,
+    _Layer,
     _require_walkable,
     _SwapEngine,
     _engine_of,
@@ -325,6 +333,105 @@ def heights_kahn_oracle(targets):
             if not into[w]:
                 free.append(w)
     return heights if len(free) == len(targets) else None
+
+
+def swap_layers_oracle(engine, sources, max_len, max_classes):
+    """``_SwapEngine.layers`` before it walked length-1 and length-2
+    relations unpacked: every relation goes through one generic hop loop.
+    Collect the layers before reading them: a layer's ``offsets`` and
+    ``step`` are set once the next one is asked for."""
+    if max_len is not None and max_len < 0:
+        raise DomainError(f"length bound {max_len} is negative")
+    out, targets, depth = engine.out, engine.targets, engine.depth
+    relations = engine.relations.items()
+    k = len(sources)
+    blocks = list(range(k + 1)) if k > 1 else None
+    layer = _Layer([engine.index[x] for x in sources], [1] * k, [()] * k, blocks)
+    live = [layer]  # the last ``depth`` layers, oldest first
+    built, counts = 1, [1] * k  # classes built: the most from one source, and per source
+    length = 0
+    while True:
+        yield layer
+        if not layer.ends or (max_len is not None and length >= max_len):
+            return
+        offsets = []
+        n = 0
+        for v in layer.ends:
+            offsets.append(n)
+            n += len(out[v])
+        layer.offsets = offsets
+        uf = _UnionFind(n)
+        union = uf.union
+        for m, starts in relations:
+            if m > len(live):
+                continue
+            base = live[-m]
+            hops = [(w.step, nxt.offsets) for w, nxt in zip(live[-m:-1], live[1 - m:])]
+            for o, s in zip(base.offsets, base.ends):
+                for uv in starts[s]:
+                    a = o + uv[0]
+                    b = o + uv[m]
+                    i = 1
+                    while i < m:
+                        st, off = hops[i - 1]
+                        a = off[st[a]] + uv[i]
+                        b = off[st[b]] + uv[m + i]
+                        i += 1
+                    union(a, b)
+        parent = uf.parent
+        ends, sizes, reps = [], [], []
+        step = [0] * n
+        pair = 0
+        for v, size, rep in zip(layer.ends, layer.sizes, layer.reps):
+            for g, t in zip(out[v], targets[v]):
+                up = parent[pair]
+                if up == pair:
+                    step[pair] = len(ends)
+                    ends.append(t)
+                    sizes.append(size)
+                    reps.append(rep + (g,))
+                else:
+                    cls = step[pair] = step[up]
+                    sizes[cls] += size
+                pair += 1
+        if blocks is None:
+            built += len(ends)
+        else:
+            offsets.append(n)
+            step.append(len(ends))
+            blocks = [step[offsets[c]] for c in blocks]
+            counts = [b + hi - lo for b, lo, hi in zip(counts, blocks, blocks[1:])]
+            built = max(counts)
+        if built > max_classes:
+            counts = counts if blocks else [built]
+            x, built = next((x, b) for x, b in zip(sources, counts) if b > max_classes)
+            raise EnumerationLimitError(f"{built} dipath classes built from {x}, "
+                                        f"more than the cap of {max_classes}")
+        layer.step = step
+        layer = _Layer(ends, sizes, reps, blocks)
+        live.append(layer)
+        if len(live) > depth:
+            del live[0]
+        length += 1
+
+
+def is_one_simple_scan_oracle(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
+    """``fundcat.is_one_simple`` before it looked for a witness only past a
+    count above 1: each source's counts are scanned in vertex order."""
+    k = require_valid(complex_)
+    engine = _engine_of(k)
+    if max_len is None and not engine.acyclic:
+        raise UnboundedEnumerationError("one-simplicity on a cyclic complex needs a length bound")
+    exact = engine.acyclic and max_len is None
+    for x in k.vertices:
+        counts = [0] * len(k.vertices)
+        for layer in engine.layers([x], max_len, max_classes):
+            for v in layer.ends:
+                counts[v] += 1
+        for y, n in zip(k.vertices, counts):
+            if n > 1:
+                return OneSimpleResult(False, (x, y), exact)
+    return OneSimpleResult(True, None, exact)
 
 
 def blocked_cells_oracle(scene):

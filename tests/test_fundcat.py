@@ -22,11 +22,13 @@ from oracles import (
     heights_kahn_oracle,
     hom_classes_sweep_oracle,
     is_length_addition,
+    is_one_simple_scan_oracle,
     monoid_table_oracle,
     path_preorder_walk_oracle,
     reach_oracle,
     scene_heights_oracle,
     scene_path_classes,
+    swap_layers_oracle,
     swap_partition,
 )
 
@@ -648,9 +650,10 @@ def test_unbounded_hom_classes_build_no_class_past_the_target():
 
 
 def test_enumerate_dipaths_matches_the_checked_walk():
-    found = 0
+    found = inner = 0
     for rng, k, bound in random_cases(20261018, 150):
         verts = list(k.vertices)
+        engine = fc._engine_of(k)
         for _ in range(3):
             x, y = rng.choice(verts), rng.choice(verts)
             want = enumerate_dipaths_oracle(k, x, y, bound)
@@ -660,9 +663,26 @@ def test_enumerate_dipaths_matches_the_checked_walk():
             found += len(want)
             if want:
                 fc.enumerate_dipaths(k, x, y, bound, max_paths=len(want))
-                with pytest.raises(EnumerationLimitError):
+                with pytest.raises(EnumerationLimitError,
+                                   match=f"^more than {len(want) - 1} dipaths {x} -> {y}$"):
                     fc.enumerate_dipaths(k, x, y, bound, max_paths=len(want) - 1)
-    assert found > 300
+                # an unbounded walk to a target with out-edges stops at its height
+                inner += bound is None and bool(engine.out[engine.index[y]])
+    assert found > 300 and inner >= 20
+
+
+def test_unbounded_enumerate_dipaths_stops_at_the_target_height(monkeypatch):
+    walk, bounds = fc._walk, []
+
+    def bounded_walk(engine, source, max_len):
+        bounds.append(max_len)
+        return walk(engine, source, max_len)
+
+    monkeypatch.setattr(fc, "_walk", bounded_walk)
+    scene = scene_complex("grid 10 10\nsource 0 0\ntarget 10 10\n")
+    grid = pc.parse_complex(pc.format_complex(scene))
+    assert len(fc.enumerate_dipaths(grid, "v0_0", "v1_1")) == 2
+    assert bounds == [2]  # the whole walk goes on to length 20
 
 
 def test_engine_monoid_table_matches_oracle_partition():
@@ -742,6 +762,110 @@ def test_engine_one_simple_matches_pairwise_oracle():
         assert res.exact == (bound is None)
         verdicts.add(res.one_simple)
     assert verdicts == {True, False}
+
+
+def touching_scene_complex(rng):
+    """A scene up to 6 x 6 with up to 3 boxes, each after the first sharing a
+    side or a corner with the one before, or overlapping it."""
+    w, h = rng.randint(2, 6), rng.randint(2, 6)
+    x0, y0 = rng.randint(0, w - 1), rng.randint(0, h - 1)
+    boxes = [gs.Box(x0, y0, rng.randint(x0 + 1, w), rng.randint(y0 + 1, h))]
+    for _ in range(rng.randint(0, 2)):
+        b = boxes[-1]
+        x0, y0 = rng.choice([(b.x1, b.y0), (b.x0, b.y1), (b.x1, b.y1), (b.x0 + 1, b.y0)])
+        if x0 < w and y0 < h:
+            boxes.append(gs.Box(x0, y0, rng.randint(x0 + 1, w), rng.randint(y0 + 1, h)))
+    return gs.to_precubical(gs.GridScene(w, h, tuple(boxes), (0, 0), (w, h)))
+
+
+def glued(pres):
+    """The pushout of ``pres`` with itself along its identity: both copies'
+    relations, and one length-1 relation 1:g = 2:g per generator g."""
+    ident = ct.PresentationMorphism(pres, pres, {x: x for x in pres.objects},
+                                    {g: (g,) for g in pres.generators})
+    return ct.pushout(pres, pres, pres, ident, ident).presentation
+
+
+def subdivided_engine(rng):
+    """The class engine of a random acyclic presentation cut into pieces
+    (``catho._subdivided``): a chain o0 -> o1 -> ... gives object i height
+    i, so a relation between words o_s -> o_t is t - s pieces long."""
+    n = rng.randint(3, 6)
+    objects = tuple(f"o{i}" for i in range(n))
+    gens = {f"c{i}": (objects[i], objects[i + 1]) for i in range(n - 1)}
+    for i in range(rng.randint(1, 5)):
+        s = rng.randrange(n - 1)
+        gens[f"g{i}"] = (objects[s], objects[rng.randint(s + 1, n - 1)])
+    words, parallel = [((), x) for x in objects], {}  # (src, tgt) -> nonempty words
+    while words:
+        w, at = words.pop()
+        if w:
+            parallel.setdefault((gens[w[0]][0], at), []).append(w)
+        words += [(w + (g,), t) for g, (s, t) in sorted(gens.items()) if s == at]
+    groups = [ws for _, ws in sorted(parallel.items()) if len(ws) > 1]
+    relations = [tuple(rng.sample(rng.choice(groups), 2)) for _ in range(rng.randint(1, 4))]
+    pres = fc.CatPresentation(objects, gens, tuple(relations))
+    return fc._SwapEngine(*ct._subdivided(pres, pres._engine.heights)[1:])
+
+
+def layer_step_cases(seed, count):
+    """(kind, engine, length bound) triples: random complexes (cyclic ones
+    bounded), scenes with touching boxes, pushout-glued presentations and
+    subdivided ones, whose relations are mostly 3 or more generators long."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        kind = ("complex", "scene", "glued", "subdivided")[trial % 4]
+        if kind == "subdivided":
+            engine = subdivided_engine(rng)
+        elif kind == "scene":
+            engine = fc._engine_of(touching_scene_complex(rng))
+        else:
+            k = random_complex(rng, acyclic=rng.random() < 0.5)
+            engine = fc._engine_of(k) if kind == "complex" else glued(fc.presentation_of(k))._engine
+        bound = None if engine.acyclic and rng.random() < 0.6 else rng.randint(0, 5)
+        yield rng, kind, engine, bound
+
+
+def swept(layers):
+    """Every layer's fields, then the cap error's message (None if none)."""
+    got, error = [], None
+    try:
+        for layer in layers:
+            got.append(layer)
+    except EnumerationLimitError as exc:
+        error = str(exc)
+    fields = ("ends", "sizes", "reps", "blocks", "offsets", "step")
+    return [[getattr(layer, f, None) for f in fields] for layer in got], error
+
+
+def test_layer_step_matches_the_generic_walk():
+    seen = Counter()
+    for rng, kind, engine, bound in layer_step_cases(20261020, 240):
+        objects = list(engine.index)
+        for sources in ([rng.choice(objects)], objects, rng.sample(objects, min(2, len(objects)))):
+            for cap in (fc.DEFAULT_MAX_CLASSES, rng.randint(1, 12)):
+                want = swept(swap_layers_oracle(engine, sources, bound, cap))
+                assert swept(engine.layers(sources, bound, cap)) == want, (kind, sources, bound)
+                seen["multi-source"] += len(sources) > 1
+                seen["capped"] += want[1] is not None
+        for m in engine.relations:
+            seen[f"{kind} length {min(m, 3)}"] += 1
+    assert min(seen.values()) >= 20, seen
+    assert {"glued length 1", "subdivided length 3"} <= set(seen), seen
+
+
+def test_one_simple_witness_matches_the_old_scan():
+    witnesses = Counter()
+    for trial in range(150):
+        rng = random.Random(trial)
+        k = (touching_scene_complex(rng) if trial % 3 == 0
+             else random_complex(rng, acyclic=trial % 3 == 1))
+        bound = rng.choice([None, rng.randint(0, 4)])
+        for cap in (fc.DEFAULT_MAX_CLASSES, rng.randint(1, 12)):
+            want = _outcome(is_one_simple_scan_oracle, k, bound, cap)
+            assert _outcome(fc.is_one_simple, k, bound, cap) == want, (k, bound, cap)
+            witnesses[want[0].__name__ if isinstance(want, tuple) else want.one_simple] += 1
+    assert min(witnesses.values()) >= 10, witnesses
 
 
 # sizes the dipath enumeration could not reach

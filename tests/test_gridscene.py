@@ -356,7 +356,7 @@ def test_one_build_matches_the_chain_of_cached_properties():
                 and not (x0 <= b.x0 and b.x1 <= x1 and y0 <= b.y0 and b.y1 <= y1) for b in boxes)
             assert_build_matches_the_chain(window)
         assert set(vars(k)) == {"_scene", "_origin", "_stride", "_build", "_engine",
-                                "_vertices", "_edges", "_squares", "_labels"}
+                                "_vertices", "_edges", "_squares", "_labels", "_dim_labels"}
     assert min(seen.values()) >= 30, seen
 
 
@@ -376,9 +376,12 @@ def test_scene_queries_build_no_cell_dicts():
 def test_scene_labels_are_built_on_first_read():
     k = gs.to_precubical(gs.make_scene(3, 2, [(1, 0, 2, 1)], (0, 0), (3, 2)))
     fc.hom_classes(k, "v0_0", "v3_2")
-    assert "_labels" not in vars(k)
+    assert not {"_labels", "_dim_labels"} & set(vars(k))
+    dot.complex_dot(k)  # reads vertex labels only
+    assert set(vars(k)["_dim_labels"]) == {0} and "_labels" not in vars(k)
     assert k.label(1, "e0_1") == "(0,1)->(1,1)"
-    assert "_labels" in vars(k)
+    assert set(vars(k)["_dim_labels"]) == {0, 1} and "_labels" not in vars(k)
+    assert k.label(2, "s0_1") == "[0,1]x[1,2]" and k.label(3, "s0_1") is None
     assert dict(pc.opposite(k).labels) == dict(k.labels) == eager_labels(3, 2, [(1, 0, 2, 1)])
 
 
