@@ -24,9 +24,10 @@ command function: ``pi0`` on a complex loads ``fundcat`` and ``precubical``
 but not ``catho``, ``dmetric``, ``gridscene`` or ``dot``, and the ``metric``
 verbs load ``dmetric`` and ``_kernels`` alone.  Each invocation is a fresh
 interpreter, and on a small input importing is most of what it waits for.
-Commands call through the module objects (``fundcat.hom_classes``), never
-through names copied out of them, so a wrapper set on a module attribute
-sees every call.
+Commands call through the module objects (``fundcat.hom_class_count``),
+never through names copied out of them, so a wrapper set on a module
+attribute sees every call.  The hom-set verbs build a word only where they
+print one, and no per-class record.
 """
 
 from __future__ import annotations
@@ -46,9 +47,13 @@ class _UsageError(Exception):
     pass
 
 
+_CHUNK = 4096  # class lines joined per write of ``hom --reps``
+
+
 def _read(path):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise InputSyntaxError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -232,18 +237,24 @@ def _cmd_classes(args, out):
     if scene is None:
         raise InputSyntaxError(f"{args.scene}: classes wants a scene file")
     src, dst = _scene_endpoints(scene)
-    h = fundcat.hom_classes(complex_, src, dst, args.max_len)
-    out.write(f"classes {h.count}\n")
+    out.write(f"classes {fundcat.hom_class_count(complex_, src, dst, args.max_len)}\n")
 
 
 def _cmd_hom(args, out):
     from . import fundcat
     complex_, _ = _load_complex_or_scene(args.input)
-    h = fundcat.hom_classes(complex_, args.src, args.dst, args.max_len)
-    if args.reps:
-        out.write(fundcat.format_hom_classes(h))
-    else:
-        out.write(f"classes {h.count}\n")
+    query = (complex_, args.src, args.dst, args.max_len)
+    if not args.reps:
+        out.write(f"classes {fundcat.hom_class_count(*query)}\n")
+        return
+    reps, sizes = fundcat.hom_class_reps(*query)
+    line, head = fundcat.format_hom_class, f"classes {len(reps)}\n"
+    # the head and at most _CHUNK lines per write, so the whole text is
+    # never held at once; up to _CHUNK classes it is one write
+    for lo in range(0, len(reps) or 1, _CHUNK):
+        hi = lo + _CHUNK
+        out.write("".join([head, *map(line, range(lo, hi), reps[lo:hi], sizes[lo:hi])]))
+        head = ""
 
 
 def _cmd_pi0(args, out):
@@ -384,12 +395,7 @@ def _cmd_export_dot(args, out):
         if args.highlight is not None:
             src, dst = _scene_endpoints(scene) if args.src is None else (args.src, args.dst)
             from . import fundcat
-            h = fundcat.hom_classes(complex_, src, dst, args.max_len)
-            if not 0 <= args.highlight < h.count:
-                raise DomainError(
-                    f"class index {args.highlight} out of range ({h.count} classes)"
-                )
-            highlight = h.classes[args.highlight].representative
+            highlight = fundcat.hom_class_rep(complex_, src, dst, args.highlight, args.max_len)
         dot_text = dot.complex_dot(complex_, highlight, name=Path(args.input).stem)
     try:
         # in place, not truncated to zero first: ext4 (auto_da_alloc) flushes

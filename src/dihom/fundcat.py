@@ -13,11 +13,15 @@ word length, so classes are computed one length layer at a time without
 listing dipaths (the discrete form of the trace-space state-space
 reduction).  The engine that does so, ``_SwapEngine``, takes any
 presentation whose relations preserve length; its cost grows with the
-number of classes (and their representatives' lengths), not of words.  A
-``Realization`` reads a presented category's hom-sets off one sweep; only
-this module reads a sweep's layers.  Composites are read off the right
-action by one walk, ``_composites``: the monoid's concatenation table and
-a realization's composition table and ``class_of`` all go through it.
+number of classes, not of words.  Words are built only for the verbs that
+print them: a sweep asked for words builds each class's representative, at
+the cost of its length, while counts (``hom_class_count``,
+``is_one_simple``) and one class's word (``hom_class_rep``) come from
+sweeps that build none.  A ``Realization`` reads a presented category's
+hom-sets off one sweep; only this module reads a sweep's layers.
+Composites are read off the right action by one walk, ``_composites``: the
+monoid's concatenation table and a realization's composition table and
+``class_of`` all go through it.
 
 Unbounded computation is only allowed on acyclic complexes and is refused
 (not silently truncated) otherwise; the class count is capped.
@@ -25,6 +29,7 @@ Unbounded computation is only allowed on acyclic complexes and is refused
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from itertools import compress
 
@@ -293,13 +298,14 @@ class _Layer:
     """The classes of all words of one length out of the sources.
 
     Class ``c`` ends at object number ``ends[c]``, has ``sizes[c]`` member
-    words and lexicographically least member ``reps[c]``; source i's
-    classes are ``blocks[i]`` to ``blocks[i + 1]`` - 1 in rep order (None
-    for one source), as relations never join pairs of two sources.  Once
-    the next layer is built, pair (c, j-th out-generator of its end) is
-    ``offsets[c] + j`` and ``step[pair]`` is the class of ``reps[c] +
-    (generator,)`` there: the right action.  Outside the engine only
-    ``_composites`` reads ``step``.
+    words and lexicographically least member ``reps[c]`` (``sizes`` and
+    ``reps`` are None in a sweep without words); source i's classes are
+    ``blocks[i]`` to ``blocks[i + 1]`` - 1 in rep order (None for one
+    source), as relations never join pairs of two sources.  Once the next
+    layer is built, pair (c, j-th out-generator of its end) is ``offsets[c]
+    + j`` and ``step[pair]`` is the class of ``reps[c] + (generator,)``
+    there: the right action.  Outside the engine ``_composites`` walks
+    ``step`` forward and ``hom_class_rep`` walks it back.
     """
 
     __slots__ = ("ends", "sizes", "reps", "blocks", "offsets", "step")
@@ -392,16 +398,18 @@ class _SwapEngine:
         """Whether the generator graph has no cycle (self-loops count)."""
         return self.heights is not None
 
-    def layers(self, sources, max_len, max_classes):
+    def layers(self, sources, max_len, max_classes, words=True):
         """Yield the _Layer of each length 0, 1, ... up to ``max_len``, or
-        until a layer is empty; only the last max(m) layers are kept here."""
+        until a layer is empty; only the last max(m) layers are kept here.
+        ``words=False`` counts: its layers carry no ``sizes`` or ``reps``."""
         if max_len is not None and max_len < 0:
             raise DomainError(f"length bound {max_len} is negative")
         out, targets, depth = self.out, self.targets, self.depth
         relations = self.relations.items()
         k = len(sources)
         blocks = list(range(k + 1)) if k > 1 else None
-        layer = _Layer([self.index[x] for x in sources], [1] * k, [()] * k, blocks)
+        sizes, reps = ([1] * k, [()] * k) if words else (None, None)
+        layer = _Layer([self.index[x] for x in sources], sizes, reps, blocks)
         live = [layer]  # the last ``depth`` layers, oldest first
         built, counts = 1, [1] * k  # classes built: the most from one source, and per source
         length = 0
@@ -449,21 +457,32 @@ class _SwapEngine:
             # a union-find parent is always a lower pair, already numbered
             # into the class of its root
             parent = uf.parent
-            ends, sizes, reps = [], [], []
-            step = [0] * n
+            ends, step = [], [0] * n
+            sizes, reps = ([], []) if words else (None, None)
             pair = 0
-            for v, size, rep in zip(layer.ends, layer.sizes, layer.reps):
-                for g, t in zip(out[v], targets[v]):
-                    up = parent[pair]
-                    if up == pair:
-                        step[pair] = len(ends)
-                        ends.append(t)
-                        sizes.append(size)
-                        reps.append(rep + (g,))
-                    else:
-                        cls = step[pair] = step[up]
-                        sizes[cls] += size
-                    pair += 1
+            if words:
+                for v, size, rep in zip(layer.ends, layer.sizes, layer.reps):
+                    for g, t in zip(out[v], targets[v]):
+                        up = parent[pair]
+                        if up == pair:
+                            step[pair] = len(ends)
+                            ends.append(t)
+                            sizes.append(size)
+                            reps.append(rep + (g,))
+                        else:
+                            cls = step[pair] = step[up]
+                            sizes[cls] += size
+                        pair += 1
+            else:
+                for v in layer.ends:
+                    for t in targets[v]:
+                        up = parent[pair]
+                        if up == pair:
+                            step[pair] = len(ends)
+                            ends.append(t)
+                        else:
+                            step[pair] = step[up]
+                        pair += 1
             if blocks is None:
                 built += len(ends)
             else:  # a block's lowest pair is a root: it starts the next block
@@ -656,18 +675,67 @@ def hom_classes(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_
     target's height: at most ``max_classes`` classes of words out of
     ``source`` (ending anywhere) are built there before EnumerationLimitError.
     """
+    reps, sizes = hom_class_reps(complex_, source, target, max_len, max_classes)
+    return HomClassSet(source, target, max_len, tuple(map(HomClass, reps, sizes)))
+
+
+def _hom_sweep(complex_, source, target, max_len, max_classes, words):
+    """The engine, the target's number and the layers of the sweep that
+    ``hom_classes`` runs."""
     engine = _require_walkable(complex_._between(source, target), (source, target), max_len)
     t = engine.index[target]
-    found = []
-    for layer in engine.layers([source], _bound(engine, t, max_len), max_classes):
-        if t in layer.ends:  # on a scene, only the last layer
-            found += [
-                HomClass(rep, size)
-                for v, size, rep in zip(layer.ends, layer.sizes, layer.reps)
-                if v == t
-            ]
-    found.sort(key=lambda c: c.representative)
-    return HomClassSet(source, target, max_len, tuple(found))
+    return engine, t, engine.layers([source], _bound(engine, t, max_len), max_classes, words)
+
+
+def hom_class_reps(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
+    """``(reps, sizes)``: the representatives and sizes of ``hom_classes``,
+    as two lists, with no record built.  A layer lists its classes in
+    representative order, so they are sorted only when more than one length
+    reaches the target (never on a scene)."""
+    _, t, layers = _hom_sweep(complex_, source, target, max_len, max_classes, True)
+    reps, sizes, reached = [], [], 0
+    for layer in layers:
+        if t in layer.ends:
+            reached += 1
+            for v, size, rep in zip(layer.ends, layer.sizes, layer.reps):
+                if v == t:
+                    reps.append(rep)
+                    sizes.append(size)
+    if reached > 1:  # reps are distinct, so pairs sort by rep
+        reps, sizes = map(list, zip(*sorted(zip(reps, sizes))))
+    return reps, sizes
+
+
+def hom_class_count(complex_, source, target, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
+    """``hom_classes(...).count``, from a sweep that builds no word."""
+    _, t, layers = _hom_sweep(complex_, source, target, max_len, max_classes, False)
+    return sum(layer.ends.count(t) for layer in layers)
+
+
+def hom_class_rep(complex_, source, target, index, max_len=None,
+                  max_classes=DEFAULT_MAX_CLASSES):
+    """``hom_classes(...).classes[index].representative``, DomainError if
+    there is no such class.  A sweep that builds no word finds the class,
+    then its word is read back through the layers: a class's lowest pair is
+    the first in ``step`` to reach it, and names its prefix class and last
+    generator.  Only where more than one length reaches the target are the
+    words built (``hom_class_reps``)."""
+    engine, t, layers = _hom_sweep(complex_, source, target, max_len, max_classes, False)
+    layers = list(layers)
+    reached = [length for length, layer in enumerate(layers) if t in layer.ends]
+    count = sum(layers[length].ends.count(t) for length in reached)
+    if not 0 <= index < count:
+        raise DomainError(f"class index {index} out of range ({count} classes)")
+    if len(reached) > 1:
+        return hom_class_reps(complex_, source, target, max_len, max_classes)[0][index]
+    [length] = reached
+    cls = [c for c, v in enumerate(layers[length].ends) if v == t][index]
+    out, word = engine.out, []
+    for layer in reversed(layers[:length]):
+        pair = layer.step.index(cls)
+        cls = bisect_right(layer.offsets, pair) - 1
+        word.append(out[layer.ends[cls]][pair - layer.offsets[cls]])
+    return tuple(reversed(word))
 
 
 def fundamental_monoid_classes(complex_, point, max_len, max_classes=DEFAULT_MAX_CLASSES):
@@ -828,7 +896,7 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
     exact = engine.acyclic and max_len is None
     for x in k.vertices:
         counts = [0] * len(k.vertices)
-        for layer in engine.layers([x], max_len, max_classes):
+        for layer in engine.layers([x], max_len, max_classes, words=False):
             for v in layer.ends:
                 counts[v] += 1
         if max(counts) > 1:
@@ -839,11 +907,14 @@ def is_one_simple(complex_, max_len=None, max_classes=DEFAULT_MAX_CLASSES):
 
 def format_hom_classes(homset):
     """Text report: ``classes <n>`` then ``class <k> size <m> rep <edge ids>``."""
-    lines = [f"classes {homset.count}"]
-    for i, c in enumerate(homset.classes):
-        rep = " ".join(c.representative)
-        lines.append(f"class {i} size {c.size} rep {rep}".rstrip())
-    return "\n".join(lines) + "\n"
+    classes = homset.classes
+    return f"classes {len(classes)}\n" + "".join(
+        format_hom_class(i, c.representative, c.size) for i, c in enumerate(classes))
+
+
+def format_hom_class(index, rep, size):
+    """One class line of ``format_hom_classes``, newline included."""
+    return f"class {index} size {size} rep {' '.join(rep)}".rstrip() + "\n"
 
 
 def format_preorder(complex_):

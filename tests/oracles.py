@@ -51,6 +51,7 @@ from dihom.fundcat import (
     HomClassSet,
     OneSimpleResult,
     _Layer,
+    _bound,
     _require_walkable,
     _SwapEngine,
     _engine_of,
@@ -216,6 +217,35 @@ def hom_classes_sweep_oracle(complex_, source, target, max_len=None,
         ]
     found.sort(key=lambda c: c.representative)
     return HomClassSet(source, target, max_len, tuple(found))
+
+
+def hom_classes_record_oracle(complex_, source, target, max_len=None,
+                              max_classes=DEFAULT_MAX_CLASSES):
+    """``fundcat.hom_classes`` before it wrapped the word collector: one
+    ``HomClass`` per class as the sweep meets it, then a sort of them all by
+    representative, whatever the lengths that reach the target."""
+    engine = _require_walkable(complex_._between(source, target), (source, target), max_len)
+    t = engine.index[target]
+    found = []
+    for layer in engine.layers([source], _bound(engine, t, max_len), max_classes):
+        if t in layer.ends:
+            found += [
+                HomClass(rep, size)
+                for v, size, rep in zip(layer.ends, layer.sizes, layer.reps)
+                if v == t
+            ]
+    found.sort(key=lambda c: c.representative)
+    return HomClassSet(source, target, max_len, tuple(found))
+
+
+def format_hom_classes_oracle(homset):
+    """``fundcat.format_hom_classes`` before its lines came from the one
+    class-line formatter: every line in a list, joined once."""
+    lines = [f"classes {homset.count}"]
+    for i, c in enumerate(homset.classes):
+        rep = " ".join(c.representative)
+        lines.append(f"class {i} size {c.size} rep {rep}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def monoid_table_oracle(complex_, point, max_len):

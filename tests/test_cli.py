@@ -1,10 +1,12 @@
 import io
+import itertools
 import os
 import random
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,13 @@ import dihom
 from dihom import catho as ct
 from dihom import cli
 from dihom import dmetric as dm
+from dihom import dot
 from dihom import gridscene as gs
 from dihom import precubical as pc
 from dihom.cli import _sniff, run
 from dihom.errors import InputSyntaxError
+from oracles import format_hom_classes_oracle, hom_classes_record_oracle
+from test_fundcat import random_cases
 
 X_SCENE = "grid 6 6\nbox 1 1 4 2\nbox 1 4 4 5\nsource 0 0\ntarget 6 6\n"
 HOLE_SCENE = "grid 3 3\nbox 1 1 2 2\nsource 0 0\ntarget 3 3\n"
@@ -430,7 +435,12 @@ def test_unknown_flag_exits_two(workdir):
 def test_missing_file_exits_two():
     code, _, err = invoke(["classes", "/nonexistent/path.scene"])
     assert code == 2
-    assert err.startswith("error: ")
+    assert err == "error: cannot read /nonexistent/path.scene: No such file or directory\n"
+
+
+def test_a_directory_for_a_file_exits_two(tmp_path):
+    assert invoke(["pi0", str(tmp_path)]) == (2, "", f"error: cannot read {tmp_path}: "
+                                                     "Is a directory\n")
 
 
 def test_syntax_error_exits_two(workdir, tmp_path):
@@ -1050,3 +1060,116 @@ def test_cat_pushout_validates_each_presentation_once(monkeypatch):
     scans.clear()
     assert invoke(["cat", "realize", str(FIXTURES / "square.pres")])[0] == 0
     assert len(scans) == 1  # parse_presentation's scan, not realize's again
+
+
+def _wedge(tmp_path):
+    """Two loops at one vertex: 2**l classes of length l, so ``hom * * --max-len
+    12`` reaches the target at 13 lengths with 8191 classes."""
+    path = tmp_path / "wedge.complex"
+    path.write_text("vertex *\nedge a * *\nedge b * *\n")
+    return path
+
+
+def test_hom_reps_text_matches_the_record_report(tmp_path):
+    # random complexes and scenes written out, the wedge past one write's
+    # worth of lines, and an empty hom-set
+    from dihom import fundcat as fc
+    wedge = _wedge(tmp_path)
+    queries = [(pc.parse_complex(wedge.read_text()), wedge, "*", "*", 12)]
+    for trial, (rng, k, bound) in enumerate(random_cases(20261029, 60)):
+        path = tmp_path / f"k{trial}.complex"
+        path.write_text(pc.format_complex(k))
+        queries += [(k, path, rng.choice(k.vertices), rng.choice(k.vertices), bound)
+                    for _ in range(2)]
+    lines = Counter()
+    for k, path, x, y, bound in queries:
+        argv = ["hom", str(path), "--from", x, "--to", y, "--reps"]
+        argv += [] if bound is None else ["--max-len", str(bound)]
+        want = format_hom_classes_oracle(hom_classes_record_oracle(k, x, y, bound))
+        assert fc.format_hom_classes(fc.hom_classes(k, x, y, bound)) == want
+        assert invoke(argv) == (0, want, ""), argv
+        lines[min(want.count("\n") - 1, 2)] += 1
+    assert lines[0] and lines[1] and lines[2] > 20, lines
+    count = ["hom", str(wedge), "--from", "*", "--to", "*", "--max-len", "12"]
+    assert invoke(count) == (0, "classes 8191\n", "")
+
+
+@pytest.mark.parametrize("name,argv,count", [
+    ("hole.scene", [], 2),
+    ("o1.complex", ["--from", "0", "--to", "1"], 2),
+    ("circle.complex", ["--from", "*", "--to", "*", "--max-len", "3"], 4),
+    ("o1.complex", ["--from", "1", "--to", "0"], 0),
+], ids=["scene", "complex", "several-lengths", "empty"])
+def test_highlight_out_of_range_names_the_index_and_the_count(tmp_path, name, argv, count):
+    for index in (count, -1, count + 5):
+        code, out, err = invoke(["export-dot", str(FIXTURES / name), "-o", str(tmp_path / "x.dot"),
+                                 "--highlight", str(index), *argv])
+        assert (code, out, err) == (1, "", f"error: class index {index} out of range "
+                                           f"({count} classes)\n")
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_highlight_on_several_lengths_picks_the_sorted_class(tmp_path):
+    # the wedge's classes * -> * up to length 3, in word order: (), a, aa, aaa, aab, ab, ...
+    words = sorted(w for n in range(4) for w in itertools.product("ab", repeat=n))
+    wedge = _wedge(tmp_path)
+    k = pc.parse_complex(wedge.read_text())
+    for index in (0, 1, 4, 8, 14):
+        target = tmp_path / f"w{index}.dot"
+        argv = ["export-dot", str(wedge), "-o", str(target), "--highlight", str(index),
+                "--from", "*", "--to", "*", "--max-len", "3"]
+        assert invoke(argv) == (0, "", "")
+        assert target.read_text() == dot.complex_dot(k, words[index], name="wedge")
+
+
+HOM_QUERIES = (["classes", "x.scene"], ["classes", "hole.scene", "--max-len", "6"],
+               ["hom", "hole.scene", "--from", "v0_0", "--to", "v3_3"],
+               ["hom", "circle.complex", "--from", "*", "--to", "*", "--max-len", "5"],
+               ["hom", "wide.scene", "--from", "v0_0", "--to", "v12_11", "--reps"],
+               ["hom", "o1.complex", "--from", "0", "--to", "1", "--reps"],
+               ["export-dot", "x.scene", "-o", "{out}", "--highlight", "2"],
+               ["export-dot", "hole.scene", "-o", "{out}", "--highlight", "1",
+                "--from", "v0_0", "--to", "v3_2"],
+               ["one-simple", "y.scene"], ["one-simple", "hole.scene"])
+
+
+def _hom_query(argv, tmp_path):
+    out = tmp_path / "out.dot"
+    return [str(FIXTURES / a) if (FIXTURES / a).is_file() else a.format(out=out) for a in argv]
+
+
+def test_hom_verbs_build_no_hom_class_record(tmp_path, monkeypatch):
+    from dihom import fundcat as fc
+    before = [invoke(_hom_query(argv, tmp_path)) for argv in HOM_QUERIES]
+
+    def refuse(self, *args):
+        raise AssertionError("a hom verb built a record")
+
+    for record in (fc.HomClass, fc.HomClassSet):
+        monkeypatch.setattr(record, "__init__", refuse)
+    assert [invoke(_hom_query(argv, tmp_path)) for argv in HOM_QUERIES] == before
+    assert all(code == 0 for code, _, _ in before)
+
+
+def test_count_verbs_sweep_without_words(tmp_path, monkeypatch):
+    # every sweep of classes, hom, one-simple and a single-length highlight
+    # carries no reps; hom --reps carries them
+    from dihom import fundcat as fc
+    layers, sweeps = fc._SwapEngine.layers, []
+
+    def watched(self, *args, **kwargs):
+        sweeps.append([])
+        for layer in layers(self, *args, **kwargs):
+            sweeps[-1].append(layer.reps)
+            yield layer
+
+    monkeypatch.setattr(fc._SwapEngine, "layers", watched)
+    for argv in HOM_QUERIES:
+        sweeps.clear()
+        assert invoke(_hom_query(argv, tmp_path))[0] == 0
+        reps = [r for sweep in sweeps for r in sweep]
+        assert reps, argv
+        if "--reps" in argv:
+            assert None not in reps, argv
+        else:
+            assert reps == [None] * len(reps), argv

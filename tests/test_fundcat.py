@@ -20,6 +20,7 @@ from oracles import (
     format_preorder_oracle,
     has_no_cycle_oracle,
     heights_kahn_oracle,
+    hom_classes_record_oracle,
     hom_classes_sweep_oracle,
     is_length_addition,
     is_one_simple_scan_oracle,
@@ -852,6 +853,76 @@ def test_layer_step_matches_the_generic_walk():
             seen[f"{kind} length {min(m, 3)}"] += 1
     assert min(seen.values()) >= 20, seen
     assert {"glued length 1", "subdivided length 3"} <= set(seen), seen
+
+
+def test_count_only_layers_match_the_word_layers():
+    # the same ends, blocks, offsets, step and cap errors, with neither
+    # sizes nor reps: random complexes (cyclic ones bounded), scenes, glued
+    # and subdivided presentations, from one, two and all objects
+    cases = [(kind, engine, bound) for _, kind, engine, bound in layer_step_cases(20261029, 160)]
+    cases += [("random", fc._engine_of(k), bound) for _, k, bound in random_cases(777, 80)]
+    rng = random.Random(20261029)
+    seen = Counter()
+    for kind, engine, bound in cases:
+        objects = list(engine.index)
+        for sources in ([rng.choice(objects)], objects, rng.sample(objects, min(2, len(objects)))):
+            for cap in (fc.DEFAULT_MAX_CLASSES, rng.randint(1, 12)):
+                words, error = swept(engine.layers(sources, bound, cap))
+                counted = swept(engine.layers(sources, bound, cap, words=False))
+                blank = [[ends, None, None, *rest] for ends, _, _, *rest in words]
+                assert counted == (blank, error), (kind, sources, bound, cap)
+                seen[kind] += 1
+                seen["multi-source"] += len(sources) > 1
+                seen["capped"] += error is not None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_hom_class_count_and_rep_match_the_record_sweep():
+    # k in {0, middle, last, count}: the count is out of range, as is every
+    # index of an empty hom-set; a bounded sweep may reach the target at
+    # several lengths, where the rep comes from the word collector
+    multi = ranged = 0
+    for rng, k, bound in random_cases(777, 400):
+        for _ in range(3):
+            x, y = rng.choice(k.vertices), rng.choice(k.vertices)
+            cap = rng.choice([fc.DEFAULT_MAX_CLASSES, rng.randint(1, 12)])
+            want = _outcome(hom_classes_record_oracle, k, x, y, bound, cap)
+            assert _outcome(fc.hom_classes, k, x, y, bound, cap) == want
+            count = want.count if isinstance(want, fc.HomClassSet) else want
+            assert _outcome(fc.hom_class_count, k, x, y, bound, cap) == count
+            if not isinstance(want, fc.HomClassSet):
+                continue
+            multi += len({len(c.representative) for c in want.classes}) > 1
+            for i in sorted({0, count // 2, count - 1, count}):
+                got = _outcome(fc.hom_class_rep, k, x, y, i, bound, cap)
+                if 0 <= i < count:
+                    assert got == want.classes[i].representative, (k, x, y, bound, i)
+                else:
+                    ranged += 1
+                    assert got == (DomainError, f"class index {i} out of range ({count} classes)")
+    assert multi > 100 and ranged > 100, (multi, ranged)
+
+
+def test_hom_class_reps_sort_only_where_several_lengths_reach_the_target(monkeypatch):
+    # a 5 x 5 scene with one free square: one length reaches the target, and
+    # the layer's order is the sorted order; the wedge's loops at 0 to 3
+    # generators come from four layers
+    cells = [(x, y) for x in range(5) for y in range(5) if (x, y) != (2, 2)]
+    boxes = "".join(f"box {x} {y} {x + 1} {y + 1}\n" for x, y in cells)
+    k = scene_complex(f"grid 5 5\n{boxes}source 0 0\ntarget 5 5\n")
+    wedge = pc.model("wedge_circles(2)")
+    sorts = []
+    monkeypatch.setattr(fc, "sorted", lambda *a, **kw: sorts.append(1) or sorted(*a, **kw),
+                        raising=False)
+    for k, x, y, bound, sorted_ in ((k, "v0_0", "v5_5", None, 0), (wedge, "*", "*", 3, 1)):
+        want = hom_classes_record_oracle(k, x, y, bound)  # builds the engine, which sorts
+        sorts.clear()
+        reps, sizes = fc.hom_class_reps(k, x, y, bound)
+        assert len(sorts) == sorted_
+        assert [(c.representative, c.size) for c in want.classes] == list(zip(reps, sizes))
+        assert len(reps) == fc.hom_class_count(k, x, y, bound) > 10
+        for i in (0, 7, len(reps) - 1):
+            assert fc.hom_class_rep(k, x, y, i, bound) == reps[i]
 
 
 def test_one_simple_witness_matches_the_old_scan():
