@@ -488,15 +488,25 @@ def all_functors(c, d, max_objects=MAX_OBJECTS, max_arrows=MAX_ARROWS,
 
 def _functor_search(c, d, obj_preset, arr_preset, images):
     """Yield every functor c -> d that extends the given object and arrow
-    images: the other objects range over ``images`` (outer loop, in product
-    order, see :func:`_object_maps`), the other non-identity arrows over the
-    matching hom-sets of d (depth-first, in sorted arrow order), pruned by
-    the composition table.
-    """
+    images, in one depth-first run: the other objects over ``images``, then
+    the non-identity arrows in sorted order over the matching hom-sets of d.
+    An object map is cut once an arrow between mapped objects has nowhere
+    to go, an arrow map once a composition-table entry fails."""
+    free = [x for x in c.objects if x not in obj_preset]
+    m, depth = len(free), {x: k for k, x in enumerate(free)}
     arrows = sorted(c.non_identity_arrows())
-    n = len(arrows)
+    # the free arrows whose hom-set is checked once their later free
+    # endpoint is mapped (-1: both endpoints preset)
+    links = [[] for _ in range(m + 1)]
+    for a in arrows:
+        if a not in arr_preset:
+            s, t = c.arrows[a]
+            links[max(depth.get(s, -1), depth.get(t, -1))].append((s, t))
+    linked, omap = set(d.arrows.values()), dict(obj_preset)
+    if not all((omap[s], omap[t]) in linked for s, t in links[-1]):
+        return
     # the depth at which each arrow's image is set: identities and presets
-    # are set from the start
+    # are set with the last object
     level = dict.fromkeys([*c.identity.values(), *arr_preset], -1)
     level.update((a, k) for k, a in enumerate(arrows) if a not in arr_preset)
     # the composition-table entries to check once arrows[k] is mapped: those
@@ -506,58 +516,39 @@ def _functor_search(c, d, obj_preset, arr_preset, images):
         for a in {u, v, w}:
             entries.setdefault(a, []).append((u, v, w))
     checks = [
-        [e for e in entries.get(a, ()) if all(level.get(m, n) <= k for m in e)]
+        [e for e in entries.get(a, ()) if all(level.get(x, len(arrows)) <= k for x in e)]
         for k, a in enumerate(arrows)
     ]
-    table = d.table
-    for omap in _object_maps(c, d, obj_preset, arr_preset, images):
-        amap = {c.identity[x]: d.identity[omap[x]] for x in c.objects}
+    options = [images] * m + [(arr_preset[a],) if a in arr_preset else () for a in arrows]
+    ends = [(k, *c.arrows[a]) for k, a in enumerate(arrows, m) if a not in arr_preset]
+    amap, table = {}, d.table
+
+    def place():  # all objects mapped: the identities, presets and arrow options follow
+        amap.update({c.identity[x]: d.identity[omap[x]] for x in c.objects})
         amap.update(arr_preset)
-        options = []
-        for a in arrows:
-            s, t = c.arrows[a]
-            options.append((arr_preset[a],) if a in arr_preset else d.hom(omap[s], omap[t]))
+        for k, s, t in ends:
+            options[k] = d.hom(omap[s], omap[t])
 
-        def composes(k, chosen):
-            # amap keeps deeper arrows' stale images; checks[k] never reads them
-            amap[arrows[k]] = chosen[k]
-            for u, v, w in checks[k]:
-                if table.get((amap[u], amap[v])) != amap[w]:
+    def fits(k, chosen):
+        if k < m:
+            omap[free[k]] = chosen[k]
+            for s, t in links[k]:
+                if (omap[s], omap[t]) not in linked:
                     return False
+            if k == m - 1:
+                place()
             return True
+        i = k - m  # amap keeps deeper arrows' stale images; checks[i] never reads them
+        amap[arrows[i]] = chosen[k]
+        for u, v, w in checks[i]:
+            if table.get((amap[u], amap[v])) != amap[w]:
+                return False
+        return True
 
-        for _ in _backtrack(options, composes):
-            yield FunctorMap(c, d, omap, amap)
-
-
-def _object_maps(c, d, obj_preset, arr_preset, images):
-    """Yield, in ``itertools.product(images)`` order over the objects of c
-    not in ``obj_preset``, every object map under which each non-identity
-    arrow not in ``arr_preset`` has a nonempty hom-set to map into.
-
-    The free objects are assigned depth-first; a prefix is cut as soon as
-    an arrow with both endpoints mapped has nowhere to go, since no functor
-    extends it.  The one dict yielded is updated in place between yields.
-    """
-    free = [x for x in c.objects if x not in obj_preset]
-    depth = {x: k for k, x in enumerate(free)}
-    # arrows checked once their later free endpoint is mapped (-1: preset ends)
-    checks = [[] for _ in range(len(free) + 1)]
-    for a in c.non_identity_arrows():
-        if a not in arr_preset:
-            s, t = c.arrows[a]
-            checks[max(depth.get(s, -1), depth.get(t, -1))].append((s, t))
-    linked = set(d.arrows.values())
-    omap = dict(obj_preset)
-    if not all((omap[s], omap[t]) in linked for s, t in checks[-1]):
-        return
-
-    def linkable(k, chosen):
-        omap[free[k]] = chosen[k]
-        return all((omap[s], omap[t]) in linked for s, t in checks[k])
-
-    for _ in _backtrack([images] * len(free), linkable):
-        yield omap
+    if not m:
+        place()
+    for _ in _backtrack(options, fits):
+        yield FunctorMap(c, d, omap, amap)
 
 
 # ---------------------------------------------------------------------------

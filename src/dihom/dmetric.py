@@ -19,6 +19,7 @@ builds it from the distinct entries of a hand-built space on first read.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import itemgetter
 
@@ -31,13 +32,19 @@ MAX_PRODUCT_POINTS = 1000  # a matrix of 10**6 entries, as scenes' MAX_LATTICE_P
 
 def parse_dist(token):
     """Parse an entry: ``inf``, a ``p/q`` rational, or a decimal literal.
-    Plain ASCII ``n`` and ``n/m`` are read with ``int()``, ``n`` as an int."""
+    Plain ASCII ``n`` and ``n/m`` are read with ``int()``, ``n`` as an int.
+    An exponent above ``sys.get_int_max_str_digits()``, the digit limit of
+    ``int()`` (none before Python 3.10.7), is refused: ``Fraction`` would
+    write out 10**exponent."""
     if token == "inf":
         return INF
     num, slash, den = token.partition("/")
     try:
         if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
             return Fraction(int(num), int(den)) if slash else int(num)
+        _, e, exp = token.lower().partition("e")
+        if e and abs(int(exp)) > (getattr(sys, "get_int_max_str_digits", int)() or INF):
+            raise ValueError
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise InputSyntaxError(f"bad distance {token!r}") from None

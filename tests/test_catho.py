@@ -95,6 +95,15 @@ def test_check_functor_flags_identity_violation():
     assert ct.check_functor(fun)
 
 
+def test_check_functor_flags_a_missing_object_image():
+    fun = ct.FunctorMap(TWO, THREE, {"0": "0"}, {a: a for a in TWO.arrows})
+    assert ct.check_functor(fun) == [
+        "object 1: image missing or not an object",
+        "arrow a(0,1): image a(0,1) has wrong endpoints",
+        "arrow id(1): image id(1) has wrong endpoints",
+    ]
+
+
 # opposite
 
 def test_opposite_reverses_interval():
@@ -124,6 +133,16 @@ def test_identity_functor_has_one_endotransformation():
     transfs = ct.nat_transformations(ident, ident)
     assert len(transfs) == 1
     assert all(TWO.is_identity(a) for a in transfs[0].components.values())
+
+
+def test_transformations_compare_and_hash_by_functors_and_components():
+    ident = ct.identity_functor(TWO)
+    (t,) = ct.nat_transformations(ident, ident)
+    same = ct.NatTransf(ct.identity_functor(TWO), ident, reversed(t.components.items()))
+    assert same == t and hash(same) == hash(t) and len({t, same}) == 1
+    const = ct.constant_functor(TWO, TWO, "1")
+    (u,) = ct.nat_transformations(ident, const)
+    assert u != t and t != t.components and len({t, u}) == 2
 
 
 def test_faces_of_the_interval_have_one_transformation():
@@ -177,6 +196,14 @@ def test_constants_on_discrete_pair_are_not_homotopic():
     ca = ct.constant_functor(d2, d2, "a")
     cb = ct.constant_functor(d2, d2, "b")
     assert not ct.dhomotopic_functors(ca, cb)
+
+
+def test_dhomotopic_functors_refuses_a_map_that_is_not_a_functor():
+    swap = ct.FunctorMap(TWO, THREE, {"0": "1", "1": "0"}, {})
+    const = ct.constant_functor(TWO, THREE, "0")
+    for f, g in ((swap, const), (const, swap)):
+        with pytest.raises(DomainError, match="^functor is not valid for the given categories$"):
+            ct.dhomotopic_functors(f, g)
 
 
 def test_non_parallel_functors_are_rejected():
@@ -247,18 +274,6 @@ def _random_presets(rng, c, d):
     return obj_preset, arr_preset, images
 
 
-def _object_maps_oracle(c, d, obj_preset, arr_preset, images):
-    free = [x for x in c.objects if x not in obj_preset]
-    out = []
-    for chosen in product(images, repeat=len(free)):
-        omap = dict(obj_preset)
-        omap.update(zip(free, chosen))
-        if all(d.hom(omap[s], omap[t]) for a, (s, t) in c.arrows.items()
-               if not c.is_identity(a) and a not in arr_preset):
-            out.append(list(omap.items()))
-    return out
-
-
 def _retract_oracle(cat, sub, strong):
     """retract_endofunctors spelled out on the reference searches."""
     ident = ct.identity_functor(cat)
@@ -293,8 +308,6 @@ def test_pruned_searches_match_the_unpruned_references(monkeypatch):
         assert _rows(fs) == _rows(functor_search_oracle(c, d, {}, {}, d.objects))
         for _ in range(3):
             presets = _random_presets(rng, c, d)
-            got = [list(m.items()) for m in ct._object_maps(c, d, *presets)]
-            assert got == _object_maps_oracle(c, d, *presets)
             assert _rows(ct._functor_search(c, d, *presets)) == _rows(
                 functor_search_oracle(c, d, *presets)
             )
@@ -346,6 +359,15 @@ def test_equivalence_witness_composites():
 def test_size_guard_fires():
     with pytest.raises(SizeGuardError):
         ct.all_functors(ct.ordinal(5), ct.ordinal(5), max_objects=4)
+    with pytest.raises(SizeGuardError, match=r"^category has 15 arrows \(guard 14\)$"):
+        ct.all_functors(ONE, ct.ordinal(5), max_arrows=14)
+
+
+def test_functor_cap_admits_exactly_max_functors():
+    count = len(ct.all_functors(TWO, THREE))
+    assert count == 6 and len(ct.all_functors(TWO, THREE, max_functors=count)) == count
+    with pytest.raises(EnumerationLimitError, match="^more than 5 functors enumerated$"):
+        ct.all_functors(TWO, THREE, max_functors=count - 1)
 
 
 def crown_order(n, tag=""):
@@ -828,6 +850,20 @@ def test_morphism_generator_images_are_checked():
         "generator h: image word not composable at generator a",
         "generator k: image word has wrong endpoints",
     ]
+
+
+def test_morphism_between_invalid_presentations_reports_only_those():
+    # the maps are empty: past a bad end, nothing else is reported
+    path = fc.CatPresentation(("0", "1"), {"a": ("0", "1")}, ())
+    broken = fc.CatPresentation(("x",), {"f": ("x", "y")}, ())
+    for source, target, want in (
+        (broken, path, ["source: generator f: endpoint not an object"]),
+        (path, broken, ["target: generator f: endpoint not an object"]),
+        (broken, broken, ["source: generator f: endpoint not an object",
+                          "target: generator f: endpoint not an object"]),
+    ):
+        morph = ct.PresentationMorphism(source, target, {}, {})
+        assert ct.check_presentation_morphism(morph) == want
 
 
 def test_morphism_skips_relations_whose_sides_have_one_image():

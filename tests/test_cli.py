@@ -897,6 +897,16 @@ def test_scene_past_the_lattice_point_cap_exits_one(tmp_path):
     assert err == "error: scene has 10000200001 lattice points (guard 1000000)\n"
 
 
+def test_metric_exponent_past_the_digit_limit_exits_two(workdir, tmp_path):
+    space = tmp_path / "e.dmetric"
+    space.write_text("points 2 a b\n0 1e-10000000\ninf 0\n")
+    assert invoke(["metric", "validate", str(space)]) == (
+        2, "", "error: line 2: bad distance '1e-10000000'\n")
+    assert invoke(["metric", "ball", str(workdir / "i4.dmetric"), "--at", "0", "--eps",
+                   "1e-10000000", "--direction", "future"]) == (
+        2, "", "error: bad distance '1e-10000000'\n")
+
+
 def test_metric_product_past_the_point_cap_exits_one(workdir):
     code, out, err = invoke(["metric", "product"] + [str(workdir / "i4.dmetric")] * 5)
     assert (code, out, err) == (1, "", "error: product has 3125 points (guard 1000)\n")

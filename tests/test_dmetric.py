@@ -203,6 +203,21 @@ def test_ball_rejects_bad_direction():
         dm.ball(two_chain(), "a", F(1), "sideways")
 
 
+def test_operations_refuse_out_of_range_arguments():
+    space = two_chain()
+    for call, message in (
+        (dm.product, "product needs at least one factor"),
+        (dm.disjoint_sum, "sum needs at least one summand"),
+        (lambda: dm.ball(space, "a", F(-1, 2), "future"), "ball radius must be >= 0"),
+        (lambda: dm.ball(space, "z", F(1), "past"), "unknown point z"),
+        (lambda: space.d("a", "z"), "unknown point z"),
+        (lambda: dm.discretized_interval(0), "discretized_interval needs n >= 1"),
+        (lambda: dm.discretized_directed_circle(0), "discretized_directed_circle needs n >= 1"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+
+
 def test_discretized_interval_one_is_two_chain():
     assert dm.is_isometric(dm.discretized_interval(1), two_chain())
 
@@ -242,6 +257,25 @@ def test_parse_errors():
         dm.parse_dmetric("points 1 a\n-1\n")  # negative
     with pytest.raises(InputSyntaxError):
         dm.parse_dmetric("size 1 a\n0\n")  # bad header
+    for text, message in (("", "empty d-metric file"), ("# nothing\n\n", "empty d-metric file"),
+                          ("\npoints two a b\n0 1\n1 0\n", "line 2: points count must be an integer")):
+        with pytest.raises(InputSyntaxError, match=f"^{message}$"):
+            dm.parse_dmetric(text)
+
+
+def test_exponents_past_the_int_digit_limit_are_refused():
+    # Fraction writes out 10**exponent: 1e-10000000 took seconds to read,
+    # and each further exponent digit ten times as long
+    limit = sys.get_int_max_str_digits()
+    for tok in ("1e-10000000", f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e" + "9" * (limit + 1)):
+        with pytest.raises(InputSyntaxError) as exc:
+            dm.parse_dist(tok)
+        assert str(exc.value) == f"bad distance {tok!r}"
+    assert dm.parse_dist(f"1e{limit}") == 10 ** limit
+    assert dm.parse_dist(f"1E-{limit}") == F(1, 10 ** limit)
+    with pytest.raises(InputSyntaxError) as exc:
+        dm.parse_dmetric("points 2 a b\n0 1e-10000000\ninf 0\n")
+    assert str(exc.value) == "line 2: bad distance '1e-10000000'"
 
 
 def test_parse_error_names_the_first_row_with_a_bad_token():

@@ -48,6 +48,15 @@ def test_parse_rejects_out_of_bounds():
         gs.parse_scene("grid 3 3\nsource 0 0\ntarget 3 4\n")
 
 
+@pytest.mark.parametrize("width,height", [(0, 3), (3, 0), (-1, 2)])
+def test_non_positive_grid_is_refused(width, height):
+    with pytest.raises(InputSyntaxError, match="^grid dimensions must be positive$"):
+        gs.make_scene(width, height, [], (0, 0), (0, 0))
+    text = f"source 0 0\ngrid {width} {height}\ntarget 0 0\n"
+    with pytest.raises(InputSyntaxError, match="^line 2: grid dimensions must be positive$"):
+        gs.parse_scene(text)
+
+
 def test_parse_reports_line_numbers():
     with pytest.raises(InputSyntaxError) as exc:
         gs.parse_scene("grid 3 3\nbox 1 1\nsource 0 0\ntarget 3 3\n")

@@ -183,6 +183,25 @@ def test_union_rejects_mismatched_ambient():
     k2 = pc.PreCubicalSet(["0", "1"], {"e": ("1", "0")}, {})
     with pytest.raises(DomainError):
         pc.union(k1, k2)
+    k = grid_2x1()
+    turned = pc.PreCubicalSet(k.vertices, k.edges, {"s0_0": ("e0_0", "e0_1", "n0_0", "n1_0")})
+    for op in (pc.union, pc.intersect):
+        with pytest.raises(DomainError, match="^mismatched ambient: square s0_0 has different faces$"):
+            op(k, turned)
+
+
+@pytest.mark.parametrize(
+    "vertices,squares,message",
+    [
+        (["0", "1", "0"], {}, "duplicate vertex id"),
+        (["0", "1", "a b"], {}, "bad cell id 'a b'"),
+        (["0", "1"], {"w": ("e", "e", "e")}, "square w: expected 4 faces"),
+    ],
+    ids=["duplicate-vertex", "bad-id", "three-faces"],
+)
+def test_constructor_refuses_malformed_cells(vertices, squares, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        pc.PreCubicalSet(vertices, {"e": ("0", "1")}, squares)
 
 
 def test_square_boundary_routes_share_endpoints():
