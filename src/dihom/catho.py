@@ -897,8 +897,9 @@ def realize_presentation(pres, bound=None, max_words=MAX_WORDS):
     acyclic, else for words up to ``bound``; ``truncated`` is set when a
     bound was given and some word of that length can still be extended.
 
-    A :class:`dihom.fundcat.Realization` builds the classes in one sweep
-    from every object, at most ``max_words`` per object.  Relations that
+    A :class:`dihom.fundcat.Realization` counts the classes in one sweep
+    from every object that builds no word, at most ``max_words`` per
+    object; its ``homs`` builds the words on first read.  Relations that
     change length (acyclic only, bound at least the longest generator word)
     make it run on :func:`_subdivided` generators, whose inner classes count.
     """

@@ -36,6 +36,7 @@ import functools
 import os
 import stat
 import sys
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -47,7 +48,7 @@ class _UsageError(Exception):
     pass
 
 
-_CHUNK = 4096  # class lines joined per write of ``hom --reps``
+_CHUNK = 4096  # lines joined per write of ``hom --reps`` and ``cat realize``
 
 
 def _read(path):
@@ -323,10 +324,15 @@ def _cmd_cat(args, out):
     elif args.catverb == "realize":
         pres = catho.parse_presentation(_read(args.presentation))
         real = catho.realize_presentation(pres, args.bound)
-        out.write(f"objects {len(real.objects)}\n")
-        out.write(f"truncated {'true' if real.truncated else 'false'}\n")
-        for (x, y), count in real.hom_counts().items():
-            out.write(f"hom {x} {y} {count}\n")
+        counts = real.hom_counts()
+        items = iter(counts.items())
+        head = (f"objects {len(real.objects)}\n"
+                f"truncated {'true' if real.truncated else 'false'}\n")
+        # as hom --reps: the head and at most _CHUNK lines per write
+        for _ in range(0, len(counts) or 1, _CHUNK):
+            out.write("".join([head, *(f"hom {x} {y} {count}\n"
+                                       for (x, y), count in islice(items, _CHUNK))]))
+            head = ""
     else:  # faithful
         path = Path(args.functor)
         # one cache per query: a category named as domain and codomain is read once

@@ -56,7 +56,15 @@ def parse_dist(token):
 def format_dist(value):
     if value == INF:
         return "inf"
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # a numerator or denominator past sys.get_int_max_str_digits()
+        raise _too_long() from None
+
+
+def _too_long():
+    return DomainError("cannot write a distance whose numerator or denominator has more "
+                       f"than {sys.get_int_max_str_digits()} digits")
 
 
 class DMetricSpace(Record):
@@ -333,7 +341,10 @@ def format_dmetric(space):
     n = len(space.points)
     order = sorted(range(n), key=space.points.__getitem__)
     lcm, rows = _matrix_of(space)
-    shown = {v: "inf" if v is INF else str(Fraction(v, lcm)) for v in set().union(*rows)}
+    try:
+        shown = {v: "inf" if v is INF else str(Fraction(v, lcm)) for v in set().union(*rows)}
+    except ValueError:
+        raise _too_long() from None
     pick = itemgetter(*order) if n > 1 else tuple
     lines = ["points " + " ".join([str(n)] + [space.points[i] for i in order])]
     lines += [" ".join(map(shown.__getitem__, pick(rows[i]))) for i in order]

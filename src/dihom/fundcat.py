@@ -17,8 +17,10 @@ number of classes, not of words.  Words are built only for the verbs that
 print them: a sweep asked for words builds each class's representative, at
 the cost of its length, while counts (``hom_class_count``,
 ``is_one_simple``) and one class's word (``hom_class_rep``) come from
-sweeps that build none.  A ``Realization`` reads a presented category's
-hom-sets off one sweep; only this module reads a sweep's layers.
+sweeps that build none.  A ``Realization`` counts a presented category's
+hom-sets off one sweep without words, and its ``class_of`` reads a word
+back the way ``hom_class_rep`` does (``_read_back``); only its ``homs``
+sweeps again with words.  Only this module reads a sweep's layers.
 Composites are read off the right action by one walk, ``_composites``: the
 monoid's concatenation table and a realization's composition table and
 ``class_of`` all go through it.
@@ -31,7 +33,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter
 
 from ._kernels import _UnionFind
 from .errors import (
@@ -305,7 +308,7 @@ class _Layer:
     layer is built, pair (c, j-th out-generator of its end) is ``offsets[c]
     + j`` and ``step[pair]`` is the class of ``reps[c] + (generator,)``
     there: the right action.  Outside the engine ``_composites`` walks
-    ``step`` forward and ``hom_class_rep`` walks it back.
+    ``step`` forward and ``_read_back`` walks it back.
     """
 
     __slots__ = ("ends", "sizes", "reps", "blocks", "offsets", "step")
@@ -537,77 +540,82 @@ def _shared_prefixes(words):
 
 
 class Realization:
-    """Hom-sets of a presented category as classes of generator words, read
-    off one sweep of a class ``engine`` from the ``sources`` objects.
+    """Hom-sets of a presented category as classes of generator words,
+    counted off one sweep of a class ``engine`` from the ``sources``
+    objects that builds no word.
 
     The engine numbers ``objects`` first; ``chains`` maps each generator to
     its pieces (:func:`dihom.catho._subdivided`), None for no subdivision.
-    ``truncated`` is set when the bound cut words off.  ``homs``, built on
-    first read, maps (x, y) in sorted order to the sorted canonical words
-    x -> y, and lists no empty hom-set.
+    ``truncated`` is set when the bound cut words off.  ``hom_counts()``
+    and ``hom_count`` read a tally of the sweep's classes, one list per
+    source, and ``class_of`` reads its one word back through the sweep's
+    layers.  ``homs``, built on first read by a sweep with words of the
+    same sources, bound and cap, maps (x, y) in sorted order to the sorted
+    canonical words x -> y, and lists no empty hom-set.
     """
 
     def __init__(self, engine, objects, sources, bound, max_classes, chains=None):
         self.objects, self.bound = objects, bound
         self._engine, self._chains = engine, chains
-        self._layers = list(engine.layers(sources, bound, max_classes))
+        self._sweep = sources, bound, max_classes
+        self._layers = list(engine.layers(sources, bound, max_classes, words=False))
         # the last layer is empty unless the bound cut the words off
         self.truncated = any(engine.out[v] for v in self._layers[-1].ends)
         self._starts = dict(zip(sources, range(len(sources))))  # source -> its layer-0 class
         # a representative's generators: its chains' first pieces
         self._whole = tuple if chains is None else lambda ps: tuple(g for g, k in ps if not k)
 
-    def _hom_blocks(self):
-        """``(n, names, ranks, blocks)``: objects ranked in name order, and
-        ``(x * n, layer, lo, hi)`` for each source's block of each layer, x
-        the source's rank (keys x * n + y sort fast)."""
-        objects = self.objects
+    @cached_property
+    def homs(self):
+        objects, whole = self.objects, self._whole
         n, names = len(objects), sorted(objects)
         rank = dict(zip(names, range(n)))
         ranks, bases = [rank[x] for x in objects], [rank[x] * n for x in self._starts]
-
-        def blocks():
-            for layer in self._layers:
-                cuts = layer.blocks or (0, len(layer.ends))
-                for base, lo, hi in zip(bases, cuts, cuts[1:]):
-                    yield base, layer, lo, hi
-
-        return n, names, ranks, blocks()
-
-    @cached_property
-    def homs(self):
-        n, names, ranks, blocks = self._hom_blocks()
-        whole, found = self._whole, {}
-        for base, layer, lo, hi in blocks:
-            for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
-                if y < n:  # not inside a chain
-                    found.setdefault(base + ranks[y], []).append(whole(rep))
+        found = {}  # x * n + y by rank (such keys sort fast) -> the words x -> y
+        for layer in self._engine.layers(*self._sweep):  # the same classes, with words
+            cuts = layer.blocks or (0, len(layer.ends))
+            for base, lo, hi in zip(bases, cuts, cuts[1:]):
+                for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
+                    if y < n:  # not inside a chain
+                        found.setdefault(base + ranks[y], []).append(whole(rep))
         return {(names[k // n], names[k % n]): tuple(sorted(found[k])) for k in sorted(found)}
 
     @cached_property
-    def _counts(self):
-        n, names, ranks, blocks = self._hom_blocks()
-        found = {}
-        for base, layer, lo, hi in blocks:
-            for y in layer.ends[lo:hi]:
-                if y < n:  # not inside a chain
-                    k = base + ranks[y]
-                    found[k] = found.get(k, 0) + 1
-        return {(names[k // n], names[k % n]): found[k] for k in sorted(found)}
+    def _tallies(self):
+        """Per source, its number of classes at each object number (the
+        chain objects, numbered after ``objects``, included)."""
+        width = len(self._engine.out)
+        rows = [[0] * width for _ in self._starts]
+        for layer in self._layers:
+            cuts = layer.blocks or (0, len(layer.ends))
+            for row, lo, hi in zip(rows, cuts, cuts[1:]):
+                for y in layer.ends[lo:hi]:
+                    row[y] += 1
+        return rows
 
     def hom_counts(self):
         """The number of classes in each nonempty hom-set, in ``homs``
-        order, counted without building a word (a copy of the kept counts)."""
-        return dict(self._counts)
+        order, counted without building a word."""
+        objects, starts, rows = self.objects, self._starts, self._tallies
+        order = sorted(range(len(objects)), key=objects.__getitem__)
+        names = [objects[i] for i in order]
+        pick = itemgetter(*order) if len(order) > 1 else lambda row: row[:1]
+        counts = {}
+        for x in sorted(starts):
+            row = pick(rows[starts[x]])
+            counts.update(zip(zip(repeat(x), compress(names, row)), filter(None, row)))
+        return counts
 
     def hom_count(self, x, y):
-        """The number of classes x -> y, read off the kept counts."""
-        return self._counts.get((x, y), 0)
+        """The number of classes x -> y, read off the tally."""
+        i, j = self._starts.get(x), self._engine.index.get(y)
+        return 0 if i is None or j is None or j >= len(self.objects) else self._tallies[i][j]
 
     def class_of(self, start, word):
-        """Canonical word of the class of ``word`` out of ``start``;
-        DomainError for a start that is not a source, a word that does not
-        compose from it, or one longer than the realization covers."""
+        """Canonical word of the class of ``word`` out of ``start``, read
+        back through the layers; DomainError for a start that is not a
+        source, a word that does not compose from it, or one longer than
+        the realization covers."""
         i = self._starts.get(start)
         if i is None:
             raise DomainError(f"unknown object {start}")
@@ -624,7 +632,7 @@ class Realization:
                 at = targets[at][j]
                 pieces.append(p)
         [c] = _composites(layers, pos, i, 0, [(pieces, 0)])
-        return self._whole(layers[len(pieces)].reps[c])
+        return self._whole(_read_back(layers, out, c, len(pieces), i))
 
     def to_fincategory(self):
         """Explicit category with one arrow per class, named by its word;
@@ -716,10 +724,9 @@ def hom_class_rep(complex_, source, target, index, max_len=None,
                   max_classes=DEFAULT_MAX_CLASSES):
     """``hom_classes(...).classes[index].representative``, DomainError if
     there is no such class.  A sweep that builds no word finds the class,
-    then its word is read back through the layers: a class's lowest pair is
-    the first in ``step`` to reach it, and names its prefix class and last
-    generator.  Only where more than one length reaches the target are the
-    words built (``hom_class_reps``)."""
+    then ``_read_back`` reads its word back through the layers.  Only where
+    more than one length reaches the target are the words built
+    (``hom_class_reps``)."""
     engine, t, layers = _hom_sweep(complex_, source, target, max_len, max_classes, False)
     layers = list(layers)
     reached = [length for length, layer in enumerate(layers) if t in layer.ends]
@@ -730,9 +737,18 @@ def hom_class_rep(complex_, source, target, index, max_len=None,
         return hom_class_reps(complex_, source, target, max_len, max_classes)[0][index]
     [length] = reached
     cls = [c for c, v in enumerate(layers[length].ends) if v == t][index]
-    out, word = engine.out, []
+    return _read_back(layers, engine.out, cls, length)
+
+
+def _read_back(layers, out, cls, length, source=0):
+    """The representative of class ``cls`` of ``layers[length]``, out of
+    source number ``source``, read back through the layers before it
+    (``out``: the engine's out-generators): a class's lowest pair is the
+    first in ``step`` to reach it, from the first pair of its source's
+    block on, and names its prefix class and last generator."""
+    word = []
     for layer in reversed(layers[:length]):
-        pair = layer.step.index(cls)
+        pair = layer.step.index(cls, layer.offsets[layer.blocks[source]] if layer.blocks else 0)
         cls = bisect_right(layer.offsets, pair) - 1
         word.append(out[layer.ends[cls]][pair - layer.offsets[cls]])
     return tuple(reversed(word))

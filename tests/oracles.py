@@ -52,7 +52,9 @@ from dihom.fundcat import (
     OneSimpleResult,
     _Layer,
     _bound,
+    _composites,
     _require_walkable,
+    _shared_prefixes,
     _SwapEngine,
     _engine_of,
     _UnionFind,
@@ -1259,13 +1261,150 @@ def realize_per_source_oracle(pres, bound=None, max_words=MAX_WORDS):
     return WordClasses(homs, truncated, class_of)
 
 
-def extend_per_suffix_oracle(pres, real, start, word, suffixes):
+class WordSweepRealization:
+    """``fundcat.Realization`` as it was before it counted first: one sweep
+    with words at construction, a dict update per class for the counts, and
+    ``class_of`` reading the representative its layers keep."""
+
+    def __init__(self, engine, objects, sources, bound, max_classes, chains=None):
+        self.objects, self.bound = objects, bound
+        self._engine, self._chains = engine, chains
+        self._layers = list(engine.layers(sources, bound, max_classes))
+        # the last layer is empty unless the bound cut the words off
+        self.truncated = any(engine.out[v] for v in self._layers[-1].ends)
+        self._starts = dict(zip(sources, range(len(sources))))  # source -> its layer-0 class
+        # a representative's generators: its chains' first pieces
+        self._whole = tuple if chains is None else lambda ps: tuple(g for g, k in ps if not k)
+
+    def _hom_blocks(self):
+        """``(n, names, ranks, blocks)``: objects ranked in name order, and
+        ``(x * n, layer, lo, hi)`` for each source's block of each layer, x
+        the source's rank (keys x * n + y sort fast)."""
+        objects = self.objects
+        n, names = len(objects), sorted(objects)
+        rank = dict(zip(names, range(n)))
+        ranks, bases = [rank[x] for x in objects], [rank[x] * n for x in self._starts]
+
+        def blocks():
+            for layer in self._layers:
+                cuts = layer.blocks or (0, len(layer.ends))
+                for base, lo, hi in zip(bases, cuts, cuts[1:]):
+                    yield base, layer, lo, hi
+
+        return n, names, ranks, blocks()
+
+    @cached_property
+    def homs(self):
+        n, names, ranks, blocks = self._hom_blocks()
+        whole, found = self._whole, {}
+        for base, layer, lo, hi in blocks:
+            for y, rep in zip(layer.ends[lo:hi], layer.reps[lo:hi]):
+                if y < n:  # not inside a chain
+                    found.setdefault(base + ranks[y], []).append(whole(rep))
+        return {(names[k // n], names[k % n]): tuple(sorted(found[k])) for k in sorted(found)}
+
+    @cached_property
+    def _counts(self):
+        n, names, ranks, blocks = self._hom_blocks()
+        found = {}
+        for base, layer, lo, hi in blocks:
+            for y in layer.ends[lo:hi]:
+                if y < n:  # not inside a chain
+                    k = base + ranks[y]
+                    found[k] = found.get(k, 0) + 1
+        return {(names[k // n], names[k % n]): found[k] for k in sorted(found)}
+
+    def hom_counts(self):
+        return dict(self._counts)
+
+    def hom_count(self, x, y):
+        return self._counts.get((x, y), 0)
+
+    def class_of(self, start, word):
+        i = self._starts.get(start)
+        if i is None:
+            raise DomainError(f"unknown object {start}")
+        engine, layers, chains = self._engine, self._layers, self._chains
+        out, targets, pos = engine.out, engine.targets, engine.pos
+        pieces, at = [], engine.index[start]
+        for g in word:
+            if len(pieces) + 1 == len(layers):
+                raise DomainError(f"word longer than the bound {self.bound}")
+            for p in (g,) if chains is None else chains.get(g, (None,)):
+                j = pos.get(p)
+                if j is None or j >= len(out[at]) or out[at][j] != p:
+                    raise DomainError(f"word not composable at generator {g}")
+                at = targets[at][j]
+                pieces.append(p)
+        [c] = _composites(layers, pos, i, 0, [(pieces, 0)])
+        return self._whole(layers[len(pieces)].reps[c])
+
+    def to_fincategory(self):
+        if self.truncated:
+            raise DomainError("truncated realization does not form a category")
+        layers, starts, pos, chains = self._layers, self._starts, self._engine.pos, self._chains
+        arrows, leaving = {}, {}  # x -> (pieces, arrow, target) per class out of x, homs order
+        for (x, y), reps in self.homs.items():
+            for w in reps:
+                a = ";".join(w) if w else f"id({x})"
+                if a in arrows:
+                    raise DomainError(f"two classes would both be named {a}")
+                arrows[a] = (x, y)
+                pieces = w if chains is None else tuple(p for g in w for p in chains[g])
+                leaving.setdefault(x, []).append((pieces, a, y))
+        identity = {x: f"id({x})" for x in self.objects}
+        walks, names = {}, [[None] * len(layer.ends) for layer in layers]
+        for x, out in leaving.items():
+            order = sorted(range(len(out)), key=lambda k: out[k][0])
+            suffixes = _shared_prefixes([out[k][0] for k in order])
+            at = _composites(layers, pos, starts[x], 0, suffixes)
+            place = sorted(range(len(out)), key=order.__getitem__)
+            walks[x] = suffixes, [(r, len(p), at[r], a, y) for r, (p, a, y) in zip(place, out)]
+            for _, d, c, a, _ in walks[x][1]:
+                names[d][c] = a
+        table = {}
+        for _, entries in walks.values():
+            for _, d1, c1, a1, y in entries:
+                suffixes, after = walks[y]
+                ends = _composites(layers, pos, c1, d1, suffixes)
+                for r, d2, _, a2, _ in after:
+                    table[(a1, a2)] = names[d1 + d2][ends[r]]
+        return FinCategory(self.objects, arrows, identity, table)
+
+
+def realize_word_sweep_oracle(pres, bound=None, max_words=MAX_WORDS):
+    """``realize_presentation`` on the ``WordSweepRealization``: the same
+    checks, engine and subdivision."""
+    if bound is not None and bound < 0:
+        raise DomainError(f"length bound {bound} is negative")
+    bad = validate_presentation(pres)
+    if bad:
+        raise DomainError("invalid presentation: " + "; ".join(bad[:5]))
+    engine, chains = pres._engine, None
+    if bound is None and not engine.acyclic:
+        raise DomainError("cyclic presentation needs a length bound")
+    if not _length_preserving(pres):
+        heights = engine.heights
+        if heights is None or bound is not None and bound < max(heights):
+            raise DomainError("length-changing relation in truncated mode")
+        chains, *sub = _subdivided(pres, heights)
+        engine = _SwapEngine(*sub)
+    return WordSweepRealization(engine, pres.objects, pres.objects, bound, max_words, chains)
+
+
+def word_layers(real):
+    """The layers of the sweep a ``Realization`` keeps, run again with
+    words: the same classes, with their representatives."""
+    return list(real._engine.layers(*real._sweep))
+
+
+def extend_per_suffix_oracle(pres, real, layers, start, word, suffixes):
     """``Realization``'s composite walk as it was before the shared walk:
     walk ``word`` from ``start``'s empty word, then each suffix on from
-    there, generator by generator, through ``real``'s layers (``real``
-    realizes ``pres``); returns the canonical word of word + s per suffix
-    s, with the same errors."""
-    layers, index, pos = real._layers, real._engine.index, real._engine.pos
+    there, generator by generator, through ``layers``, the
+    ``word_layers(real)`` of ``real``, which realizes ``pres``; returns the
+    canonical word of word + s per suffix s, with the same errors."""
+    index, pos = real._engine.index, real._engine.pos
     chains = real._chains or {g: (g,) for g in pres.generators}
 
     def walk(cls, depth, word):  # on from class cls of layer depth, by the right action
@@ -1300,11 +1439,12 @@ def to_fincategory_per_suffix_oracle(pres, real):
             a = name[(x, w)] = f"id({x})" if not w else ";".join(w)
             arrows[a] = (x, y)
     identity = {x: f"id({x})" for x in real.objects}
-    table = {}
+    layers, table = word_layers(real), {}
     for (x, y), reps in real.homs.items():
         for w1 in reps:
             a1 = name[(x, w1)]
-            for w2, w in zip(leaving[y], extend_per_suffix_oracle(pres, real, x, w1, leaving[y])):
+            for w2, w in zip(leaving[y],
+                             extend_per_suffix_oracle(pres, real, layers, x, w1, leaving[y])):
                 table[(a1, name[(y, w2)])] = name[(x, w)]
     return arrows, identity, table
 

@@ -159,6 +159,7 @@ def test_criterion_6_van_kampen_consistency():
         ("grid 2 2\nsource 0 0\ntarget 2 2\n", "y", 1),
         ("grid 4 3\nbox 1 1 3 2\nsource 0 0\ntarget 4 3\n", "x", 2),
         ("grid 10 10\nbox 3 3 4 4\nbox 6 5 7 6\nsource 0 0\ntarget 10 10\n", "x", 5),
+        ("grid 30 30\nbox 9 9 10 10\nbox 20 20 21 21\nsource 0 0\ntarget 30 30\n", "x", 15),
     ]
     checked_scenes = 0
     for text, axis, line in cases:

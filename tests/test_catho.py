@@ -1573,14 +1573,16 @@ def test_shared_walk_matches_the_walk_per_suffix():
         kinds["truncated"] += real.truncated
         assert list(real.homs) == sorted(real.homs) and all(real.homs.values())
         tails = [("nope",)] + [(g,) for g in sorted(pres.generators)]
+        layers = oracles.word_layers(real)
         for (x, _y), reps in real.homs.items():
             for w in reps:
                 for k in range(len(w) + 1):
-                    want = oracles.extend_per_suffix_oracle(pres, real, x, w[:k], [()])
+                    want = oracles.extend_per_suffix_oracle(pres, real, layers, x, w[:k], [()])
                     assert [real.class_of(x, w[:k])] == want
                 for tail in tails:
                     assert _outcome(lambda: real.class_of(x, w + tail)) == _outcome(
-                        lambda: oracles.extend_per_suffix_oracle(pres, real, x, w + tail, [()])[0])
+                        lambda: oracles.extend_per_suffix_oracle(pres, real, layers, x,
+                                                                 w + tail, [()])[0])
         if real.truncated:
             continue
         kinds["complete"] += 1
@@ -1909,3 +1911,83 @@ def test_hom_counts_are_the_sizes_of_the_hom_sets():
         seen["subdivided"] += real._chains is not None
         seen["several"] += any(c > 1 for c in counts.values())
     assert seen["subdivided"] > 40 and seen["several"] > 100, seen
+
+
+def _category_outcome(real):
+    """``real.to_fincategory()`` as its objects, arrows, identities and
+    table, dict order included, or the error it raises."""
+    def build():
+        cat = real.to_fincategory()
+        return cat.objects, cat.arrows, list(cat.identity.items()), list(cat.table.items())
+    return _outcome(build)
+
+
+def test_count_first_realization_matches_the_word_sweep():
+    # random and bounded cyclic presentations, length-changing (subdivided)
+    # ones and scenes (_walk_cases), then the one-sweep differential cases
+    rng = random.Random(20261023)
+    cases = [(pres, real.bound) for pres, real in _walk_cases()]
+    cases += [(pres, bound) for _, pres, bound in _differential_cases(rng)]
+    seen = Counter()
+    for pres, bound in cases:
+        real = ct.realize_presentation(pres, bound)
+        old = oracles.realize_word_sweep_oracle(pres, bound)
+        seen["subdivided"] += real._chains is not None
+        seen["bounded cyclic"] += bound is not None and not pres._engine.acyclic
+        seen["truncated"] += real.truncated
+        assert real.truncated == old.truncated
+        assert list(real.hom_counts().items()) == list(old.hom_counts().items())
+        names = [*pres.objects, "nowhere", *((g, 1) for g in sorted(pres.generators))]
+        assert [real.hom_count(x, y) for x in names for y in names] == [
+            old.hom_count(x, y) for x in names for y in names]
+        tails = [("nope",)] + [(g,) for g in sorted(pres.generators)]
+        for (x, _y), reps in old.homs.items():
+            for w in reps:
+                for word in [w[:k] for k in range(len(w))] + [w + tail for tail in tails]:
+                    assert _outcome(lambda: real.class_of(x, word)) == _outcome(
+                        lambda: old.class_of(x, word))
+                assert real.class_of(x, w) == w
+                seen["classes"] += 1
+        assert "homs" not in vars(real)  # counts and class_of built no word
+        assert _category_outcome(real) == _category_outcome(old)
+        assert list(real.homs.items()) == list(old.homs.items())
+        # caps around where the largest one-object sweep trips: the same error
+        trip = max(map(sum, _own_sweep_sizes(pres, bound)), default=1)
+        for cap in sorted({0, 1, trip - 1, trip}):
+            capped = _outcome(lambda: ct.realize_presentation(pres, bound, cap))
+            was = _outcome(lambda: oracles.realize_word_sweep_oracle(pres, bound, cap))
+            if isinstance(was, tuple):
+                assert capped == was
+                seen["cap errors"] += 1
+            else:
+                assert list(capped.homs.items()) == list(was.homs.items())
+                assert _category_outcome(capped) == _category_outcome(was)
+    assert seen["subdivided"] > 80 and seen["bounded cyclic"] > 150, seen
+    assert seen["truncated"] > 100 and seen["cap errors"] > 500, seen
+    assert seen["classes"] > 5000, seen
+
+
+def test_counts_and_morphism_checks_run_no_word_sweep(monkeypatch):
+    sweeps = []  # the words flag of every sweep started
+    layers = fc._SwapEngine.layers
+
+    def recorded(engine, sources, max_len, max_classes, words=True):
+        sweeps.append(words)
+        return layers(engine, sources, max_len, max_classes, words)
+
+    monkeypatch.setattr(fc._SwapEngine, "layers", recorded)
+    realized = 0
+    for pres, real in _walk_cases():  # each realized under the recorder
+        real.hom_counts()
+        real.hom_count(pres.objects[0], pres.objects[-1])
+        assert all(layer.reps is layer.sizes is None for layer in real._layers)
+        realized += 1
+    assert len(sweeps) == realized and not any(sweeps)
+    rng = random.Random(20261022)
+    for _, target in islice(_morphism_targets(rng), 300):
+        morph = _random_morphism(rng, target)
+        if morph is not None:
+            ct.check_presentation_morphism(morph)
+    assert len(sweeps) > realized + 50 and not any(sweeps)
+    real.homs  # the first read of homs starts the one sweep with words
+    assert sweeps[-1] is True and sweeps.count(True) == 1

@@ -912,6 +912,33 @@ def test_metric_product_past_the_point_cap_exits_one(workdir):
     assert (code, out, err) == (1, "", "error: product has 3125 points (guard 1000)\n")
 
 
+def test_metric_value_past_the_digit_limit_exits_one(tmp_path):
+    # 10^limit has one digit more than str() writes; the parser admits the
+    # exponent, and a quotient's chain sum 1/3 + 1/7 + 1/10^(limit-1) reaches
+    # a denominator of 21 * 10^(limit-1) from entries each within the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python writes integers of any length")
+    error = (f"error: cannot write a distance whose numerator or denominator has more "
+             f"than {limit} digits\n")
+    big, one, chain, rel = (tmp_path / name for name in ("big", "one", "chain", "rel"))
+    big.write_text(f"points 2 a b\n0 1e-{limit}\ninf 0\n")
+    one.write_text(f"points 1 a\n1e-{limit}\n")
+    rows = [["inf"] * 6 for _ in range(6)]
+    for i in range(6):
+        rows[i][i] = "0"
+    rows[0][1], rows[2][3], rows[4][5] = "1/3", "1/7", f"1e-{limit - 1}"
+    chain.write_text("points 6 a b c d e f\n" + "".join(" ".join(r) + "\n" for r in rows))
+    rel.write_text("b c\nd e\n")
+    for argv in (["product", big], ["sum", big, big], ["quotient", chain, rel],
+                 ["validate", one]):
+        assert invoke(["metric", *map(str, argv)]) == (1, "", error)
+    # unglued, each entry is written
+    rel.write_text("")
+    code, out, err = invoke(["metric", "quotient", str(chain), str(rel)])
+    assert (code, err) == (0, "") and f"1/1{'0' * (limit - 1)}" in out
+
+
 # a fresh interpreter: this one has already imported every dihom module
 LOADED_MODULES = (
     "import sys; sys.path.insert(0, sys.argv[1]); from dihom.cli import main; "
@@ -1049,6 +1076,25 @@ def test_cat_realize_prints_counts_without_building_the_hom_sets(tmp_path, monke
     assert [invoke(["cat", "realize", str(p)]) for p in paths] == before
     assert all(code == 0 for code, _, _ in before)
     assert "hom 1:0 1:1 2\n" in before[2][1]
+
+
+def test_cat_realize_writes_at_most_a_chunk_of_lines_at_once(tmp_path, monkeypatch):
+    empty = tmp_path / "empty.pres"
+    empty.write_text("")
+    for path, chunk in [(FIXTURES / "square.pres", 4), (FIXTURES / "square.pres", 9),
+                        (FIXTURES / "square.pres", 4096), (empty, 2)]:
+        _, text, _ = invoke(["cat", "realize", str(path)])
+        writes = []
+        out = io.StringIO()
+        out.write = writes.append
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert run(["cat", "realize", str(path)], out=out) == 0
+        lines = text.splitlines(keepends=True)
+        homs = len(lines) - 2  # after the objects and truncated lines
+        assert "".join(writes) == text and len(writes) == max(1, -(-homs // chunk))
+        counts = [w.count("\n") for w in writes]
+        counts[0] -= 2  # the head goes with the first chunk
+        assert counts == [chunk] * (len(writes) - 1) + [homs - chunk * (len(writes) - 1)]
 
 
 def test_cat_pushout_validates_each_presentation_once(monkeypatch):
