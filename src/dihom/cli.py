@@ -324,15 +324,15 @@ def _cmd_cat(args, out):
     elif args.catverb == "realize":
         pres = catho.parse_presentation(_read(args.presentation))
         real = catho.realize_presentation(pres, args.bound)
-        counts = real.hom_counts()
-        items = iter(counts.items())
-        head = (f"objects {len(real.objects)}\n"
-                f"truncated {'true' if real.truncated else 'false'}\n")
+        lines = (f"hom {x} {y} {count}\n"
+                 for x, ys, counts in real.hom_rows() for y, count in zip(ys, counts))
         # as hom --reps: the head and at most _CHUNK lines per write
-        for _ in range(0, len(counts) or 1, _CHUNK):
-            out.write("".join([head, *(f"hom {x} {y} {count}\n"
-                                       for (x, y), count in islice(items, _CHUNK))]))
-            head = ""
+        text = (f"objects {len(real.objects)}\n"
+                f"truncated {'true' if real.truncated else 'false'}\n"
+                + "".join(islice(lines, _CHUNK)))
+        while text:
+            out.write(text)
+            text = "".join(islice(lines, _CHUNK))
     else:  # faithful
         path = Path(args.functor)
         # one cache per query: a category named as domain and codomain is read once

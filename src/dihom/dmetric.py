@@ -337,12 +337,16 @@ def parse_dmetric(text):
 
 def format_dmetric(space):
     """Canonical text form: points sorted by id, rows in that order; each
-    distinct integer of the scaled matrix is formatted once."""
+    distinct integer v of the scaled matrix is formatted once, as v/L in
+    lowest terms (``Fraction``'s form, without building one)."""
     n = len(space.points)
     order = sorted(range(n), key=space.points.__getitem__)
     lcm, rows = _matrix_of(space)
+    shown = {INF: "inf"}
     try:
-        shown = {v: "inf" if v is INF else str(Fraction(v, lcm)) for v in set().union(*rows)}
+        for v in set().union(*rows) - {INF}:
+            g = math.gcd(v, lcm)
+            shown[v] = str(v // g) if g == lcm else f"{v // g}/{lcm // g}"
     except ValueError:
         raise _too_long() from None
     pick = itemgetter(*order) if n > 1 else tuple

@@ -13,7 +13,8 @@ word length, so classes are computed one length layer at a time without
 listing dipaths (the discrete form of the trace-space state-space
 reduction).  The engine that does so, ``_SwapEngine``, takes any
 presentation whose relations preserve length; its cost grows with the
-number of classes, not of words.  Words are built only for the verbs that
+number of classes, not of words, and a (class, generator) pair of a layer
+costs only its own lookups.  Words are built only for the verbs that
 print them: a sweep asked for words builds each class's representative, at
 the cost of its length, while counts (``hom_class_count``,
 ``is_one_simple``) and one class's word (``hom_class_rep``) come from
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
 
 from ._kernels import _UnionFind
@@ -345,8 +346,11 @@ class _SwapEngine:
     Pairs are numbered in (rank of p, sorted out-generator) order and each
     class keeps its lowest pair as root: roots are then the lexicographically
     least members, each source's block of a layer comes out sorted by
-    representative, and class sizes are exact sums of prefix sizes.  Only
-    the last max(m) layers are kept while building.
+    representative, and class sizes are exact sums of prefix sizes.  A pair
+    costs only its lookups: a running count numbers the classes, and a sweep
+    with words walks the out-generators and reads a target only at a root
+    (a count sweep walks the targets).  Only the last max(m) layers are kept
+    while building.
     """
 
     def __init__(self, objects, generators, relations):
@@ -438,12 +442,14 @@ class _SwapEngine:
                 if m == 2:  # a square swap: one hop, through the base's step
                     st = base.step
                     for o, s in zip(base.offsets, base.ends):
-                        for u0, u1, v0, v1 in starts[s]:
-                            union(offsets[st[o + u0]] + u1, offsets[st[o + v0]] + v1)
+                        if starts[s]:
+                            for u0, u1, v0, v1 in starts[s]:
+                                union(offsets[st[o + u0]] + u1, offsets[st[o + v0]] + v1)
                 elif m == 1:  # a gluing g = h: no hop
                     for o, s in zip(base.offsets, base.ends):
-                        for u0, v0 in starts[s]:
-                            union(o + u0, o + v0)
+                        if starts[s]:
+                            for u0, v0 in starts[s]:
+                                union(o + u0, o + v0)
                 else:
                     hops = [(w.step, nxt.offsets) for w, nxt in zip(live[-m:-1], live[1 - m:])]
                     for o, s in zip(base.offsets, base.ends):
@@ -458,18 +464,19 @@ class _SwapEngine:
                                 i += 1
                             union(a, b)
             # a union-find parent is always a lower pair, already numbered
-            # into the class of its root
+            # into the class of its root; ``made`` classes are numbered so far
             parent = uf.parent
             ends, step = [], [0] * n
             sizes, reps = ([], []) if words else (None, None)
-            pair = 0
-            if words:
-                for v, size, rep in zip(layer.ends, layer.sizes, layer.reps):
-                    for g, t in zip(out[v], targets[v]):
+            pair = made = 0
+            if words:  # pair - first: the pair's place among v's out-generators
+                for v, first, size, rep in zip(layer.ends, offsets, layer.sizes, layer.reps):
+                    for g in out[v]:
                         up = parent[pair]
                         if up == pair:
-                            step[pair] = len(ends)
-                            ends.append(t)
+                            step[pair] = made
+                            made += 1
+                            ends.append(targets[v][pair - first])
                             sizes.append(size)
                             reps.append(rep + (g,))
                         else:
@@ -481,16 +488,17 @@ class _SwapEngine:
                     for t in targets[v]:
                         up = parent[pair]
                         if up == pair:
-                            step[pair] = len(ends)
+                            step[pair] = made
+                            made += 1
                             ends.append(t)
                         else:
                             step[pair] = step[up]
                         pair += 1
             if blocks is None:
-                built += len(ends)
+                built += made
             else:  # a block's lowest pair is a root: it starts the next block
                 offsets.append(n)  # sentinels for empty blocks at the end
-                step.append(len(ends))
+                step.append(made)
                 blocks = [step[offsets[c]] for c in blocks]
                 counts = [b + hi - lo for b, lo, hi in zip(counts, blocks, blocks[1:])]
                 built = max(counts)
@@ -546,12 +554,12 @@ class Realization:
 
     The engine numbers ``objects`` first; ``chains`` maps each generator to
     its pieces (:func:`dihom.catho._subdivided`), None for no subdivision.
-    ``truncated`` is set when the bound cut words off.  ``hom_counts()``
-    and ``hom_count`` read a tally of the sweep's classes, one list per
-    source, and ``class_of`` reads its one word back through the sweep's
-    layers.  ``homs``, built on first read by a sweep with words of the
-    same sources, bound and cap, maps (x, y) in sorted order to the sorted
-    canonical words x -> y, and lists no empty hom-set.
+    ``truncated`` is set when the bound cut words off.  ``hom_rows()``,
+    ``hom_counts()`` and ``hom_count`` read a tally of the sweep's classes,
+    one list per source, and ``class_of`` reads its one word back through
+    the sweep's layers.  ``homs``, built on first read by a sweep with words
+    of the same sources, bound and cap, maps (x, y) in sorted order to the
+    sorted canonical words x -> y, and lists no empty hom-set.
     """
 
     def __init__(self, engine, objects, sources, bound, max_classes, chains=None):
@@ -593,18 +601,22 @@ class Realization:
                     row[y] += 1
         return rows
 
-    def hom_counts(self):
-        """The number of classes in each nonempty hom-set, in ``homs``
-        order, counted without building a word."""
+    def hom_rows(self):
+        """Per source x in sorted order, ``(x, ys, counts)``: the objects y
+        with classes x -> y and their numbers of classes, as two iterators
+        in sorted order, read off the tally without building a word."""
         objects, starts, rows = self.objects, self._starts, self._tallies
         order = sorted(range(len(objects)), key=objects.__getitem__)
         names = [objects[i] for i in order]
         pick = itemgetter(*order) if len(order) > 1 else lambda row: row[:1]
-        counts = {}
         for x in sorted(starts):
             row = pick(rows[starts[x]])
-            counts.update(zip(zip(repeat(x), compress(names, row)), filter(None, row)))
-        return counts
+            yield x, compress(names, row), filter(None, row)
+
+    def hom_counts(self):
+        """The number of classes in each nonempty hom-set, in ``homs``
+        order: ``hom_rows`` keyed by (x, y)."""
+        return {(x, y): n for x, ys, counts in self.hom_rows() for y, n in zip(ys, counts)}
 
     def hom_count(self, x, y):
         """The number of classes x -> y, read off the tally."""
@@ -929,8 +941,11 @@ def format_hom_classes(homset):
 
 
 def format_hom_class(index, rep, size):
-    """One class line of ``format_hom_classes``, newline included."""
-    return f"class {index} size {size} rep {' '.join(rep)}".rstrip() + "\n"
+    """One class line of ``format_hom_classes``, newline included; the empty
+    word's line ends at ``rep`` (an id holds no whitespace to strip)."""
+    if rep:
+        return f"class {index} size {size} rep {' '.join(rep)}\n"
+    return f"class {index} size {size} rep\n"
 
 
 def format_preorder(complex_):

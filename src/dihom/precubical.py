@@ -59,7 +59,7 @@ class Violation(Record):
         return f"dim {self.dim} cell {self.cell}: {self.message}"
 
 
-_ID_RE = re.compile(r"^\S+$")
+_ID_RE = re.compile(r"\S+\Z")
 
 
 class PreCubicalSet:

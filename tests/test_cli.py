@@ -20,7 +20,11 @@ from dihom import gridscene as gs
 from dihom import precubical as pc
 from dihom.cli import _sniff, run
 from dihom.errors import InputSyntaxError
-from oracles import format_hom_classes_oracle, hom_classes_record_oracle
+from oracles import (
+    format_hom_classes_oracle,
+    hom_classes_record_oracle,
+    realize_word_sweep_oracle,
+)
 from test_fundcat import random_cases
 
 X_SCENE = "grid 6 6\nbox 1 1 4 2\nbox 1 4 4 5\nsource 0 0\ntarget 6 6\n"
@@ -1095,6 +1099,46 @@ def test_cat_realize_writes_at_most_a_chunk_of_lines_at_once(tmp_path, monkeypat
         counts = [w.count("\n") for w in writes]
         counts[0] -= 2  # the head goes with the first chunk
         assert counts == [chunk] * (len(writes) - 1) + [homs - chunk * (len(writes) - 1)]
+
+
+def test_cat_realize_rows_match_the_word_sweep_counts(tmp_path, monkeypatch):
+    # seeded presentations (bounded cyclic ones among them), one object with
+    # a loop and boxed scenes' presentations, written a line at a time, in
+    # chunks around the number of hom-sets and in the default chunks
+    from dihom import fundcat as fc
+    from test_catho import _random_presentation
+    rng = random.Random(20261022)
+    texts = [(ct.format_presentation(_random_presentation(rng, trial % 2 == 0)),
+              None if trial % 2 == 0 and rng.random() < 0.5 else rng.randint(0, 4))
+             for trial in range(40)]
+    texts.append(("object x\ngen l x x\n", 3))
+    for _ in range(4):
+        w, h = rng.randint(2, 4), rng.randint(2, 4)
+        boxes = [(x, y, x + 1, y + 1) for x in range(w) for y in range(h) if rng.random() < 0.8]
+        k = gs.to_precubical(gs.make_scene(w, h, boxes, (0, 0), (w, h)))
+        texts.append((ct.format_presentation(fc.presentation_of(k)), None))
+    path = tmp_path / "p.pres"
+    seen = Counter()
+    for text, bound in texts:
+        path.write_text(text)
+        old = realize_word_sweep_oracle(ct.parse_presentation(text), bound)
+        counts = old.hom_counts()
+        want = (f"objects {len(old.objects)}\ntruncated {'true' if old.truncated else 'false'}\n"
+                + "".join(f"hom {x} {y} {n}\n" for (x, y), n in counts.items()))
+        argv = ["cat", "realize", str(path)] + ([] if bound is None else ["--bound", str(bound)])
+        for chunk in sorted({1, len(counts) - 1, len(counts), len(counts) + 1, 4096} - {0}):
+            writes = []
+            out = io.StringIO()
+            out.write = writes.append
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            assert run(argv, out=out) == 0
+            assert "".join(writes) == want, (text, bound, chunk)
+            assert len(writes) == max(1, -(-len(counts) // chunk))
+        seen["truncated"] += old.truncated
+        seen["several hom-sets"] += len(counts) > 1
+        seen["scene"] += len(old.objects) > 4
+    assert seen["truncated"] >= 5 and seen["several hom-sets"] >= 30, seen
+    assert seen["scene"] == 4, seen
 
 
 def test_cat_pushout_validates_each_presentation_once(monkeypatch):

@@ -584,3 +584,42 @@ def test_format_refuses_an_entry_it_cannot_scale():
     for call in (dm.format_dmetric, dm.validate):
         with pytest.raises(ValueError):
             call(space)
+
+
+def test_format_matches_the_fraction_form():
+    # seeded matrices of ints and Fractions over small and large common
+    # denominators, with 0, oo and negative entries (a space made by hand
+    # is not validated), then values at and past the digit limit
+    rng = random.Random(20261022)
+    seen = {"zero": 0, "negative": 0, "fraction": 0}
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        dens = [1, 2, rng.choice([6, 7, 10**12, 3**40])]
+
+        def entry():
+            if rng.random() < 0.1:
+                return dm.INF
+            if rng.random() < 0.3:
+                return rng.randint(-9, 9)
+            return F(rng.randint(-60, 60), rng.choice(dens))
+
+        dist = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+        space = dm.DMetricSpace(tuple(f"p{i}" for i in range(n)), dist)
+        assert dm.format_dmetric(space) == metric_format_oracle(space.points, space.dist)
+        values = [v for row in dist for v in row if v != dm.INF]
+        seen["zero"] += 0 in values
+        seen["negative"] += any(v < 0 for v in values)
+        seen["fraction"] += any(F(v).denominator > 1 for v in values)
+    assert min(seen.values()) >= 20, seen
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python writes integers of any length")
+    big = 10 ** (limit - 1)  # limit digits: the most str() writes
+    for value, fits in [(F(1, big), True), (big, True), (F(-7, big), True), (-big, True),
+                        (F(1, 10 * big), False), (10 * big, False), (F(-10 * big, 3), False)]:
+        space = dm.DMetricSpace(("a", "b"), ((0, value), (dm.INF, 0)))
+        if fits:
+            assert dm.format_dmetric(space) == metric_format_oracle(space.points, space.dist)
+        else:
+            with pytest.raises(DomainError, match=f"more than {limit} digits$"):
+                dm.format_dmetric(space)

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 
 from dihom import catho as ct
+from dihom import cli
 from dihom import fundcat as fc
 from dihom import gridscene as gs
 from dihom import precubical as pc
@@ -17,6 +19,7 @@ from dihom.errors import (
 from oracles import (
     bfs_dipaths,
     enumerate_dipaths_oracle,
+    format_hom_classes_oracle,
     format_preorder_oracle,
     has_no_cycle_oracle,
     heights_kahn_oracle,
@@ -555,6 +558,27 @@ def test_hom_class_report_degenerate_path():
     assert text == "classes 1\nclass 0 size 1 rep\n"
 
 
+def test_hom_class_lines_match_the_joined_report(tmp_path):
+    # the empty word's line, one-generator words and 24-generator words,
+    # line by line and through ``hom --reps``
+    queries = [(HOLE, "v0_0", "v0_0", [0]), (pc.model("ordered_circle"), "0", "1", [1, 1]),
+               (scene_complex("grid 12 12\nbox 5 5 7 7\nsource 0 0\ntarget 12 12\n"),
+                "v0_0", "v12_12", [24, 24])]
+    path = tmp_path / "k.complex"
+    for k, x, y, lengths in queries:
+        homset = fc.hom_classes(k, x, y)
+        assert [len(c.representative) for c in homset.classes] == lengths
+        want = format_hom_classes_oracle(homset)
+        lines = [fc.format_hom_class(i, c.representative, c.size)
+                 for i, c in enumerate(homset.classes)]
+        assert f"classes {homset.count}\n" + "".join(lines) == want
+        path.write_text(pc.format_complex(k))
+        out = io.StringIO()
+        assert cli.run(["hom", str(path), "--from", x, "--to", y, "--reps"], out=out) == 0
+        assert out.getvalue() == want
+    assert fc.format_hom_class(3, (), 1) == "class 3 size 1 rep\n"
+
+
 # the class engine against the brute-force oracles, on seeded random inputs
 
 
@@ -809,17 +833,31 @@ def subdivided_engine(rng):
     return fc._SwapEngine(*ct._subdivided(pres, pres._engine.heights)[1:])
 
 
+def boxed_scene_complex(rng):
+    """A scene up to 7 x 7 with at least 80% of its unit squares boxed, as
+    perfbench's many_classes builds them: classes are about as many as
+    dipaths, so most pairs of a layer start a class."""
+    w, h = rng.randint(2, 7), rng.randint(2, 7)
+    cells = [(x, y) for x in range(w) for y in range(h)]
+    kept = set(rng.sample(cells, int(rng.uniform(0, 0.2) * len(cells))))
+    boxes = tuple(gs.Box(x, y, x + 1, y + 1) for x, y in cells if (x, y) not in kept)
+    return gs.to_precubical(gs.GridScene(w, h, boxes, (0, 0), (w, h)))
+
+
 def layer_step_cases(seed, count):
     """(kind, engine, length bound) triples: random complexes (cyclic ones
-    bounded), scenes with touching boxes, pushout-glued presentations and
-    subdivided ones, whose relations are mostly 3 or more generators long."""
+    bounded), scenes with touching boxes, mostly boxed scenes, pushout-glued
+    presentations and subdivided ones, whose relations are mostly 3 or more
+    generators long."""
     rng = random.Random(seed)
     for trial in range(count):
-        kind = ("complex", "scene", "glued", "subdivided")[trial % 4]
+        kind = ("complex", "scene", "boxed", "glued", "subdivided")[trial % 5]
         if kind == "subdivided":
             engine = subdivided_engine(rng)
         elif kind == "scene":
             engine = fc._engine_of(touching_scene_complex(rng))
+        elif kind == "boxed":
+            engine = fc._engine_of(boxed_scene_complex(rng))
         else:
             k = random_complex(rng, acyclic=rng.random() < 0.5)
             engine = fc._engine_of(k) if kind == "complex" else glued(fc.presentation_of(k))._engine
@@ -839,9 +877,16 @@ def swept(layers):
     return [[getattr(layer, f, None) for f in fields] for layer in got], error
 
 
+def mostly_roots(fields):
+    """Whether more than 3 in 4 pairs of the swept layers start a class."""
+    pairs = sum(len(step) for _, _, _, _, _, step in fields if step is not None)
+    return pairs > 0 and 4 * sum(len(ends) for ends, *_ in fields[1:]) > 3 * pairs
+
+
 def test_layer_step_matches_the_generic_walk():
+    # boxed scenes take the root path on nearly every pair
     seen = Counter()
-    for rng, kind, engine, bound in layer_step_cases(20261020, 240):
+    for rng, kind, engine, bound in layer_step_cases(20261020, 300):
         objects = list(engine.index)
         for sources in ([rng.choice(objects)], objects, rng.sample(objects, min(2, len(objects)))):
             for cap in (fc.DEFAULT_MAX_CLASSES, rng.randint(1, 12)):
@@ -849,17 +894,23 @@ def test_layer_step_matches_the_generic_walk():
                 assert swept(engine.layers(sources, bound, cap)) == want, (kind, sources, bound)
                 seen["multi-source"] += len(sources) > 1
                 seen["capped"] += want[1] is not None
+                if kind == "boxed":
+                    seen["boxed multi-source"] += len(sources) > 1
+                    seen["boxed capped"] += want[1] is not None
+                    seen["boxed mostly roots"] += want[1] is None and mostly_roots(want[0])
         for m in engine.relations:
             seen[f"{kind} length {min(m, 3)}"] += 1
     assert min(seen.values()) >= 20, seen
     assert {"glued length 1", "subdivided length 3"} <= set(seen), seen
+    assert seen["boxed mostly roots"] >= 60, seen
 
 
 def test_count_only_layers_match_the_word_layers():
     # the same ends, blocks, offsets, step and cap errors, with neither
-    # sizes nor reps: random complexes (cyclic ones bounded), scenes, glued
-    # and subdivided presentations, from one, two and all objects
-    cases = [(kind, engine, bound) for _, kind, engine, bound in layer_step_cases(20261029, 160)]
+    # sizes nor reps: random complexes (cyclic ones bounded), scenes, mostly
+    # boxed scenes, glued and subdivided presentations, from one, two and all
+    # objects
+    cases = [(kind, engine, bound) for _, kind, engine, bound in layer_step_cases(20261029, 200)]
     cases += [("random", fc._engine_of(k), bound) for _, k, bound in random_cases(777, 80)]
     rng = random.Random(20261029)
     seen = Counter()
@@ -874,7 +925,12 @@ def test_count_only_layers_match_the_word_layers():
                 seen[kind] += 1
                 seen["multi-source"] += len(sources) > 1
                 seen["capped"] += error is not None
+                if kind == "boxed":
+                    seen["boxed multi-source"] += len(sources) > 1
+                    seen["boxed capped"] += error is not None
+                    seen["boxed mostly roots"] += error is None and mostly_roots(words)
     assert min(seen.values()) >= 20, seen
+    assert seen["boxed mostly roots"] >= 40, seen
 
 
 def test_hom_class_count_and_rep_match_the_record_sweep():

@@ -204,6 +204,14 @@ def test_constructor_refuses_malformed_cells(vertices, squares, message):
         pc.PreCubicalSet(vertices, {"e": ("0", "1")}, squares)
 
 
+def test_constructor_refuses_an_id_ending_in_a_newline():
+    # an id is whitespace-free to its end, so a hom class line strips nothing
+    for vertices, edges in ((["0", "1\n"], {}), (["0", "1"], {"e\n": ("0", "1")})):
+        with pytest.raises(DomainError) as info:
+            pc.PreCubicalSet(vertices, edges, {})
+        assert str(info.value) == f"bad cell id {(vertices + list(edges))[-1]!r}"
+
+
 def test_square_boundary_routes_share_endpoints():
     k = grid_2x1()
     for _w, (d1m, d1p, d2m, d2p) in k.squares.items():
